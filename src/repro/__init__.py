@@ -61,7 +61,6 @@ from .resilience import (
     CheckpointError,
     CheckpointMismatchError,
     FaultPlan,
-    RetryPolicy,
     SweepInterrupted,
 )
 from .obs import (
@@ -140,7 +139,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointMismatchError",
     "FaultPlan",
-    "RetryPolicy",
     "SweepInterrupted",
     "ProgressTicker",
     "configure_logging",

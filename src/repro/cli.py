@@ -291,14 +291,17 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         "--max-retries",
         type=int,
         default=2,
-        help="retries per failed parallel chunk before serial fallback",
+        help="retries per failed parallel chunk before its site is "
+        "quarantined and its remaining chunks run serially in-process",
     )
     group.add_argument(
         "--chunk-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="fail outstanding chunks if none completes within SECONDS",
+        help="initial stall budget: retry a chunk still running after "
+        "SECONDS; once chunks complete, a moving average of their "
+        "durations sets the budget",
     )
     group.add_argument(
         "--fault-plan",

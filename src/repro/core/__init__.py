@@ -30,6 +30,7 @@ from .fleet import (
     FleetInterrupted,
     FleetResult,
     FleetSweep,
+    OptimizationResult,
     SiteStatus,
     SiteSweep,
     fleet_checkpoint_path,
@@ -37,7 +38,6 @@ from .fleet import (
     sweep_fleet,
 )
 from .optimizer import (
-    OptimizationResult,
     optimize,
     optimize_all_strategies,
     optimize_fleet,

@@ -1,17 +1,14 @@
 """Unified sweep engine: the one dispatch loop under every grid sweep.
 
-Historically :func:`repro.core.optimizer.optimize` (single site, retry
-rounds over fresh pools) and :func:`repro.core.fleet.sweep_fleet` (many
-sites, one long-lived pool) each carried their own worker initializer,
-chunk evaluator, retry loop, shm lifecycle, journal/resume path, and
-commit logic — ~2k LoC of near-duplicate scheduler.  This module owns
-all of it once:
+Every exhaustive sweep -- :func:`repro.core.optimizer.optimize` for one
+site, :func:`repro.core.fleet.sweep_fleet` for many -- runs through
+:class:`SweepEngine` in a single mode.  This module owns:
 
 * **Chunk planning** — :func:`sweep_chunk_size` /
   :func:`_chunk_missing_indices` are pure functions of the grid (never
   of ``workers``), so chunk boundaries, journal granularity, and the
-  ``chunk_completed`` event stream are identical serial vs. parallel
-  vs. fleet.
+  ``chunk_completed`` event stream are identical serial vs. parallel,
+  one site vs. many.
 * **Worker plane** — one pool initializer ships a ``site key →
   payload`` map (shared-memory handles by default); workers attach a
   site's segment lazily on its first chunk and cache the context for
@@ -19,11 +16,13 @@ all of it once:
 * **Pool lifecycle** — one long-lived pool, rebuilt on
   ``BrokenProcessPool``; every rebuild consumes chunk attempts, so a
   crash-looping chunk is bounded by ``max_retries``.
-* **Resilience** — per-chunk attempt accounting, adaptive
-  (EWMA-derived) or fixed stall budgets, idempotent per-ordinal
-  commits (a stalled chunk landing after its retry already committed
-  is dropped, so journals never hold a chunk twice), journal resume,
-  and a serial in-parent drain so sweeps always complete.
+* **Resilience** — per-chunk attempt accounting (a failed chunk is
+  requeued at its site's tail), EWMA-adaptive stall budgets seeded by
+  ``chunk_timeout``, idempotent per-ordinal commits (a stalled chunk
+  landing after its retry already committed is dropped, so journals
+  never hold a chunk twice), journal resume, and per-site quarantine: a
+  site whose chunk exhausts its retries drains serially in-parent, so a
+  sweep always completes.
 * **Cross-site work stealing** — each site gets a fair share of the
   in-flight budget; when a site's queue drains (or it is quarantined),
   its capacity is re-granted to the site with the largest remaining
@@ -33,11 +32,9 @@ all of it once:
   iterator over the engine's event bus that ends when the sweep does,
   without closing the bus (buses are shared across sweeps).
 
-The entry points are now *policy* over this engine: ``optimize()`` is a
-one-site fleet (bitwise-identical results, same signature, per-point
-serial progress and exponential backoff preserved), and
-``sweep_fleet()`` layers site interleaving, quarantine, and deadline
-budgets on the same dispatch loop.
+Progress is reported once per committed chunk, and the engine is the
+only place a sweep's ``sweep_started`` / ``sweep_finished`` events are
+emitted.
 """
 
 from __future__ import annotations
@@ -96,7 +93,6 @@ from ..resilience import (
     FaultPlan,
     JournalHeader,
     JOURNAL_VERSION,
-    RetryPolicy,
     corrupt_payload,
     execute_pre_fault,
     load_resumable_chunks,
@@ -225,26 +221,19 @@ _worker_contexts: Dict[str, SiteContext] = {}
 _worker_collect_metrics = False
 _worker_collect_spans = False
 
-#: Whether ``evaluate_chunk`` spans carry a ``site`` attribute (fleet
-#: sweeps do; single-site sweeps keep their historical attribute set).
-_worker_span_site = False
-
 
 def _init_worker(
     payloads: Dict[str, _ContextPayload],
     collect_metrics: bool,
     collect_spans: bool,
-    span_site: bool,
 ) -> None:
     global _worker_payloads, _worker_collect_metrics, _worker_collect_spans
-    global _worker_span_site
     _worker_payloads = payloads
     # A fork-started worker inherits the parent's module state; contexts
     # resolved in a previous pool's worker must not leak into this one.
     _worker_contexts.clear()
     _worker_collect_metrics = collect_metrics
     _worker_collect_spans = collect_spans
-    _worker_span_site = span_site
     if collect_metrics:
         from ..obs import enable_metrics
 
@@ -303,9 +292,8 @@ def _evaluate_chunk(
         )
     execute_pre_fault(fault)
     context = _context_for(site)
-    attrs: Dict[str, Any] = {"site": site} if _worker_span_site else {}
     evaluations: List[Any]
-    with span("evaluate_chunk", **attrs, start=start, n_designs=len(designs)):
+    with span("evaluate_chunk", site=site, start=start, n_designs=len(designs)):
         if batched:
             evaluations = list(evaluate_block(context, designs, strategy))
         else:
@@ -344,7 +332,6 @@ class SiteRun:
         "chunks",
         "n_chunks",
         "attempts",
-        "ready_at",
         "committed",
         "best_tons",
         "status",
@@ -369,9 +356,6 @@ class SiteRun:
         self.chunks: List[_Chunk] = []
         self.n_chunks = 0
         self.attempts: Dict[int, int] = {}
-        #: Ordinal → earliest resubmission time (single-site sweeps only:
-        #: the exponential-backoff window a failed chunk waits out).
-        self.ready_at: Dict[int, float] = {}
         self.committed: Set[int] = set()
         self.best_tons = math.inf
         self.status: Optional[SiteStatus] = None
@@ -462,16 +446,11 @@ def _validated_payload(
 class SweepEngine:
     """One dispatch loop for every sweep: chunking, pools, shm, commits.
 
-    The engine is *mechanism*; the entry points are policy over it:
-
-    * ``fleet=False`` (one site) reproduces :func:`~repro.core.optimize`
-      bit for bit — exponential backoff between a chunk's retries, a
-      fixed stall budget, per-point serial progress, exhausted chunks
-      degrading to an in-parent serial drain, and no quarantine.
-    * ``fleet=True`` reproduces :func:`~repro.core.sweep_fleet` —
-      round-robin site interleaving, per-site fault domains with
-      quarantine, EWMA-adaptive stall budgets, deadline budgets, and
-      per-site terminal events.
+    The engine is *mechanism*; :func:`~repro.core.sweep_fleet` is the
+    policy over it, and :func:`~repro.core.optimize` is a one-site
+    fleet.  Every sweep gets round-robin site interleaving, per-site
+    fault domains with quarantine, EWMA-adaptive stall budgets, deadline
+    budgets, per-chunk progress, and per-site terminal events.
 
     Lifecycle: construct, :meth:`setup` (journals, resume, chunk queues,
     shared segments), :meth:`dispatch` (serial or pooled, plus the
@@ -493,10 +472,8 @@ class SweepEngine:
         strategy: Strategy,
         *,
         workers: int = 1,
-        fleet: bool = False,
         deadline_s: Optional[float] = None,
         max_retries: int = 2,
-        backoff: Optional[RetryPolicy] = None,
         timeout: Optional[AdaptiveChunkTimeout] = None,
         checkpoints: Optional[Mapping[str, Optional[PathLike]]] = None,
         resume: bool = False,
@@ -510,10 +487,8 @@ class SweepEngine:
     ) -> None:
         self.strategy = strategy
         self.workers = workers
-        self.fleet = fleet
         self.deadline_s = deadline_s
         self.max_retries = max_retries
-        self.backoff = backoff
         self.timeout = timeout if timeout is not None else AdaptiveChunkTimeout()
         self.checkpoints = dict(checkpoints) if checkpoints else {}
         self.resume = resume
@@ -538,9 +513,6 @@ class SweepEngine:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._finished = threading.Event()
         self.use_pool = False
-        # Per-point serial progress is the historical optimize() contract
-        # (one callback per grid point); pools and fleets report per chunk.
-        self._per_point = False
 
     # ------------------------------------------------------------------
     # Public surface
@@ -548,7 +520,7 @@ class SweepEngine:
 
     @property
     def done_points(self) -> int:
-        """Committed grid points so far (per-point granular when serial)."""
+        """Committed grid points so far, resumed ones included."""
         return self._done_points
 
     @property
@@ -612,15 +584,13 @@ class SweepEngine:
             state.chunks = _chunk_missing_indices(filled, chunk_size)
             state.queue = deque(state.chunks)
             state.n_chunks = len(state.chunks)
-            if self.fleet:
-                self._emit(
-                    "sweep_started",
-                    site=state.key,
-                    strategy=self.strategy.value,
-                    total=state.total,
-                    workers=self.workers,
-                    fleet=True,
-                )
+            self._emit(
+                "sweep_started",
+                site=state.key,
+                strategy=self.strategy.value,
+                total=state.total,
+                workers=self.workers,
+            )
             if state.n_chunks == 0:
                 # Fully restored from its journal: nothing left to sweep.
                 self._finalize(state, SiteStatus.COMPLETE)
@@ -628,41 +598,31 @@ class SweepEngine:
         if self.progress is not None and self._done_points:
             self.progress(self._done_points, self._fleet_total, self.strategy.value)
 
-        if self.fleet:
-            self.use_pool = self.workers > 1
-        else:
-            self.use_pool = (
-                self.workers > 1
-                and sum(state.n_chunks for state in self.states) > 1
-            )
-        self._per_point = not self.fleet and not self.use_pool
-
+        # A pool only pays off with more than one chunk to spread over it.
+        self.use_pool = (
+            self.workers > 1 and sum(state.n_chunks for state in self.states) > 1
+        )
         if self.use_pool:
+            # Sites restored whole from their journals ship nothing.
             for state in self.states:
-                if self.shm and state.active:
+                if not state.active:
+                    continue
+                if self.shm:
                     try:
                         state.shared = share_context(state.context)
                         state.payload = state.shared.handle
                     except SharedContextError as error:
-                        if self.fleet:
-                            _log.warning(
-                                "site %s: shared-memory trace plane unavailable "
-                                "(%s); pickling its context to workers",
-                                state.key,
-                                error,
-                            )
-                        else:
-                            _log.warning(
-                                "shared-memory trace plane unavailable (%s); "
-                                "falling back to pickling the context per worker",
-                                error,
-                            )
+                        _log.warning(
+                            "site %s: shared-memory trace plane unavailable "
+                            "(%s); pickling its context to workers",
+                            state.key,
+                            error,
+                        )
                 self._payloads[state.key] = state.payload
-            if not self.fleet:
-                set_gauge(
-                    "context_pickle_bytes",
-                    handle_pickle_bytes(self.states[0].payload),
-                )
+            set_gauge(
+                "context_pickle_bytes",
+                max(map(handle_pickle_bytes, self._payloads.values())),
+            )
 
     def dispatch(self) -> None:
         """Run the sweep to completion (serial, or pooled plus drain)."""
@@ -688,7 +648,7 @@ class SweepEngine:
                 state.shared.unlink()
             if state.journal is not None:
                 state.journal.close()
-        if self.fleet and not interrupted:
+        if not interrupted:
             remaining = self._remaining_s()
             if remaining is not None:
                 set_gauge("fleet_deadline_remaining_s", remaining)
@@ -738,8 +698,7 @@ class SweepEngine:
         if state.journal is not None:
             state.journal.append_chunk(start, evaluations)
             inc("checkpoint_chunks_written")
-        if not self._per_point:
-            self._done_points += len(evaluations)
+        self._done_points += len(evaluations)
         self._emit(
             "chunk_completed",
             site=state.key,
@@ -758,7 +717,7 @@ class SweepEngine:
                 coverage=chunk_best.coverage,
                 design=chunk_best.design.describe(),
             )
-        if self.progress is not None and not self._per_point:
+        if self.progress is not None:
             self.progress(self._done_points, self._fleet_total, self.strategy.value)
         if len(state.committed) == state.n_chunks:
             self._finalize(
@@ -769,15 +728,10 @@ class SweepEngine:
             )
 
     def _finalize(self, state: SiteRun, status: SiteStatus) -> None:
-        """Close a site out; in fleet mode, its terminal event fires once."""
+        """Close a site out; its terminal event fires once."""
         if state.status is not None:
             return
         state.status = status
-        if not self.fleet:
-            # Single-site sweeps: the entry point owns the terminal
-            # narration (sweep_finished, sweeps_completed) so its event
-            # stream stays byte-compatible with the pre-engine optimizer.
-            return
         if status in (SiteStatus.COMPLETE, SiteStatus.DEGRADED):
             evaluations = state.results
             assert all(e is not None for e in evaluations)
@@ -870,9 +824,8 @@ class SweepEngine:
     def _evaluate_in_parent(
         self, state: SiteRun, start: int, stop: int
     ) -> List[DesignEvaluation]:
-        attrs: Dict[str, Any] = {"site": state.key} if self.fleet else {}
         with span(
-            "evaluate_chunk", **attrs, start=start, n_designs=stop - start
+            "evaluate_chunk", site=state.key, start=start, n_designs=stop - start
         ):
             if self.batched:
                 return list(
@@ -890,9 +843,6 @@ class SweepEngine:
     # ------------------------------------------------------------------
 
     def _dispatch_serial(self) -> None:
-        if not self.fleet:
-            self._dispatch_serial_single()
-            return
         # Fault plans are not applied in-parent — faults fire in pool
         # workers, and the serial path *is* the fault-free oracle the
         # pooled path is tested against.
@@ -911,42 +861,6 @@ class SweepEngine:
             if remaining is not None:
                 set_gauge("fleet_deadline_remaining_s", remaining)
 
-    def _on_serial_point(self) -> None:
-        self._done_points += 1
-        if self.progress is not None:
-            self.progress(self._done_points, self._fleet_total, self.strategy.value)
-
-    def _dispatch_serial_single(self) -> None:
-        """In-process single-site sweep with per-point progress.
-
-        Each chunk is wrapped in the same ``evaluate_chunk`` span a
-        worker process opens, so span histograms are identical serial
-        vs. parallel; a batched chunk reports its points as the block
-        completes.
-        """
-        state = self.states[0]
-        while state.queue:
-            ordinal, start, stop = state.queue.popleft()
-            evaluations: List[DesignEvaluation] = []
-            with span("evaluate_chunk", start=start, n_designs=stop - start):
-                if self.batched:
-                    evaluations = list(
-                        evaluate_block(
-                            state.context, state.designs[start:stop], self.strategy
-                        )
-                    )
-                    for _ in evaluations:
-                        self._on_serial_point()
-                else:
-                    for index in range(start, stop):
-                        evaluations.append(
-                            evaluate_design(
-                                state.context, state.designs[index], self.strategy
-                            )
-                        )
-                        self._on_serial_point()
-            self._commit(state, ordinal, start, evaluations, None)
-
     # ------------------------------------------------------------------
     # Pooled dispatch
     # ------------------------------------------------------------------
@@ -955,7 +869,7 @@ class SweepEngine:
         return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
-            initargs=(self._payloads, metrics_enabled(), tracing_enabled(), self.fleet),
+            initargs=(self._payloads, metrics_enabled(), tracing_enabled()),
             mp_context=_mp_context(),
         )
 
@@ -1031,9 +945,8 @@ class SweepEngine:
         cursor: int,
         grants: Dict[str, int],
         inflight: Dict[str, int],
-        now: float,
     ) -> Tuple[Optional[SiteRun], int]:
-        """Round-robin site pick honoring grants and backoff windows."""
+        """Round-robin site pick honoring per-site grants."""
         n = len(self.states)
         for step in range(1, n + 1):
             index = (cursor + step) % n
@@ -1041,8 +954,6 @@ class SweepEngine:
             if not (state.active and not state.quarantined and state.queue):
                 continue
             if inflight[state.key] >= grants[state.key]:
-                continue
-            if state.ready_at and state.ready_at.get(state.queue[0][0], 0.0) > now:
                 continue
             return state, index
         return None, cursor
@@ -1052,7 +963,7 @@ class SweepEngine:
         if state.status is not None or flight.ordinal in state.committed:
             return
         inc("chunk_failures")
-        if self.fleet and isinstance(error, SharedContextError):
+        if isinstance(error, SharedContextError):
             # The site's segment is unattachable for every worker; retrying
             # cannot help — isolate the fault domain immediately.
             self._quarantine(state, f"shm attach failed: {error}")
@@ -1070,13 +981,9 @@ class SweepEngine:
             error,
         )
         if attempts > self.max_retries:
-            if self.fleet:
-                self._quarantine(
-                    state,
-                    f"chunk {flight.ordinal} exhausted {self.max_retries} retries",
-                )
-            # Single-site: the chunk simply leaves the queue; the serial
-            # drain re-evaluates it in-parent, so the sweep completes.
+            self._quarantine(
+                state, f"chunk {flight.ordinal} exhausted {self.max_retries} retries"
+            )
             return
         inc("chunk_retries")
         self._emit(
@@ -1088,10 +995,6 @@ class SweepEngine:
             stop=flight.stop,
             attempt=attempts,
         )
-        if self.backoff is not None:
-            state.ready_at[flight.ordinal] = time.monotonic() + self.backoff.backoff_s(
-                attempts
-            )
         state.queue.append((flight.ordinal, flight.start, flight.stop))
 
     def _dispatch_pooled(self) -> None:
@@ -1130,9 +1033,8 @@ class SweepEngine:
 
             # Top up: interleave sites round-robin so none starves.
             pool_broken = False
-            now = time.monotonic()
             while len(flights) < max_in_flight:
-                state, cursor = self._next_pooled_site(cursor, grants, inflight, now)
+                state, cursor = self._next_pooled_site(cursor, grants, inflight)
                 if state is None:
                     break
                 ordinal, start, stop = state.queue.popleft()
@@ -1210,10 +1112,7 @@ class SweepEngine:
                     except Exception as error:
                         self._record_failure(flight, error)
                         continue
-                    if self.fleet:
-                        # Only fleets adapt the stall budget; single-site
-                        # sweeps keep their fixed chunk_timeout contract.
-                        self.timeout.observe(now - flight.submitted_s)
+                    self.timeout.observe(now - flight.submitted_s)
                     self._commit(
                         state, flight.ordinal, flight.start, evaluations, telemetry
                     )
@@ -1244,23 +1143,6 @@ class SweepEngine:
                                 f"no result within the {budget:.2f}s stall budget"
                             ),
                         )
-            else:
-                # Nothing in flight and nothing submittable: every pending
-                # chunk is waiting out its retry backoff — sleep until the
-                # nearest window opens.
-                wake = min(
-                    (
-                        state.ready_at.get(ordinal, 0.0)
-                        for state in self.states
-                        if state.active and not state.quarantined
-                        for (ordinal, _, _) in state.queue
-                    ),
-                    default=0.0,
-                )
-                delay = wake - time.monotonic()
-                # Clamp the backoff to the dispatch tick so deadline and
-                # shutdown checks keep firing even with far-future retries.
-                time.sleep(min(delay, _TICK_S) if delay > 0 else _TICK_S)
 
             if pool_broken:
                 _log.warning(
@@ -1286,9 +1168,8 @@ class SweepEngine:
     def _drain_serial(self) -> None:
         """Finish every uncommitted chunk serially in-parent.
 
-        Fleet mode: quarantined-``serial`` sites drain here so healthy
-        sites kept the workers.  Single-site mode: chunks that exhausted
-        their retries degrade here — a sweep always completes.
+        Quarantined-``serial`` sites drain here, so healthy sites kept
+        the workers and a sweep always completes.
         """
         for state in self.states:
             if not state.active:
@@ -1298,16 +1179,7 @@ class SweepEngine:
                     self._close_deadline([s for s in self.states if s.active])
                     break
                 inc("serial_fallbacks")
-                if not self.fleet:
-                    _log.warning(
-                        "chunk %d [%d:%d) exhausted %d retries; degrading to "
-                        "serial in-process evaluation",
-                        ordinal,
-                        start,
-                        stop,
-                        self.max_retries,
-                    )
                 evaluations = self._evaluate_in_parent(state, start, stop)
                 self._commit(state, ordinal, start, evaluations, None, serial=True)
-            if self.fleet and state.active:  # pragma: no cover - defensive
+            if state.active:  # pragma: no cover - defensive
                 self._finalize(state, SiteStatus.DEGRADED)

@@ -256,11 +256,10 @@ class CarbonExplorer:
         context through the zero-copy shared-memory trace plane
         (:mod:`repro.core.shm`); the result is bitwise-identical to a
         serial sweep (see :func:`repro.core.optimize`).  Further keyword
-        arguments (``max_retries``, ``chunk_timeout``, ``backoff_s``,
-        ``checkpoint``, ``resume``, ``faults``, ``shm``, ``batch_size``)
-        configure the sweep's fault tolerance, checkpoint/resume
-        behaviour, the trace plane, and tensorized (design × hour) chunk
-        evaluation — see :func:`repro.core.optimize` and
+        arguments (``max_retries``, ``chunk_timeout``, ``checkpoint``,
+        ``resume``, ``faults``, ``shm``, ``batch_size``) configure the
+        sweep's fault tolerance, checkpoint/resume behaviour, the trace
+        plane, and tensorized (design × hour) chunk evaluation — see :func:`repro.core.optimize` and
         :mod:`repro.resilience`.
         """
         if space is None:

@@ -1,12 +1,12 @@
 """Fleet sweep policy: all sites, one engine, per-site fault domains.
 
 The paper's headline results (Figs. 9, 14, 15) rank all thirteen grids
-against each other, but per-site :func:`repro.core.optimizer.optimize`
-calls sweep them strictly one at a time — one wedged or faulty site
-stalls the whole ranking, and an interrupt throws away every completed
-site.  :func:`sweep_fleet` instead schedules the entire fleet over **one
-shared worker pool**, as *policy* over the shared
-:class:`repro.core.engine.SweepEngine` dispatch loop:
+against each other.  :func:`sweep_fleet` schedules the entire fleet over
+**one shared worker pool**, as *policy* over the
+:class:`repro.core.engine.SweepEngine` dispatch loop, and every other
+sweep runs through it too: :func:`repro.core.optimizer.optimize` is a
+one-site fleet whose finished :class:`SiteSweep` is unwrapped into the
+:class:`OptimizationResult` it returns.
 
 * **One shm segment per site** — every site's traces are packed into its
   own shared-memory segment (:mod:`repro.core.shm`); workers receive the
@@ -21,19 +21,22 @@ shared worker pool**, as *policy* over the shared
   cannot serialize behind its fair share once the small sites finish.
   Stealing moves *capacity*, never chunks, so per-site results stay
   bitwise-identical with it on or off.
-* **Per-site fault domains** — a site whose segment cannot be attached,
-  whose chunks exhaust their retries, or whose payloads keep failing
-  validation is *quarantined*: its remaining chunks degrade to serial
-  in-parent evaluation (or the site is marked failed, with
-  ``quarantine="fail"``) while every other site keeps sweeping.  Chunk
+* **Per-site fault domains** — a failed chunk is requeued at the tail of
+  its site's queue (the shared pool keeps serving other chunks in the
+  meantime, so no backoff window is needed).  A site whose segment
+  cannot be attached, or whose chunk exhausts ``max_retries``, is
+  *quarantined*: its remaining chunks degrade to serial in-parent
+  evaluation (status ``degraded``), or the site is marked failed with
+  ``quarantine="fail"``, while every other site keeps sweeping.  Chunk
   evaluation is deterministic, so a quarantined-but-completed site is
   still bitwise-identical to a fault-free serial sweep.
 * **Deadline budgets** — ``deadline_s`` bounds the fleet's wall clock;
   when it trips, unfinished sites are closed out as
   ``deadline_exceeded`` with their partial frontiers instead of hanging
-  the caller.  Stall detection is *adaptive*: an EWMA over observed
-  chunk durations (:class:`repro.resilience.AdaptiveChunkTimeout`)
-  replaces the one-size fixed ``chunk_timeout``.
+  the caller.  Stall detection is *adaptive*: ``chunk_timeout`` seeds an
+  EWMA over observed chunk durations
+  (:class:`repro.resilience.AdaptiveChunkTimeout`), which takes over as
+  chunks complete.
 * **Streaming partial results** — the sweep narrates itself onto a
   :class:`repro.obs.SweepEvents` bus (``sweep_started`` /
   ``chunk_completed`` / ``frontier_updated`` / ``capacity_stolen`` /
@@ -43,34 +46,27 @@ shared worker pool**, as *policy* over the shared
   what ``repro rank --stream`` consumes — while push subscribers keep
   working as before.
 
-Chunk boundaries come from the same pure
-:func:`~repro.core.engine.sweep_chunk_size` function :func:`optimize`
-uses, and per-site journals are written with the same fingerprints — a
-fleet journal resumes under :func:`optimize` and vice versa (both paths
-derive journal names through
-:func:`repro.resilience.checkpoint.sweep_journal_path`).
-
-Retry semantics differ from :func:`optimize` deliberately: a failed
-chunk is requeued at the tail of its site's queue instead of waiting out
-an exponential-backoff window, because the shared pool keeps serving the
-other sites in the meantime — the interleaving itself provides the
-spacing that backoff buys a single-site sweep.
+Chunk boundaries come from the pure
+:func:`~repro.core.engine.sweep_chunk_size` function, and per-site
+journals are written with the same fingerprints whichever entry point
+runs the sweep, so a ``repro rank`` journal resumes under
+:func:`~repro.core.optimizer.optimize` and vice versa (both derive
+journal names through :func:`repro.resilience.checkpoint.sweep_journal_path`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from ..obs import ProgressCallback, SweepEvents, get_logger, span
 from ..obs.events import SweepEvent
 from ..resilience import AdaptiveChunkTimeout, FleetFaultPlan
 from ..resilience.checkpoint import PathLike, sweep_journal_path
 from .design import DesignSpace, Strategy
-from .engine import EngineSite, SiteRun, SiteStatus, SweepEngine
-from .evaluate import DesignEvaluation, SiteContext
-from .optimizer import OptimizationResult
+from .engine import EngineSite, SiteRun, SiteStatus, SweepEngine, _SiteFaultAdapter
+from .evaluate import DesignEvaluation
 from .pareto import pareto_frontier
 
 _log = get_logger("core.fleet")
@@ -78,6 +74,41 @@ _log = get_logger("core.fleet")
 #: One fleet site: (site key, context, design space).  Keys must be unique;
 #: the CLI uses state codes.
 FleetSite = EngineSite
+
+#: A base journal path (each site journals to ``<base>.<site lowercase>``)
+#: or an explicit site key → journal path map.
+FleetCheckpoint = Union[PathLike, Mapping[str, PathLike]]
+
+#: Site-scoped faults, or a chunk-scoped plan lifted to every site.
+FleetFaults = Union[FleetFaultPlan, _SiteFaultAdapter]
+
+
+@dataclass(frozen=True)
+class OptimizationResult:
+    """Outcome of one exhaustive sweep.
+
+    Attributes
+    ----------
+    strategy:
+        The solution portfolio the sweep was constrained to.
+    best:
+        The evaluation minimizing total (operational + embodied) carbon.
+    evaluations:
+        Every grid point evaluated, in grid order.
+    """
+
+    strategy: Strategy
+    best: DesignEvaluation
+    evaluations: Tuple[DesignEvaluation, ...]
+
+    @property
+    def n_evaluated(self) -> int:
+        """Number of designs the sweep evaluated."""
+        return len(self.evaluations)
+
+    def best_coverage(self) -> float:
+        """Coverage of the carbon-optimal design (a Fig. 15 annotation)."""
+        return self.best.coverage
 
 
 @dataclass(frozen=True)
@@ -87,8 +118,8 @@ class SiteSweep:
     ``evaluations`` holds every *committed* evaluation in grid order —
     the full grid for ``complete``/``degraded`` sites, a partial prefix
     pattern for ``failed``/``deadline_exceeded`` ones.  ``result`` is the
-    site's :class:`~repro.core.optimizer.OptimizationResult` when the
-    sweep finished (bitwise-identical to a standalone fault-free serial
+    site's :class:`OptimizationResult` when the sweep finished
+    (bitwise-identical to a standalone fault-free serial
     :func:`~repro.core.optimizer.optimize`), else ``None``.
     """
 
@@ -254,6 +285,11 @@ class FleetSweep:
         """The bus this sweep narrates onto (engine-owned if none given)."""
         return self._engine.events
 
+    @property
+    def done_points(self) -> int:
+        """Grid points committed so far across the fleet, resumed ones included."""
+        return self._engine.done_points
+
     def results(self) -> Iterator[SweepEvent]:
         """Stream the sweep's events; ends when the sweep finishes."""
         return self._engine.results()
@@ -328,9 +364,9 @@ def prepare_fleet(
     chunk_timeout: Optional[float] = None,
     timeout_multiplier: float = 8.0,
     timeout_floor_s: float = 0.25,
-    checkpoint: Optional[PathLike] = None,
+    checkpoint: Optional[FleetCheckpoint] = None,
     resume: bool = False,
-    faults: Optional[FleetFaultPlan] = None,
+    faults: Optional[FleetFaults] = None,
     quarantine: str = "serial",
     shm: bool = True,
     events: Optional[SweepEvents] = None,
@@ -350,6 +386,12 @@ def prepare_fleet(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if deadline_s is not None and deadline_s <= 0:
         raise ValueError(f"deadline_s must be positive or None, got {deadline_s}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if chunk_timeout is not None and chunk_timeout <= 0:
+        raise ValueError(
+            f"chunk_timeout must be positive or None, got {chunk_timeout}"
+        )
     if batch_size is not None and batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if quarantine not in ("serial", "fail"):
@@ -362,11 +404,16 @@ def prepare_fleet(
     if len(set(keys)) != len(keys):
         raise ValueError(f"duplicate site keys in fleet: {keys}")
 
+    base: Optional[PathLike] = None
+    if checkpoint is None or isinstance(checkpoint, Mapping):
+        checkpoints = checkpoint
+    else:
+        base = checkpoint
+        checkpoints = {key: fleet_checkpoint_path(base, key) for key in keys}
     engine = SweepEngine(
         sites,
         strategy,
         workers=workers,
-        fleet=True,
         deadline_s=deadline_s,
         max_retries=max_retries,
         timeout=AdaptiveChunkTimeout(
@@ -374,11 +421,7 @@ def prepare_fleet(
             multiplier=timeout_multiplier,
             floor_s=timeout_floor_s,
         ),
-        checkpoints=(
-            {key: fleet_checkpoint_path(checkpoint, key) for key in keys}
-            if checkpoint is not None
-            else None
-        ),
+        checkpoints=checkpoints,
         resume=resume,
         faults=faults,
         quarantine=quarantine,
@@ -393,7 +436,7 @@ def prepare_fleet(
             raise ValueError(
                 f"design space for site {state.key!r} produced no points"
             )
-    return FleetSweep(engine, strategy, deadline_s, checkpoint)
+    return FleetSweep(engine, strategy, deadline_s, base)
 
 
 def sweep_fleet(
@@ -406,9 +449,9 @@ def sweep_fleet(
     chunk_timeout: Optional[float] = None,
     timeout_multiplier: float = 8.0,
     timeout_floor_s: float = 0.25,
-    checkpoint: Optional[PathLike] = None,
+    checkpoint: Optional[FleetCheckpoint] = None,
     resume: bool = False,
-    faults: Optional[FleetFaultPlan] = None,
+    faults: Optional[FleetFaults] = None,
     quarantine: str = "serial",
     shm: bool = True,
     events: Optional[SweepEvents] = None,
@@ -428,11 +471,15 @@ def sweep_fleet(
       serially in-process (round-robin across sites, fault-free oracle).
     * ``deadline_s`` — fleet-wide wall-clock budget; ``None`` is
       unbounded.
+    * ``max_retries`` — re-submissions per failed chunk before its site
+      is quarantined.
     * ``chunk_timeout`` — initial stall budget; the EWMA over observed
       chunk durations (scaled by ``timeout_multiplier``, floored at
       ``timeout_floor_s``) takes over as completions accrue.
     * ``checkpoint`` — *base* journal path; each site journals to
-      ``<base>.<site lowercase>`` (same scheme as ``repro rank``).
+      ``<base>.<site lowercase>`` (same scheme as ``repro rank``).  A
+      mapping of site key → journal path names each journal exactly
+      (what :func:`~repro.core.optimizer.optimize` passes).
     * ``faults`` — site-scoped :class:`~repro.resilience.FleetFaultPlan`
       (tests and CI only).
     * ``quarantine`` — ``"serial"`` finishes a quarantined site's chunks

@@ -10,77 +10,39 @@ strategy and returns the minimizer along with every evaluation (the sweeps
 double as the raw data for the Pareto and Fig. 15 analyses).
 
 Sweeps are *resilient* (see :mod:`repro.resilience` and DESIGN.md's
-"Resilience" section): the grid is processed in contiguous chunks; failed
-chunks — crashed workers, poisoned pools, stalls past a per-chunk timeout,
-corrupt payloads — are retried with exponential backoff and finally
-re-evaluated serially in-process, so a sweep always completes with results
-bitwise-identical to a fault-free serial run.  With ``checkpoint=`` every
-completed chunk is journaled as it finishes, and ``resume=True`` skips the
-journaled grid indices after validating the journal's fingerprint against
-the exact sweep being run.
+"Resilience" section): the grid is processed in contiguous chunks; a
+failed chunk — crashed worker, poisoned pool, stall past the adaptive
+stall budget, corrupt payload — is requeued, and a chunk that exhausts
+its retries quarantines the site, whose remaining chunks are evaluated
+serially in-process, so a sweep always completes with results
+bitwise-identical to a fault-free serial run.  With ``checkpoint=``
+every completed chunk is journaled as it finishes, and ``resume=True``
+skips the journaled grid indices after validating the journal's
+fingerprint against the exact sweep being run.
 
-Since the sweep-engine refactor this module is *policy*, not mechanism:
-:func:`optimize` runs a one-site :class:`repro.core.engine.SweepEngine`
-(bitwise-identical results, same signature), translating its historical
-retry knobs — ``max_retries``, exponential ``backoff_s``, a fixed
-``chunk_timeout`` stall budget — into the engine's per-chunk accounting.
-All pool, shared-memory, journal, and commit mechanics live in
-:mod:`repro.core.engine`.
+This module is *policy*, not mechanism: :func:`optimize` runs a one-site
+:func:`repro.core.fleet.prepare_fleet` sweep and unwraps the finished
+site into an :class:`OptimizationResult`.  All pool, shared-memory,
+journal, and commit mechanics live in :mod:`repro.core.engine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import ProgressCallback, SweepEvents, get_logger, inc, set_gauge, span
-from ..resilience import AdaptiveChunkTimeout, FaultPlan, RetryPolicy, SweepInterrupted
+from ..resilience import FaultPlan, SweepInterrupted
 from ..resilience.checkpoint import PathLike, sweep_journal_path
 from .design import DesignPoint, DesignSpace, Strategy, default_design_space
-from .engine import (  # noqa: F401  (re-exported: chunk planning is engine-owned)
-    _TARGET_CHUNKS,
-    _chunk_missing_indices,
-    _ContextPayload,
-    _mp_context,
-    _SiteFaultAdapter,
-    SweepEngine,
-    sweep_chunk_size,
-)
+from .engine import _SiteFaultAdapter
 from .evaluate import (
     DesignEvaluation,
     SiteContext,
     evaluate_block_sites,
 )
+from .fleet import FleetInterrupted, OptimizationResult, prepare_fleet
 
 _log = get_logger("core.optimizer")
-
-
-@dataclass(frozen=True)
-class OptimizationResult:
-    """Outcome of one exhaustive sweep.
-
-    Attributes
-    ----------
-    strategy:
-        The solution portfolio the sweep was constrained to.
-    best:
-        The evaluation minimizing total (operational + embodied) carbon.
-    evaluations:
-        Every grid point evaluated, in grid order.
-    """
-
-    strategy: Strategy
-    best: DesignEvaluation
-    evaluations: Tuple[DesignEvaluation, ...]
-
-    @property
-    def n_evaluated(self) -> int:
-        """Number of designs the sweep evaluated."""
-        return len(self.evaluations)
-
-    def best_coverage(self) -> float:
-        """Coverage of the carbon-optimal design (a Fig. 15 annotation)."""
-        return self.best.coverage
 
 
 def optimize(
@@ -91,7 +53,6 @@ def optimize(
     workers: int = 1,
     max_retries: int = 2,
     chunk_timeout: Optional[float] = None,
-    backoff_s: float = 0.1,
     checkpoint: Optional[PathLike] = None,
     resume: bool = False,
     faults: Optional[FaultPlan] = None,
@@ -101,11 +62,16 @@ def optimize(
 ) -> OptimizationResult:
     """Exhaustively evaluate ``space`` under ``strategy`` for one site.
 
+    The sweep is a one-site :func:`repro.core.fleet.sweep_fleet`, keyed
+    by ``context.site_state``: every argument below means what it means
+    there, and the finished site is returned as an
+    :class:`OptimizationResult`.
+
     ``progress``, when given, is called with ``(done, total,
-    strategy_name)`` — ``done`` is a completed *count*, not a grid
-    position; see :class:`repro.obs.ProgressCallback` for the exact
-    semantics (serial sweeps report per point, parallel sweeps per
-    completed chunk, resumed sweeps start at the checkpointed count).
+    strategy_name)`` once per committed chunk — ``done`` is a completed
+    *count*, not a grid position; see :class:`repro.obs.ProgressCallback`
+    for the exact semantics (resumed sweeps start at the checkpointed
+    count).
 
     ``events``, when given, receives the sweep's lifecycle on a
     :class:`repro.obs.SweepEvents` bus: ``sweep_started``, one
@@ -113,20 +79,22 @@ def optimize(
     resumed journal are mirrored with ``resumed: true`` before any live
     chunk), ``chunk_retried`` per re-submitted parallel chunk,
     ``frontier_updated`` whenever a committed chunk lowers the running
-    best total carbon, and ``sweep_finished`` with the optimum.  Grid
-    chunking is a pure function of the grid size, so the
-    ``chunk_completed`` count is identical serial vs. parallel; the bus
-    is never closed here (callers may run several sweeps over one bus).
+    best total carbon, ``site_quarantined`` / ``sweep_degraded`` if a
+    chunk exhausts its retries, and ``sweep_finished`` with the optimum
+    and the site's status.  Grid chunking is a pure function of the grid
+    size, so the ``chunk_completed`` count is identical serial vs.
+    parallel; the bus is never closed here (callers may run several
+    sweeps over one bus).
 
     Resilience (see :mod:`repro.resilience`):
 
     * ``workers > 1`` fans grid chunks across a process pool; a failed or
-      stalled chunk is retried up to ``max_retries`` times with
-      exponential backoff (``backoff_s`` base, doubling per attempt) and
-      finally re-evaluated serially in-process, so the sweep completes
-      with evaluations bitwise-identical to a serial run regardless of
-      worker crashes.  ``chunk_timeout`` (seconds) is the stall detector:
-      a chunk that produces no result within it is failed and retried.
+      stalled chunk is requeued up to ``max_retries`` times, after which
+      the remaining chunks are evaluated serially in-process, so the
+      sweep completes with evaluations bitwise-identical to a serial run
+      regardless of worker crashes.  ``chunk_timeout`` (seconds) seeds
+      the stall detector; once chunks complete, an EWMA of their
+      durations sets the budget.
     * ``checkpoint`` names a journal file appended to as chunks finish;
       ``resume=True`` loads it, validates its fingerprint against this
       exact sweep, and skips already-journaled grid indices.  An
@@ -146,7 +114,7 @@ def optimize(
       falls back to pickling the full context.  Results are bitwise
       identical either way.
     * ``batch_size`` routes every path — serial, parallel workers, the
-      post-retry serial fallback, and resumed sweeps — through
+      quarantine's serial drain, and resumed sweeps — through
       :func:`repro.core.evaluate.evaluate_block`, which tensorizes each
       chunk's design axis into one ``(design, hour)`` kernel call
       (:mod:`repro.kernels.batch`).  Chunks are widened to at least
@@ -158,49 +126,22 @@ def optimize(
     Raises
     ------
     ValueError
-        If ``workers < 1``, ``batch_size < 1``, ``resume`` is requested
-        without a ``checkpoint``, or the constrained space is empty.
+        If ``workers < 1``, ``max_retries < 0``, ``chunk_timeout <= 0``,
+        ``batch_size < 1``, ``resume`` is requested without a
+        ``checkpoint``, or the constrained space is empty.
     repro.resilience.CheckpointError
         If the checkpoint file is damaged.
     repro.resilience.CheckpointMismatchError
         If the checkpoint belongs to a different site/seed/space/strategy.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if resume and checkpoint is None:
-        raise ValueError("resume=True requires a checkpoint path")
-    # RetryPolicy validates the retry knobs (and raises the historical
-    # messages) even though the engine consumes them piecemeal.
-    policy = RetryPolicy(
-        max_retries=max_retries,
-        backoff_base_s=backoff_s,
-        chunk_timeout_s=chunk_timeout,
-    )
-    total = space.size(strategy)
     site = context.site_state
-
-    if events is not None:
-        events.emit(
-            "sweep_started",
-            site=site,
-            strategy=strategy.value,
-            total=total,
-            workers=workers,
-        )
-
-    engine = SweepEngine(
+    handle = prepare_fleet(
         [(site, context, space)],
         strategy,
         workers=workers,
-        fleet=False,
         max_retries=max_retries,
-        backoff=policy,
-        # A fixed stall budget (None = no stall detection): single-site
-        # sweeps never feed the EWMA, preserving the chunk_timeout contract.
-        timeout=AdaptiveChunkTimeout(initial_s=chunk_timeout),
-        checkpoints={site: checkpoint} if checkpoint is not None else None,
+        chunk_timeout=chunk_timeout,
+        checkpoint={site: checkpoint} if checkpoint is not None else None,
         resume=resume,
         faults=_SiteFaultAdapter(faults) if faults is not None else None,
         shm=shm,
@@ -208,19 +149,15 @@ def optimize(
         batch_size=batch_size,
         progress=progress,
     )
-    state = engine.states[0]
+    total = space.size(strategy)
+    _log.info(
+        "sweep start: site=%s strategy=%s grid_points=%d workers=%d",
+        site,
+        strategy.value,
+        total,
+        workers,
+    )
     try:
-        engine.setup()
-        _log.info(
-            "sweep start: site=%s strategy=%s grid_points=%d workers=%d "
-            "pending_chunks=%d resumed_evaluations=%d",
-            site,
-            strategy.value,
-            total,
-            workers,
-            state.n_chunks,
-            engine.done_points,
-        )
         with span(
             "optimize",
             strategy=strategy.value,
@@ -228,50 +165,26 @@ def optimize(
             grid_points=total,
             workers=workers,
         ):
-            engine.dispatch()
-    except KeyboardInterrupt:
-        if checkpoint is not None:
-            raise SweepInterrupted(
-                checkpoint=str(checkpoint),
-                done=engine.done_points,
-                total=total,
-                strategy=strategy.value,
-            ) from None
-        raise
-    finally:
-        # Deterministic teardown: completion, exceptions, and
-        # SweepInterrupted all unlink the shared segment and close the
-        # journal here.
-        engine.cleanup()
-
-    results = state.results
-    if not all(evaluation is not None for evaluation in results):
-        raise AssertionError("sweep left unevaluated grid points")  # pragma: no cover
-    evaluations = results
-    if not evaluations:
-        raise ValueError("design space produced no points")
-    best = min(evaluations, key=lambda e: e.total_tons)  # type: ignore[union-attr]
-    inc("sweeps_completed")
-    set_gauge("sweep_grid_points", total)
-    if events is not None:
-        events.emit(
-            "sweep_finished",
-            site=site,
-            strategy=strategy.value,
+            fleet = handle.run()
+    except FleetInterrupted:
+        if checkpoint is None:
+            raise KeyboardInterrupt from None
+        raise SweepInterrupted(
+            checkpoint=str(checkpoint),
+            done=handle.done_points,
             total=total,
-            best_total_tons=best.total_tons,
-            best_coverage=best.coverage,
-        )
+            strategy=strategy.value,
+        ) from None
+    result = fleet.sites[0].result
+    assert result is not None, "a one-site sweep without a deadline always finishes"
     _log.info(
         "sweep done: site=%s strategy=%s best_total_tons=%.1f coverage=%.3f",
         site,
         strategy.value,
-        best.total_tons,
-        best.coverage,
+        result.best.total_tons,
+        result.best.coverage,
     )
-    return OptimizationResult(
-        strategy=strategy, best=best, evaluations=tuple(evaluations)  # type: ignore[arg-type]
-    )
+    return result
 
 
 def optimize_all_strategies(
@@ -281,7 +194,6 @@ def optimize_all_strategies(
     workers: int = 1,
     max_retries: int = 2,
     chunk_timeout: Optional[float] = None,
-    backoff_s: float = 0.1,
     checkpoint: Optional[PathLike] = None,
     resume: bool = False,
     faults: Optional[FaultPlan] = None,
@@ -314,7 +226,6 @@ def optimize_all_strategies(
             workers=workers,
             max_retries=max_retries,
             chunk_timeout=chunk_timeout,
-            backoff_s=backoff_s,
             checkpoint=strategy_checkpoint_path(checkpoint, strategy),
             resume=resume,
             faults=faults,

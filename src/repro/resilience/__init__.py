@@ -1,13 +1,13 @@
-"""Fault tolerance for design sweeps: retries, checkpoints, fault injection.
+"""Fault tolerance for design sweeps: checkpoints, fault domains, fault injection.
 
 Production-scale sweeps run minutes-to-hours across worker pools and must
 survive worker crashes, be interruptible, and resume without redoing
-work.  This package supplies the three pieces the optimizer threads
-through :mod:`repro.core.optimizer`:
+work.  This package supplies the pieces the sweep engine
+(:mod:`repro.core.engine`) threads through every sweep:
 
-* :mod:`~repro.resilience.retry` — :class:`RetryPolicy`: chunk-level
-  retry with exponential backoff, a per-round stall timeout, and serial
-  in-process fallback so a sweep always completes;
+* :mod:`~repro.resilience.domains` — :class:`AdaptiveChunkTimeout`, the
+  EWMA stall budget, and :class:`FleetFaultPlan`, site-scoped fault
+  injection (chunk retries and per-site quarantine live in the engine);
 * :mod:`~repro.resilience.checkpoint` — an append-only JSONL journal of
   completed chunks with SHA-256 fingerprint validation
   (:func:`sweep_fingerprint`), exact float round-tripping, and tolerant
@@ -45,7 +45,6 @@ from .faults import (
     corrupt_payload,
     execute_pre_fault,
 )
-from .retry import RetryPolicy
 from .serialize import (
     design_from_json,
     design_to_json,
@@ -73,7 +72,6 @@ __all__ = [
     "FaultPlan",
     "corrupt_payload",
     "execute_pre_fault",
-    "RetryPolicy",
     "design_from_json",
     "design_to_json",
     "evaluation_from_json",

@@ -15,11 +15,11 @@ two site-scoped pieces the scheduler threads through:
   :class:`~repro.resilience.faults.FaultPlan` addresses chunks of one
   sweep; a fleet plan addresses ``(site, chunk ordinal, attempt)``
   triples across the whole fleet.
-* :class:`AdaptiveChunkTimeout` — an EWMA over observed chunk durations
-  that replaces the one-size-fits-all fixed ``chunk_timeout``: the stall
-  budget for a chunk is a multiple of what chunks have actually been
-  taking, so a fleet mixing fast and slow sites neither false-trips on
-  the slow ones nor waits forever on a wedged worker.
+* :class:`AdaptiveChunkTimeout` — an EWMA over observed chunk durations,
+  seeded by ``chunk_timeout``: the stall budget for a chunk is a
+  multiple of what chunks have actually been taking, so a fleet mixing
+  fast and slow sites neither false-trips on the slow ones nor waits
+  forever on a wedged worker.
 
 Determinism: rate-based fault draws hash ``(seed, site, ordinal,
 attempt)`` through a private :class:`random.Random` seeded with a string
@@ -195,8 +195,8 @@ class FleetFaultPlan:
 class AdaptiveChunkTimeout:
     """EWMA-driven per-chunk stall budget.
 
-    Replaces a fixed ``chunk_timeout``: every completed chunk's duration
-    feeds an exponentially weighted moving average, and the budget for an
+    The one stall contract of every sweep: each completed chunk's
+    duration feeds an exponentially weighted moving average, and the budget for an
     outstanding chunk is ``max(floor_s, multiplier * ewma)`` (optionally
     capped).  Until the first observation the budget is the ``initial_s``
     seed — ``None`` disables stall detection entirely until real

@@ -26,6 +26,7 @@ import pytest
 
 from repro.core import Strategy, SweepEngine, optimize, sweep_fleet
 from repro.core.design import DesignSpace
+from repro.obs import SweepEvents
 from repro.resilience import FaultPlan, FleetFaultPlan
 from repro.resilience.domains import SiteFaultPolicy
 
@@ -50,6 +51,18 @@ BIG_SPACE = DesignSpace(
 
 def golden_path(strategy: Strategy) -> str:
     return f"{FIXTURES}/ut.{strategy.name.lower()}.ckpt"
+
+
+def narrate(entry_point, **kwargs):
+    """Run one sweep; return its ``(kind, payload)`` events and progress calls."""
+    bus = SweepEvents()
+    calls = []
+    entry_point(
+        events=bus,
+        progress=lambda done, total, label: calls.append((done, total, label)),
+        **kwargs,
+    )
+    return [(event.kind, event.payload) for event in bus.events()], calls
 
 
 def run_engine_single_site(context, space, strategy, **kwargs):
@@ -158,6 +171,47 @@ class TestCrossEntryPoint:
         assert single.evaluations == reference.evaluations
         assert fleet.site("UT").evaluations == reference.evaluations
 
+    @pytest.mark.parametrize(
+        "config",
+        [{}, {"batch_size": 4}, {"workers": 2}],
+        ids=["per-design", "batched", "pooled"],
+    )
+    def test_optimize_narrates_exactly_like_a_one_site_fleet(
+        self, ut_context, config
+    ):
+        """optimize() is a one-site fleet: same events, same progress calls."""
+        strategy = Strategy.RENEWABLES_BATTERY
+        single = narrate(
+            lambda **kw: optimize(ut_context, GOLDEN_SPACE, strategy, **kw),
+            **config,
+        )
+        fleet = narrate(
+            lambda **kw: sweep_fleet(
+                [("UT", ut_context, GOLDEN_SPACE)], strategy, **kw
+            ),
+            **config,
+        )
+        (single_events, single_calls), (fleet_events, fleet_calls) = single, fleet
+        assert single_calls == fleet_calls
+        assert single_calls[-1][0] == GOLDEN_SPACE.size(strategy)
+        if "workers" not in config:
+            assert single_events == fleet_events
+            return
+        # Pooled chunks commit in completion order, which varies run to
+        # run, and so does how often the running best improves: compare
+        # the bracketing events exactly and the committed chunks as a set.
+        assert single_events[0] == fleet_events[0]
+        assert single_events[-1] == fleet_events[-1]
+
+        def chunks(events):
+            return sorted(
+                (payload["start"], payload["count"])
+                for kind, payload in events
+                if kind == "chunk_completed"
+            )
+
+        assert chunks(single_events) == chunks(fleet_events)
+
     def test_faulted_sweep_is_bitwise_after_retries(self, ut_context):
         """Kill faults poison the pool; retried chunks must re-commit the
         exact same floats the fault-free run produces."""
@@ -223,7 +277,6 @@ class TestWorkStealingChaos:
             [("UT", ut_context, BIG_SPACE), ("OR", or_context, GOLDEN_SPACE)],
             Strategy.RENEWABLES_BATTERY,
             workers=2,
-            fleet=True,
             events=bus,
         )
         try:
@@ -253,7 +306,6 @@ class TestWorkStealingChaos:
             [("UT", ut_context, BIG_SPACE), ("OR", or_context, GOLDEN_SPACE)],
             Strategy.RENEWABLES_BATTERY,
             workers=2,
-            fleet=True,
         )
         try:
             engine.setup()

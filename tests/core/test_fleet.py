@@ -134,6 +134,10 @@ class TestSerialFleet:
             sweep_fleet(trio_sites, STRATEGY, quarantine="ignore")
         with pytest.raises(ValueError, match="resume"):
             sweep_fleet(trio_sites, STRATEGY, resume=True)
+        with pytest.raises(ValueError, match="max_retries"):
+            sweep_fleet(trio_sites, STRATEGY, max_retries=-1)
+        with pytest.raises(ValueError, match="chunk_timeout"):
+            sweep_fleet(trio_sites, STRATEGY, chunk_timeout=0.0)
 
 
 class TestPooledFleet:

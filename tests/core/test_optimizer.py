@@ -62,6 +62,28 @@ class TestOptimize:
         assert result.best_coverage() == result.best.coverage
 
 
+class TestOptimizeValidation:
+    """The retry and stall-budget arguments are checked at the entry point."""
+
+    def test_negative_max_retries_rejected(self, context, small_space):
+        with pytest.raises(ValueError, match="max_retries"):
+            optimize(context, small_space, Strategy.RENEWABLES_ONLY, max_retries=-1)
+
+    def test_zero_retries_allowed(self, context, small_space):
+        serial = optimize(context, small_space, Strategy.RENEWABLES_ONLY)
+        pooled = optimize(
+            context, small_space, Strategy.RENEWABLES_ONLY, workers=2, max_retries=0
+        )
+        assert pooled.evaluations == serial.evaluations
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0])
+    def test_non_positive_timeout_rejected(self, context, small_space, timeout):
+        with pytest.raises(ValueError, match="chunk_timeout"):
+            optimize(
+                context, small_space, Strategy.RENEWABLES_ONLY, chunk_timeout=timeout
+            )
+
+
 class TestOptimizeAllStrategies:
     def test_returns_all_four(self, context, small_space):
         results = optimize_all_strategies(context, small_space)

@@ -58,7 +58,6 @@ class TestFaultInjectedSweeps:
             small_space,
             STRATEGY,
             workers=2,
-            backoff_s=0.0,
             faults=FaultPlan(kill_chunks=frozenset({0})),
         )
         assert result.evaluations == serial_result.evaluations
@@ -72,7 +71,6 @@ class TestFaultInjectedSweeps:
             small_space,
             STRATEGY,
             workers=2,
-            backoff_s=0.0,
             faults=FaultPlan(corrupt_chunks=frozenset({1, 3})),
         )
         assert result.evaluations == serial_result.evaluations
@@ -85,7 +83,6 @@ class TestFaultInjectedSweeps:
             small_space,
             STRATEGY,
             workers=2,
-            backoff_s=0.0,
             chunk_timeout=0.3,
             faults=FaultPlan(delay_chunks={0: 3.0}),
         )
@@ -100,7 +97,6 @@ class TestFaultInjectedSweeps:
             small_space,
             STRATEGY,
             workers=2,
-            backoff_s=0.0,
             faults=faults,
         )
         assert result.evaluations == serial_result.evaluations
@@ -116,7 +112,6 @@ class TestFaultInjectedSweeps:
             STRATEGY,
             workers=2,
             max_retries=1,
-            backoff_s=0.0,
             faults=FaultPlan(
                 kill_chunks=frozenset({0}), max_faulted_attempts=99
             ),
@@ -132,7 +127,6 @@ class TestFaultInjectedSweeps:
             small_space,
             STRATEGY,
             workers=2,
-            backoff_s=0.0,
             faults=FaultPlan(corrupt_chunks=frozenset({2})),
         )
         assert fresh_metrics.counter_value("chunk_failures") >= 1
@@ -166,7 +160,6 @@ class TestWorkerMetricsMerge:
             small_space,
             STRATEGY,
             workers=2,
-            backoff_s=0.0,
             faults=FaultPlan(corrupt_chunks=frozenset({0})),
         )
         assert fresh_metrics.counter_value("designs_evaluated") == small_space.size(

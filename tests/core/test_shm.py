@@ -16,7 +16,7 @@ import pickle
 
 import pytest
 
-from repro.core import Strategy, optimize
+from repro.core import Strategy, optimize, sweep_fleet
 from repro.core.design import DesignSpace
 from repro.core.shm import (
     SEGMENT_PREFIX,
@@ -163,7 +163,6 @@ class TestShmSweeps:
             Strategy.RENEWABLES_BATTERY,
             workers=2,
             faults=FaultPlan.from_spec("kill=0;corrupt=1"),
-            backoff_s=0.0,
         )
         assert result.evaluations == serial.evaluations
         assert _live_segments() == []
@@ -188,7 +187,7 @@ class TestShmSweeps:
         assert _live_segments() == []
 
     def test_metrics_record_the_trace_plane(
-        self, ut_context, small_space, fresh_metrics
+        self, ut_context, or_context, small_space, fresh_metrics
     ):
         optimize(ut_context, small_space, Strategy.RENEWABLES_BATTERY, workers=2)
         registry = fresh_metrics
@@ -196,15 +195,32 @@ class TestShmSweeps:
         assert registry.counter_value("context_attach_count") >= 1
         snapshot = registry.snapshot()
         assert 0 < snapshot["gauges"]["context_pickle_bytes"] < 1024
+        # A pooled fleet reports its largest site payload.
+        reset_metrics()
+        sweep_fleet(
+            [("UT", ut_context, small_space), ("OR", or_context, small_space)],
+            Strategy.RENEWABLES_BATTERY,
+            workers=2,
+        )
+        assert 0 < registry.snapshot()["gauges"]["context_pickle_bytes"] < 1024
 
     def test_no_shm_pickle_bytes_are_full_context(
-        self, ut_context, small_space, fresh_metrics
+        self, ut_context, or_context, small_space, fresh_metrics
     ):
         optimize(
             ut_context, small_space, Strategy.RENEWABLES_BATTERY, workers=2, shm=False
         )
         snapshot = fresh_metrics.snapshot()
         assert snapshot["gauges"]["context_pickle_bytes"] > 100_000
+        assert fresh_metrics.counter_value("shm_bytes_shared") == 0
+        reset_metrics()
+        sweep_fleet(
+            [("UT", ut_context, small_space), ("OR", or_context, small_space)],
+            Strategy.RENEWABLES_BATTERY,
+            workers=2,
+            shm=False,
+        )
+        assert fresh_metrics.snapshot()["gauges"]["context_pickle_bytes"] > 100_000
         assert fresh_metrics.counter_value("shm_bytes_shared") == 0
 
     def test_resumed_sweep_with_shm_matches_uninterrupted(
