@@ -180,9 +180,11 @@ def capacity_for_full_coverage(
     The search only ever asks "does this capacity still leave a deficit?",
     so it runs on :func:`repro.kernels.battery.battery_import_exceeds`
     rather than full simulations: the zero-capacity probe is the vectorized
-    renewables-only arithmetic, and every undersized midpoint exits its
-    year loop at the first hour the cumulative deficit turns positive
-    (only the exactly-zero-deficit midpoints pay for a full year).
+    renewables-only arithmetic, every undersized midpoint exits its year
+    loop at the first hour the cumulative deficit turns positive, and the
+    exactly-zero-deficit midpoints that pay for a full year skip every
+    stretch spent pinned at full capacity.  Every probe of one call shares
+    one :class:`~repro.kernels.battery.BatterySeed`, built on the first.
     """
     if max_hours_of_load <= 0:
         raise ValueError(f"max_hours_of_load must be positive, got {max_hours_of_load}")
@@ -193,15 +195,16 @@ def capacity_for_full_coverage(
     if demand.min() < 0 or supply.min() < 0:
         raise ValueError("demand and supply must be non-negative")
 
-    demand_values = demand.values
-    supply_values = supply.values
+    seed: Optional[BatterySeed] = None
 
     def has_deficit(capacity_mwh: float) -> bool:
+        nonlocal seed
+        if seed is None:
+            seed = BatterySeed(demand.values, supply.values)
         spec = BatterySpec(capacity_mwh)
         inc("battery_capacity_probes")
         return battery_import_exceeds(
-            demand_values,
-            supply_values,
+            seed,
             threshold_mwh=0.0,
             capacity_mwh=spec.capacity_mwh,
             floor_mwh=spec.floor_mwh,

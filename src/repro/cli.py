@@ -267,9 +267,11 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="tensorize sweep chunks of at least N designs into one "
-        "(design x hour) kernel call (results are bitwise-identical to "
-        "the default per-design evaluation; try a few hundred)",
+        help="evaluate sweep chunks of N designs as blocks: CAS blocks of "
+        "8+ rows and combined blocks of 160+ rows run one (design x hour) "
+        "kernel call, battery blocks the seeded per-design kernel (results "
+        "are bitwise-identical to the default per-design evaluation; try a "
+        "few hundred)",
     )
 
 

@@ -102,7 +102,13 @@ from ..resilience import (
 from ..resilience.checkpoint import PathLike
 from ..resilience.validate import ChunkValidationError
 from .design import DesignPoint, DesignSpace, Strategy
-from .evaluate import DesignEvaluation, SiteContext, evaluate_block, evaluate_design
+from .evaluate import (
+    DesignEvaluation,
+    SiteContext,
+    batch_min_rows_override,
+    evaluate_block,
+    evaluate_design,
+)
 from .shm import (
     SharedContextError,
     SharedSiteContext,
@@ -199,11 +205,18 @@ def _mp_context() -> Optional[multiprocessing.context.BaseContext]:
 
     Unset means the platform default.  CI sets ``spawn`` so the trace
     plane is exercised without fork inheritance; ``fork``/``forkserver``
-    are accepted where the platform provides them.
+    are accepted where the platform provides them.  Any other value
+    raises ``ValueError`` naming the variable and the accepted methods.
     """
     method = os.environ.get("REPRO_MP_START_METHOD")
     if not method:
         return None
+    accepted = multiprocessing.get_all_start_methods()
+    if method not in accepted:
+        raise ValueError(
+            f"REPRO_MP_START_METHOD must be one of {', '.join(accepted)}, "
+            f"got {method!r}"
+        )
     return multiprocessing.get_context(method)
 
 
@@ -498,6 +511,12 @@ class SweepEngine:
         self.events = events if events is not None else SweepEvents()
         self.batch_size = batch_size
         self.batched = batch_size is not None
+        # Read the sweep's environment knobs once in the parent, so a
+        # malformed value fails here rather than inside a pool worker.
+        if self.batched:
+            batch_min_rows_override()
+        if workers > 1:
+            _mp_context()
         self.progress = progress
         self.steal = steal
         self.states: List[SiteRun] = [

@@ -469,29 +469,55 @@ def evaluate_design(
     )
 
 
-#: Smallest block (rows) worth routing through a batched kernel, per
-#: strategy.  The batched hour loop has a near-constant per-sweep cost
-#: (~8760 iterations of numpy dispatch regardless of D), so tiny blocks
-#: are faster through the serial per-design kernels; these floors were
-#: calibrated on the CI container against the serial kernels at the
-#: block sizes real sweeps produce.  ``REPRO_BATCH_MIN_ROWS`` overrides
-#: all three (the env var reaches spawned workers, which a monkeypatched
-#: module global would not).
+#: Smallest block (rows) routed through a batched kernel, per strategy;
+#: a strategy missing here never batches.  Measured against the serial
+#: kernels on a 2-vCPU Xeon VM (DESIGN.md, "Fallbacks"): the seeded
+#: serial battery kernel skips each row's rail stretches on its own and
+#: beats ``battery_run_batch`` on the 20-80-row blocks per-site sweeps
+#: produce; batched CAS wins 4-14x even at 8 rows; batched combined
+#: breaks even near 160 rows.  ``min_rows`` or ``REPRO_BATCH_MIN_ROWS``
+#: replaces the whole table (the env var reaches spawned workers, which
+#: a monkeypatched module global would not).
 _BATCH_MIN_ROWS = {
-    Strategy.RENEWABLES_BATTERY: 48,
     Strategy.RENEWABLES_CAS: 8,
-    Strategy.RENEWABLES_BATTERY_CAS: 48,
+    Strategy.RENEWABLES_BATTERY_CAS: 160,
 }
 
 #: Deferral deadline for the combined battery + CAS strategy, hours.
 COMBINED_DEADLINE_HOURS = 24
 
 
-def _batch_min_rows(strategy: Strategy) -> int:
-    override = os.environ.get("REPRO_BATCH_MIN_ROWS")
-    if override:
-        return max(1, int(override))
-    return _BATCH_MIN_ROWS.get(strategy, 1)
+def batch_min_rows_override() -> Optional[int]:
+    """``REPRO_BATCH_MIN_ROWS`` as a row count, or ``None`` when unset.
+
+    Raises ``ValueError`` naming the variable unless it is a positive
+    integer, so a typo fails where it is read instead of reaching a
+    kernel as a silently clamped floor.
+    """
+    raw = os.environ.get("REPRO_BATCH_MIN_ROWS", "")
+    if not raw:
+        return None
+    try:
+        rows = int(raw)
+    except ValueError:
+        rows = 0
+    if rows < 1:
+        raise ValueError(
+            f"REPRO_BATCH_MIN_ROWS must be a positive integer (rows), got {raw!r}"
+        )
+    return rows
+
+
+def _batch_min_rows(strategy: Strategy, min_rows: Optional[int]) -> Optional[int]:
+    """The block floor for ``strategy``; ``None`` means never batch."""
+    if strategy is Strategy.RENEWABLES_ONLY:
+        return None
+    if min_rows is not None:
+        return max(1, min_rows)
+    override = batch_min_rows_override()
+    if override is not None:
+        return override
+    return _BATCH_MIN_ROWS.get(strategy)
 
 
 def _finish_evaluation(
@@ -585,8 +611,12 @@ def evaluate_block(
 
     * ``RENEWABLES_ONLY`` blocks always take it (the strategy is already
       a couple of vectorized array ops — there is no loop to batch);
+    * ``RENEWABLES_BATTERY`` blocks take it unless ``min_rows`` or
+      ``REPRO_BATCH_MIN_ROWS`` forces batching: every row's serial run is
+      seeded from the context's battery seed cache, whose per-row rail
+      fast-forward beats the lockstep batch on per-site sweep blocks;
     * blocks smaller than the per-strategy :data:`_BATCH_MIN_ROWS` floor
-      (``min_rows`` or ``REPRO_BATCH_MIN_ROWS`` override it) take it,
+      (``min_rows`` or ``REPRO_BATCH_MIN_ROWS`` replace it) take it,
       because the batched hour loop costs roughly the same for 1 row as
       for 100;
     * blocks violating a serial wrapper's preconditions take it so the
@@ -595,31 +625,24 @@ def evaluate_block(
     Observability differences from the per-design path are deliberate
     and bounded: batched blocks emit one ``evaluate_block`` span instead
     of D ``evaluate_design``/``simulate_*`` spans, and count rows into
-    ``designs_batched`` and the ``batch_rows_peak`` gauge.
-    ``RENEWABLES_BATTERY`` blocks also reach the battery seed cache —
-    contiguous rows sharing one projected supply row form a seeded group
-    (:func:`_battery_seed_rows`) whose rail fast-forwards skip whole
-    saturation stretches inside the batched kernel, so
-    ``battery_seed_cache_*`` move and ``battery_rows_seeded`` counts the
-    grouped rows (``battery_runs_seeded`` still counts only serial
-    seeded runs).  All simulation counters (``designs_evaluated``,
-    ``battery_sims``, ``schedules_run``, ``combined_sims``, MWh/hour
-    totals, …) match the per-design path exactly.
+    ``designs_batched`` and the ``batch_rows_peak`` gauge.  All
+    simulation counters (``designs_evaluated``, ``battery_sims``,
+    ``schedules_run``, ``combined_sims``, MWh/hour totals, …) match the
+    per-design path exactly.
     """
     designs = list(designs)
     if not designs:
         return []
-    floor_rows = _batch_min_rows(strategy) if min_rows is None else max(1, min_rows)
+    floor_rows = _batch_min_rows(strategy, min_rows)
     constrained = [design.constrained_to(strategy) for design in designs]
     if (
-        strategy is Strategy.RENEWABLES_ONLY
+        floor_rows is None
         or len(designs) < floor_rows
         or not _batch_preconditions_hold(context, constrained)
     ):
         return [evaluate_design(context, design, strategy) for design in designs]
     demand_power = context.demand.power
     calendar = demand_power.calendar
-    n_hours = calendar.n_hours
     peak = demand_power.max()
 
     projections = [
@@ -650,11 +673,8 @@ def evaluate_block(
                 supply_block,
                 **_battery_columns(specs),
                 charge_plane=False,
-                seeds=_battery_seed_rows(context, constrained, projections),
             )
-            evaluations = _finish_battery_rows(
-                context, constrained, projections, run, 0
-            )
+            evaluations = _finish_battery_rows(context, constrained, projections, run)
 
         elif strategy is Strategy.RENEWABLES_CAS:
             # schedule_run_batch shares one 24-hour FWR profile across the
@@ -709,41 +729,6 @@ def evaluate_block(
     return [evaluation for evaluation in evaluations if evaluation is not None]
 
 
-def _battery_seed_rows(
-    context: SiteContext, constrained, projections, offset: int = 0
-):
-    """Seeded ``(row_start, row_stop, BatterySeed)`` groups for a block.
-
-    Consecutive rows sharing one projected supply object (every capacity
-    point of an investment reuses the same
-    :class:`SupplyProjectionCache` entry, so identity — not equality —
-    is the group key) share the seed's capacity-independent saturation
-    structure; the batched battery kernel fast-forwards each group
-    through its rail stretches.  Single-row groups are skipped: there is
-    no capacity axis to share the pre-pass across, and the lockstep loop
-    is already optimal for them.  Row indices are shifted by ``offset``
-    so merged multi-site blocks can seed each site's segment in place.
-    """
-    seeds = []
-    start = 0
-    n_rows = len(projections)
-    while start < n_rows:
-        supply = projections[start][2]
-        stop = start + 1
-        while stop < n_rows and projections[stop][2] is supply:
-            stop += 1
-        if stop - start >= 2:
-            design = constrained[start]
-            seed = context.battery_seed_cache.seed_for(
-                (design.investment.solar_mw, design.investment.wind_mw),
-                supply.values,
-            )
-            seeds.append((offset + start, offset + stop, seed))
-            inc("battery_rows_seeded", stop - start)
-        start = stop
-    return seeds
-
-
 def _battery_columns(specs) -> Dict[str, np.ndarray]:
     """Per-row battery parameter columns shared by both battery kernels.
 
@@ -773,18 +758,12 @@ def _finish_battery_rows(
     designs: Sequence[DesignPoint],
     projections,
     run,
-    offset: int,
 ) -> List[DesignEvaluation]:
-    """Carbon-account one site's rows of a batched battery run.
-
-    ``run`` may hold rows for several sites (the fleet path); ``offset``
-    is where this site's rows start.
-    """
+    """Carbon-account the rows of a batched battery run."""
     calendar = context.demand.power.calendar
     n_hours = calendar.n_hours
     out: List[DesignEvaluation] = []
-    for j, design in enumerate(designs):
-        i = offset + j
+    for i, design in enumerate(designs):
         inc("battery_sims")
         inc("battery_sim_hours", n_hours)
         out.append(
@@ -792,8 +771,8 @@ def _finish_battery_rows(
                 context,
                 design,
                 Strategy.RENEWABLES_BATTERY,
-                projections[j][0],
-                projections[j][1],
+                projections[i][0],
+                projections[i][1],
                 HourlySeries(run.grid_import[i], calendar, name="grid import"),
                 HourlySeries(run.surplus[i], calendar, name="surplus"),
                 0.0,
@@ -853,19 +832,21 @@ def evaluate_block_sites(
     calling :func:`evaluate_block` per site (property: the kernels are
     pure row-wise lockstep; a row never observes its neighbours).
 
-    Only the hour-loop strategies gain (``RENEWABLES_BATTERY`` and
-    ``RENEWABLES_BATTERY_CAS``); other strategies — and any site block
-    that fails the batch preconditions — fall back to per-site
-    :func:`evaluate_block`, which preserves its own routing rules.
+    Only ``RENEWABLES_BATTERY_CAS`` merges, once the fleet block reaches
+    its :data:`_BATCH_MIN_ROWS` floor (the same table, and the same
+    overrides, as :func:`evaluate_block`).  Other strategies — and any
+    site block that fails the batch preconditions — fall back to per-site
+    :func:`evaluate_block`, which preserves its own routing rules: battery
+    blocks run the seeded serial kernel there, and CAS blocks already
+    batch per site from 8 rows.
     """
     blocks = [(context, list(designs)) for context, designs in blocks]
-    mergeable = strategy in (
-        Strategy.RENEWABLES_BATTERY,
-        Strategy.RENEWABLES_BATTERY_CAS,
-    )
     total_rows = sum(len(designs) for _, designs in blocks)
-    floor_rows = _batch_min_rows(strategy) if min_rows is None else max(1, min_rows)
-    if not mergeable or len(blocks) < 2 or total_rows < floor_rows:
+    if (
+        strategy is not Strategy.RENEWABLES_BATTERY_CAS
+        or len(blocks) < 2
+        or total_rows < _batch_min_rows(strategy, min_rows)
+    ):
         return [
             evaluate_block(context, designs, strategy, min_rows=min_rows)
             for context, designs in blocks
@@ -924,29 +905,6 @@ def evaluate_block_sites(
     ):
         inc("designs_batched", total_rows)
         set_gauge("batch_rows_peak", max(gauge_value("batch_rows_peak"), total_rows))
-        if strategy is Strategy.RENEWABLES_BATTERY:
-            seeds = [
-                group
-                for (context, constrained, projections, _, _), offset in zip(
-                    segments, offsets
-                )
-                for group in _battery_seed_rows(
-                    context, constrained, projections, offset
-                )
-            ]
-            run = battery_run_batch(
-                demand_block,
-                supply_block,
-                **_battery_columns(all_specs),
-                charge_plane=False,
-                seeds=seeds,
-            )
-            return [
-                _finish_battery_rows(context, constrained, projections, run, offset)
-                for (context, constrained, projections, _, _), offset in zip(
-                    segments, offsets
-                )
-            ]
         run = combined_run_batch(
             demand_block,
             supply_block,

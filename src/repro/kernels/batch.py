@@ -39,23 +39,6 @@ bitwise (``-(a - b)`` equals ``b - a`` bitwise, and the masked lanes never
 observe a stray ``-0.0`` thanks to the normalizations above), so callers
 never need to split a block by configuration.
 
-The batch battery kernel threads
-:class:`~repro.kernels.battery.BatterySeed`'s rail fast-forward through
-the block via the optional ``seeds`` argument: contiguous row groups that
-share one (demand, supply) pair — every capacity point of an investment
-shares the same projected supply row, one projection-cache hit per
-investment — also share the seed's gap trace and saturation stretches, so
-each group runs its own hour loop that skips a stretch whenever *all* of
-the group's rows sit at their rail (exactly full, or exactly at the DoD
-floor).  Rows pin and unpin at different hours across capacities, so a
-group falls back to the per-hour chain while any row is off its rail;
-the group re-synchronizes at the rails constantly (the battery starts
-full, and the ``(x / eta) * eta`` round-trip is exact for a large
-fraction of doubles), which is what makes the group-level skip pay.
-Ungrouped rows take the plain lockstep loop, and an unseeded call is the
-plain lockstep loop over the whole block — the bitwise oracle for the
-seeded path (property-tested in ``tests/kernels/test_batch_seeded.py``).
-
 Kernel purity: inputs are read-only (gathers copy; every mutated array is
 freshly allocated here), there is no I/O, and the only imports are numpy
 and stdlib containers — the same contract RL003 enforces for the serial
@@ -212,156 +195,6 @@ def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
             dst[r0:r1, h0:h1] = src[h0:h1, r0:r1].T
 
 
-def _battery_segments(n_rows: int, seeds) -> list:
-    """Split the row axis into ``(start, stop, seed_or_None)`` segments.
-
-    ``seeds`` entries are ``(row_start, row_stop, seed)`` triples over
-    disjoint contiguous row ranges; gaps between (and around) them become
-    plain lockstep segments.  An empty/absent ``seeds`` yields the single
-    whole-block lockstep segment.
-    """
-    if not seeds:
-        return [(0, n_rows, None)]
-    segments = []
-    cursor = 0
-    for start, stop, seed in sorted(seeds, key=lambda entry: entry[0]):
-        if not 0 <= start < stop <= n_rows:
-            raise ValueError(
-                f"seed rows [{start}:{stop}) out of range for {n_rows} rows"
-            )
-        if start < cursor:
-            raise ValueError(
-                f"seed rows [{start}:{stop}) overlap a previous seed group"
-            )
-        if start > cursor:
-            segments.append((cursor, start, None))
-        segments.append((start, stop, seed))
-        cursor = stop
-    if cursor < n_rows:
-        segments.append((cursor, n_rows, None))
-    return segments
-
-
-def _battery_lockstep_cols(
-    n_hours, cols, gap_t, req_t, surplus_t, grid_t, charge_t,
-    cap, floor, energy, maxc, maxd, eta_c, eta_d,
-    charged, discharged, power, limit, scratch,
-):
-    """The plain lockstep hour loop over one contiguous column range.
-
-    Lanes are independent (every op is elementwise), so running a column
-    slice is bitwise identical to running it as part of the whole block.
-    """
-    for hour in range(n_hours):
-        gap = gap_t[hour, cols]
-        # Charge on surplus: the exact serial clamp chain.  Deficit lanes
-        # fall through with power = max(min(gap, …), 0.0) = +0.0, making
-        # every update below a bitwise no-op there.
-        np.minimum(gap, maxc, out=power)
-        np.subtract(cap, energy, out=limit)
-        np.divide(limit, eta_c, out=limit)
-        np.minimum(power, limit, out=power)
-        np.maximum(power, 0.0, out=power)
-        np.multiply(power, eta_c, out=scratch)
-        np.add(energy, scratch, out=energy)
-        np.add(charged, power, out=charged)
-        np.subtract(gap, power, out=surplus_t[hour, cols])
-        # Discharge on deficit: mirror image (surplus lanes clip to +0.0).
-        req = req_t[hour, cols]
-        np.minimum(req, maxd, out=power)
-        np.subtract(energy, floor, out=limit)
-        np.multiply(limit, eta_d, out=limit)
-        np.minimum(power, limit, out=power)
-        np.maximum(power, 0.0, out=power)
-        np.divide(power, eta_d, out=scratch)
-        np.subtract(energy, scratch, out=energy)
-        np.add(discharged, power, out=discharged)
-        np.subtract(req, power, out=grid_t[hour, cols])
-        if charge_t is not None:
-            charge_t[hour, cols] = energy
-
-
-def _battery_seeded_cols(
-    seed, cols, surplus_t, grid_t, charge_t,
-    cap, floor, energy, maxc, maxd, eta_c, eta_d,
-    charged, discharged, power, limit, scratch, rail,
-):
-    """The seeded hour loop for one row group sharing a (demand, supply) pair.
-
-    The group's rows all see the seed's gap trace (a Python float per
-    hour), so the surplus/deficit branch — and the post-hoc output masks
-    the lockstep loop applies plane-wide — collapse to a branch on the
-    scalar's sign, and the skipped half-chain's +0.0-power no-op updates
-    (energy, meters) disappear entirely.  Whenever every row sits at a
-    rail (exactly full on a non-deficit hour, exactly at the floor on a
-    non-surplus hour), the serial seeded kernel's stretch argument holds
-    for the whole group at once: power clips to an exact +0.0 in every
-    lane until the stretch ends, so the outputs are committed from the
-    seed's precomputed arrays in one broadcast copy.  Off-rail hours run
-    the serial clamp chains with the scalar gap broadcast — the same
-    IEEE operation per lane as the lockstep loop.
-    """
-    gap_list = seed.gap_list
-    next_deficit = seed.next_deficit
-    next_surplus = seed.next_surplus
-    n_hours = seed.n_hours
-    hour = 0
-    while hour < n_hours:
-        gap = gap_list[hour]
-        if gap >= 0.0:
-            np.equal(energy, cap, out=rail)
-            if rail.all():
-                # Pinned at full: every hour until the next deficit
-                # charges exactly 0.0 MW and spills the whole gap.
-                stop = int(next_deficit[hour])
-                surplus_t[hour:stop, cols] = seed.surplus_if_full[hour:stop, None]
-                grid_t[hour:stop, cols] = 0.0
-                if charge_t is not None:
-                    charge_t[hour:stop, cols] = energy
-                hour = stop
-                continue
-            if gap > 0.0:
-                np.minimum(gap, maxc, out=power)
-                np.subtract(cap, energy, out=limit)
-                np.divide(limit, eta_c, out=limit)
-                np.minimum(power, limit, out=power)
-                np.maximum(power, 0.0, out=power)
-                np.multiply(power, eta_c, out=scratch)
-                np.add(energy, scratch, out=energy)
-                np.add(charged, power, out=charged)
-                np.subtract(gap, power, out=surplus_t[hour, cols])
-            else:
-                surplus_t[hour, cols] = 0.0
-            grid_t[hour, cols] = 0.0
-        else:
-            np.equal(energy, floor, out=rail)
-            if rail.all():
-                # Pinned at the DoD floor: every hour until the next
-                # surplus discharges exactly 0.0 MW and imports the
-                # whole deficit.
-                stop = int(next_surplus[hour])
-                grid_t[hour:stop, cols] = seed.import_if_empty[hour:stop, None]
-                surplus_t[hour:stop, cols] = 0.0
-                if charge_t is not None:
-                    charge_t[hour:stop, cols] = energy
-                hour = stop
-                continue
-            requested = -gap
-            np.minimum(requested, maxd, out=power)
-            np.subtract(energy, floor, out=limit)
-            np.multiply(limit, eta_d, out=limit)
-            np.minimum(power, limit, out=power)
-            np.maximum(power, 0.0, out=power)
-            np.divide(power, eta_d, out=scratch)
-            np.subtract(energy, scratch, out=energy)
-            np.add(discharged, power, out=discharged)
-            np.subtract(requested, power, out=grid_t[hour, cols])
-            surplus_t[hour, cols] = 0.0
-        if charge_t is not None:
-            charge_t[hour, cols] = energy
-        hour += 1
-
-
 def battery_run_batch(
     demand: np.ndarray,
     supply: np.ndarray,
@@ -374,7 +207,6 @@ def battery_run_batch(
     discharge_efficiency,
     initial_energy_mwh,
     charge_plane: bool = True,
-    seeds=None,
 ) -> BatteryRunBatch:
     """:func:`~repro.kernels.battery.battery_run` over a design block.
 
@@ -383,17 +215,9 @@ def battery_run_batch(
     ``supply`` is ``(D, H)`` with one row per design; every keyword is a
     ``(D,)`` column (scalars broadcast).  Zero-capacity rows reproduce
     :func:`~repro.kernels.battery.renewables_only_run` bitwise without
-    leaving the block.
-
-    ``seeds`` is an optional sequence of ``(row_start, row_stop, seed)``
-    triples over disjoint contiguous row ranges whose rows all carry the
-    exact (demand, supply) pair the
-    :class:`~repro.kernels.battery.BatterySeed` was built from (the
-    caller's contract; groups come from the projection cache, so the
-    rows *are* the seed's arrays).  Seeded groups run the group-level
-    rail fast-forward (see the module docstring); rows outside every
-    group — and every row of an unseeded call — run the plain lockstep
-    loop.  Output is bitwise identical either way.
+    leaving the block.  Sweeps reach it only when batching is forced
+    (``min_rows`` / ``REPRO_BATCH_MIN_ROWS``); by default battery blocks
+    run :func:`~repro.kernels.battery.battery_run_seeded` per row.
 
     Preconditions (the wrappers validate them): finite non-negative
     demand/supply, efficiencies in ``(0, 1]``, ``floor <= initial <=
@@ -413,13 +237,6 @@ def battery_run_batch(
     eta_c = _rows(charge_efficiency, n_rows)
     eta_d = _rows(discharge_efficiency, n_rows)
 
-    segments = _battery_segments(n_rows, seeds)
-    for _, _, seed in segments:
-        if seed is not None and seed.n_hours != n_hours:
-            raise ValueError(
-                f"seed spans {seed.n_hours} hours, block spans {n_hours}"
-            )
-
     # Row pre-pass, shared by every hour: the signed gap and its negation.
     # (Fresh allocations — never write through a view of the input block.)
     dem_cols = demand.T if demand.ndim == 2 else demand[:, None]
@@ -435,38 +252,41 @@ def battery_run_batch(
     power = np.empty(n_rows)
     limit = np.empty(n_rows)
     scratch = np.empty(n_rows)
-    rail = np.empty(n_rows, dtype=bool)
 
-    for start, stop, seed in segments:
-        cols = slice(start, stop)
-        if seed is None:
-            _battery_lockstep_cols(
-                n_hours, cols, gap_t, req_t, surplus_t, grid_t, charge_t,
-                cap[cols], floor[cols], energy[cols], maxc[cols], maxd[cols],
-                eta_c[cols], eta_d[cols], charged[cols], discharged[cols],
-                power[cols], limit[cols], scratch[cols],
-            )
-        else:
-            _battery_seeded_cols(
-                seed, cols, surplus_t, grid_t, charge_t,
-                cap[cols], floor[cols], energy[cols], maxc[cols], maxd[cols],
-                eta_c[cols], eta_d[cols], charged[cols], discharged[cols],
-                power[cols], limit[cols], scratch[cols], rail[cols],
-            )
+    for hour in range(n_hours):
+        gap = gap_t[hour]
+        # Charge on surplus: the exact serial clamp chain.  Deficit lanes
+        # fall through with power = max(min(gap, …), 0.0) = +0.0, making
+        # every update below a bitwise no-op there.
+        np.minimum(gap, maxc, out=power)
+        np.subtract(cap, energy, out=limit)
+        np.divide(limit, eta_c, out=limit)
+        np.minimum(power, limit, out=power)
+        np.maximum(power, 0.0, out=power)
+        np.multiply(power, eta_c, out=scratch)
+        np.add(energy, scratch, out=energy)
+        np.add(charged, power, out=charged)
+        np.subtract(gap, power, out=surplus_t[hour])
+        # Discharge on deficit: mirror image (surplus lanes clip to +0.0).
+        req = req_t[hour]
+        np.minimum(req, maxd, out=power)
+        np.subtract(energy, floor, out=limit)
+        np.multiply(limit, eta_d, out=limit)
+        np.minimum(power, limit, out=power)
+        np.maximum(power, 0.0, out=power)
+        np.divide(power, eta_d, out=scratch)
+        np.subtract(energy, scratch, out=energy)
+        np.add(discharged, power, out=discharged)
+        np.subtract(req, power, out=grid_t[hour])
+        if charge_t is not None:
+            charge_t[hour] = energy
 
     # The serial loop only *writes* surplus on strict-surplus hours and
     # grid import on strict-deficit hours; everything else stays +0.0.
     # Masking on the hour-major planes (before transposing) spares a third
-    # full-plane transpose of the gap.  Seeded segments wrote their
-    # outputs pre-masked (the scalar gap decides the branch up front), so
-    # only lockstep segments need the pass.
-    for start, stop, seed in segments:
-        if seed is None:
-            cols = slice(start, stop)
-            np.copyto(
-                surplus_t[:, cols], 0.0, where=~(gap_t[:, cols] > 0.0)
-            )
-            np.copyto(grid_t[:, cols], 0.0, where=~(gap_t[:, cols] < 0.0))
+    # full-plane transpose of the gap.
+    np.copyto(surplus_t, 0.0, where=~(gap_t > 0.0))
+    np.copyto(grid_t, 0.0, where=~(gap_t < 0.0))
     # req_t and gap_t are dead past this point; their pages host the
     # row-major outputs.
     grid_block = req_t.reshape(n_rows, n_hours)

@@ -278,8 +278,7 @@ def battery_run_seeded(
 
 
 def battery_import_exceeds(
-    demand: np.ndarray,
-    supply: np.ndarray,
+    seed: BatterySeed,
     *,
     threshold_mwh: float,
     capacity_mwh: float,
@@ -290,7 +289,7 @@ def battery_import_exceeds(
     discharge_efficiency: float,
     initial_energy_mwh: float,
 ) -> bool:
-    """Whether total grid import of a battery run exceeds ``threshold_mwh``.
+    """Whether total grid import of a seeded battery run exceeds ``threshold_mwh``.
 
     The capacity-search predicate ("does this battery still leave a
     deficit?") does not need the full traces: hourly imports are
@@ -298,22 +297,32 @@ def battery_import_exceeds(
     exit the moment it crosses the threshold — for undersized capacities
     that is typically within the first winter week.  A run that never
     crosses (the exactly-zero-deficit midpoints of the binary search)
-    completes the year and returns ``False``.  The zero-capacity probe is
-    pure vector arithmetic.
+    completes the year and returns ``False``; those runs spend most of the
+    year pinned full, and a non-deficit hour at exactly ``capacity_mwh``
+    jumps straight to the seed's next deficit hour (every skipped hour
+    charges exactly ``+0.0`` and imports nothing — the same stretch
+    argument as :func:`battery_run_seeded`).  Deficit hours run the plain
+    clamp chain and fold ``total_import`` left to right in hour order.
+    The zero-capacity probe is pure vector arithmetic.
     """
     if capacity_mwh == 0.0:  # repro-lint: disable=RL005 — exact degenerate-case guard; kernels import nothing
-        return float(np.maximum(demand - supply, 0.0).sum()) > threshold_mwh
+        return float(np.maximum(seed.demand - seed.supply, 0.0).sum()) > threshold_mwh
 
-    demand_list = demand.tolist()
-    supply_list = supply.tolist()
+    gap_list = seed.gap_list
+    next_deficit = seed.next_deficit
+    n_hours = seed.n_hours
     energy = initial_energy_mwh
     eta_charge = charge_efficiency
     eta_discharge = discharge_efficiency
     total_import = 0.0
 
-    for hour in range(demand.shape[0]):
-        gap = supply_list[hour] - demand_list[hour]
+    hour = 0
+    while hour < n_hours:
+        gap = gap_list[hour]
         if gap >= 0.0:
+            if energy == capacity_mwh:
+                hour = int(next_deficit[hour])
+                continue
             if gap > 0.0:
                 power = gap if gap < max_charge_mw else max_charge_mw
                 limit = (capacity_mwh - energy) / eta_charge
@@ -334,4 +343,5 @@ def battery_import_exceeds(
             total_import += requested - power
             if total_import > threshold_mwh:
                 return True
+        hour += 1
     return total_import > threshold_mwh

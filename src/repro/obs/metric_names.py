@@ -45,7 +45,6 @@ COUNTERS: FrozenSet[str] = frozenset(
         "grid_datasets_generated",
         # battery simulation
         "battery_runs_seeded",
-        "battery_rows_seeded",
         "battery_sims",
         "battery_sim_hours",
         "battery_capacity_probes",

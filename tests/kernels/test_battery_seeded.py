@@ -19,7 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.battery import LFP, BatterySpec, simulate_battery
-from repro.kernels import BatterySeed, battery_run, battery_run_seeded
+from repro.kernels import (
+    BatterySeed,
+    battery_import_exceeds,
+    battery_run,
+    battery_run_seeded,
+)
 from repro.timeseries import HOURS_PER_DAY
 
 #: A chemistry whose C-rate limits almost never bind (the high-C-rate edge).
@@ -75,6 +80,19 @@ def assert_runs_equal(seeded, plain):
     assert np.array_equal(seeded.charge_level, plain.charge_level)
     assert seeded.charged_mwh == plain.charged_mwh
     assert seeded.discharged_mwh == plain.discharged_mwh
+
+
+def year_series():
+    """A flat 10 MW demand year against a seeded-random 0-25 MW supply."""
+    from repro.timeseries import HourlySeries, YearCalendar
+
+    calendar = YearCalendar(2021)
+    rng = np.random.default_rng(11)
+    demand = HourlySeries(np.full(calendar.n_hours, 10.0), calendar, name="demand")
+    supply = HourlySeries(
+        rng.uniform(0.0, 25.0, calendar.n_hours), calendar, name="supply"
+    )
+    return demand, supply
 
 
 #: A rail-heavy year fragment: long all-surplus and all-deficit stretches
@@ -155,6 +173,60 @@ class TestSeededKernel:
         assert not np.signbit(run.surplus).any()
 
 
+THRESHOLDS = st.sampled_from([0.0, 1.0, 100.0])
+
+
+class TestSeededProbe:
+    """The capacity-search predicate rides the same seed: its full-rail
+    jumps must answer exactly what the full plain run's import total says."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        demand=trace(20.0),
+        supply=trace(40.0),
+        spec=SPECS,
+        soc=INITIAL_SOCS,
+        threshold=THRESHOLDS,
+    )
+    def test_matches_full_run_import_total(
+        self, demand, supply, spec, soc, threshold
+    ):
+        kwargs = kernel_battery_kwargs(spec, soc)
+        run = battery_run(demand, supply, **kwargs)
+        exceeds = battery_import_exceeds(
+            BatterySeed(demand, supply), threshold_mwh=threshold, **kwargs
+        )
+        assert exceeds == (float(run.grid_import.sum()) > threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 100.0])
+    @pytest.mark.parametrize("soc", [0.0, 0.5, 1.0])
+    def test_rail_heavy_trace(self, soc, threshold):
+        demand, supply = rail_heavy_trace()
+        seed = BatterySeed(demand, supply)
+        for capacity in (0.0, 5.0, 20.0, 80.0, 800.0):
+            kwargs = kernel_battery_kwargs(BatterySpec(capacity), soc)
+            run = battery_run(demand, supply, **kwargs)
+            assert battery_import_exceeds(
+                seed, threshold_mwh=threshold, **kwargs
+            ) == (float(run.grid_import.sum()) > threshold)
+
+    def test_capacity_search_builds_at_most_one_seed(self, monkeypatch):
+        from repro.battery import capacity_for_full_coverage, simulator
+
+        built = []
+
+        class CountingSeed(BatterySeed):
+            def __init__(self, demand, supply):
+                built.append(1)
+                super().__init__(demand, supply)
+
+        monkeypatch.setattr(simulator, "BatterySeed", CountingSeed)
+        demand, supply = year_series()
+        capacity = capacity_for_full_coverage(demand, supply * 2.0)
+        assert 0.0 < capacity < float("inf")
+        assert len(built) == 1
+
+
 class TestSeedStructure:
     def test_matches_accepts_identity_and_equal_values(self):
         demand, supply = rail_heavy_trace()
@@ -177,21 +249,9 @@ class TestSeedStructure:
 
 
 class TestSimulatorIntegration:
-    def _series(self):
-        from repro.timeseries import HourlySeries, YearCalendar
-
-        calendar = YearCalendar(2021)
-        rng = np.random.default_rng(11)
-        demand = HourlySeries(
-            np.full(calendar.n_hours, 10.0), calendar, name="demand"
-        )
-        supply = HourlySeries(
-            rng.uniform(0.0, 25.0, calendar.n_hours), calendar, name="supply"
-        )
-        return demand, supply
 
     def test_simulate_battery_with_seed_matches_without(self):
-        demand, supply = self._series()
+        demand, supply = year_series()
         spec = BatterySpec(50.0)
         seed = BatterySeed(demand.values, supply.values)
         plain = simulate_battery(demand, supply, spec)
@@ -203,7 +263,7 @@ class TestSimulatorIntegration:
         assert seeded.discharged_mwh == plain.discharged_mwh
 
     def test_mismatched_seed_is_rejected(self):
-        demand, supply = self._series()
+        demand, supply = year_series()
         seed = BatterySeed(demand.values, (supply * 2.0).values)
         with pytest.raises(ValueError, match="different demand/supply"):
             simulate_battery(demand, supply, BatterySpec(50.0), seed=seed)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.battery import LFP, Battery, BatterySpec
 from repro.kernels import (
+    BatterySeed,
     battery_import_exceeds,
     battery_run,
     combined_run,
@@ -272,7 +273,9 @@ class TestBatteryKernel:
     ):
         run = battery_run(demand, supply, **kernel_battery_kwargs(spec, soc))
         exceeds = battery_import_exceeds(
-            demand, supply, threshold_mwh=threshold, **kernel_battery_kwargs(spec, soc)
+            BatterySeed(demand, supply),
+            threshold_mwh=threshold,
+            **kernel_battery_kwargs(spec, soc),
         )
         assert exceeds == (float(run.grid_import.sum()) > threshold)
 
