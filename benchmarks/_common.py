@@ -43,13 +43,30 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 _last_run: Optional[Dict[str, Any]] = None
 
 
+def _env_count(name: str, default: str, minimum: int) -> int:
+    """Environment variable ``name`` as an integer of at least ``minimum``.
+
+    Raises ``ValueError`` naming the variable for anything else (``abc``,
+    ``2.5``, a value below ``minimum``), so a typo fails where it is read
+    instead of reaching a sweep as a malformed knob.
+    """
+    raw = os.environ.get(name, default)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = minimum - 1
+    if value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {raw!r}")
+    return value
+
+
 def bench_workers() -> int:
     """Worker processes for sweep-driving benches (``REPRO_BENCH_WORKERS``).
 
     Defaults to 1 (serial, the comparable-across-machines configuration);
     CI sets the variable to exercise the process-parallel sweep path.
     """
-    return int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
+    return _env_count("REPRO_BENCH_WORKERS", "1", minimum=1)
 
 
 def bench_batch_size() -> Optional[int]:
@@ -61,7 +78,7 @@ def bench_batch_size() -> Optional[int]:
     Set ``REPRO_BENCH_BATCH_SIZE=0`` for the legacy per-design path
     (what the CI ``compare.py`` diff smoke uses as its oracle).
     """
-    value = int(os.environ.get("REPRO_BENCH_BATCH_SIZE", "512"))
+    value = _env_count("REPRO_BENCH_BATCH_SIZE", "512", minimum=0)
     return value if value > 0 else None
 
 

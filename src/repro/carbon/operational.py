@@ -51,9 +51,23 @@ def operational_carbon_tons(
     """
     if grid_import.calendar != grid_intensity.calendar:
         raise ValueError("grid_import and grid_intensity must share a calendar")
+    return operational_carbon_tons_values(grid_import.values, grid_intensity.values)
+
+
+def operational_carbon_tons_values(
+    grid_import: np.ndarray, grid_intensity: np.ndarray
+) -> float:
+    """The array core of :func:`operational_carbon_tons`.
+
+    Takes the hourly values directly, so sweep evaluation accounts raw
+    kernel rows without wrapping them in :class:`HourlySeries`; a length
+    check stands in for the wrapper's calendar comparison.
+    """
+    if grid_import.shape != grid_intensity.shape:
+        raise ValueError("grid_import and grid_intensity must share a calendar")
     if grid_import.min() < 0:
         raise ValueError("grid imports must be non-negative")
-    grams = float((grid_import.values * _KWH_PER_MWH * grid_intensity.values).sum())
+    grams = float((grid_import * _KWH_PER_MWH * grid_intensity).sum())
     return grams / _G_PER_TON
 
 

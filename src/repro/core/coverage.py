@@ -51,12 +51,24 @@ def coverage_from_grid_import(demand: HourlySeries, grid_import: HourlySeries) -
     """
     if demand.calendar != grid_import.calendar:
         raise ValueError("demand and grid_import must share a calendar")
+    return coverage_from_import_values(demand.values, grid_import.values)
+
+
+def coverage_from_import_values(demand: np.ndarray, grid_import: np.ndarray) -> float:
+    """The array core of :func:`coverage_from_grid_import`.
+
+    Takes the hourly values directly, so sweep evaluation accounts raw
+    kernel rows without wrapping them in :class:`HourlySeries`; a length
+    check stands in for the wrapper's calendar comparison.
+    """
+    if demand.shape != grid_import.shape:
+        raise ValueError("demand and grid_import must share a calendar")
     if grid_import.min() < 0:
         raise ValueError("grid import must be non-negative")
-    total_demand = demand.total()
+    total_demand = float(demand.sum())
     if is_exact_zero(total_demand):
         raise ValueError("coverage undefined for zero total demand")
-    coverage = 1.0 - grid_import.total() / total_demand
+    coverage = 1.0 - float(grid_import.sum()) / total_demand
     if coverage < -1e-9:
         raise ValueError("grid import exceeds total demand: inconsistent traces")
     return max(coverage, 0.0)

@@ -22,6 +22,7 @@ from typing import Iterator, Sequence, Tuple
 from ..battery import LFP, BatterySpec, CellChemistry
 from ..datacenter.workloads import DEFAULT_FLEXIBLE_WORKLOAD_RATIO
 from ..grid.scaling import RenewableInvestment
+from ..timeseries.stats import is_exact_zero
 
 
 class DesignSpaceError(ValueError):
@@ -31,6 +32,15 @@ class DesignSpaceError(ValueError):
     callers keep working; axis problems are caught at construction with a
     typed error instead of surfacing later as kernel garbage (NaN carbon
     totals, empty sweeps)."""
+
+
+def _is_float_positive_zero(value: float) -> bool:
+    """Whether ``value`` is the built-in float ``+0.0`` (not ``-0.0``)."""
+    return (
+        type(value) is float
+        and is_exact_zero(value)
+        and math.copysign(1.0, value) > 0.0
+    )
 
 
 @unique
@@ -108,13 +118,22 @@ class DesignPoint:
         )
 
     def constrained_to(self, strategy: Strategy) -> "DesignPoint":
-        """This design with dimensions outside ``strategy`` zeroed out."""
-        point = self
-        if not strategy.uses_battery:
-            point = replace(point, battery_mwh=0.0)
-        if not strategy.uses_scheduling:
-            point = replace(point, extra_capacity_fraction=0.0, flexible_ratio=0.0)
-        return point
+        """This design with dimensions outside ``strategy`` zeroed out.
+
+        Returns ``self`` when every such dimension already holds the float
+        ``+0.0``; anything else (``-0.0``, an int ``0``) is replaced by
+        ``0.0``, since design digests hash the ``repr`` of each field.
+        """
+        changes = {}
+        if not strategy.uses_battery and not _is_float_positive_zero(self.battery_mwh):
+            changes["battery_mwh"] = 0.0
+        if not strategy.uses_scheduling and not (
+            _is_float_positive_zero(self.extra_capacity_fraction)
+            and _is_float_positive_zero(self.flexible_ratio)
+        ):
+            changes["extra_capacity_fraction"] = 0.0
+            changes["flexible_ratio"] = 0.0
+        return replace(self, **changes) if changes else self
 
     def describe(self) -> str:
         """One-line summary used by reports and examples."""

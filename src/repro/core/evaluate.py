@@ -20,7 +20,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..battery import BatterySeed, simulate_battery
-from ..carbon import DEFAULT_EMBODIED_MODEL, EmbodiedCarbonModel, operational_carbon_tons
+from ..carbon import (
+    DEFAULT_EMBODIED_MODEL,
+    EmbodiedCarbonModel,
+    operational_carbon_tons_values,
+)
 from ..datacenter import (
     DatacenterDemand,
     UtilizationProfile,
@@ -36,7 +40,7 @@ from ..kernels.batch import (
 from ..obs import gauge_value, inc, set_gauge, span
 from ..scheduling import schedule_carbon_aware, simulate_combined
 from ..timeseries import DEFAULT_CALENDAR, HOURS_PER_DAY, HourlySeries, YearCalendar
-from .coverage import coverage_from_grid_import
+from .coverage import coverage_from_import_values
 from .design import DesignPoint, Strategy
 from ..timeseries.stats import is_exact_zero
 
@@ -58,7 +62,10 @@ class SupplyProjectionCache:
     Hit/miss totals are exported through :mod:`repro.obs` as the
     ``supply_cache_hits`` / ``supply_cache_misses`` counters.  The combined
     map is LRU-bounded; the per-axis maps hold one entry per distinct axis
-    value, which sweeps keep small by construction.
+    value, which sweeps keep small by construction.  Renewables-only
+    evaluation reads the per-axis maps alone (:meth:`axis_traces`): a
+    renewables-only grid visits each investment once, so inserting its
+    combined supply would only churn the LRU.
     """
 
     _MAX_COMBINED_ENTRIES = 1024
@@ -82,6 +89,20 @@ class SupplyProjectionCache:
             cache[capacity_mw] = trace
         return trace
 
+    def axis_traces(
+        self, solar_mw: float, wind_mw: float
+    ) -> Tuple[HourlySeries, HourlySeries]:
+        """``(solar_trace, wind_trace)`` for one investment, no combined entry.
+
+        Counts neither a hit nor a miss: the combined-supply LRU is not
+        consulted.
+        """
+        with self._lock:
+            return (
+                self._scaled(self._solar, self._solar_source, solar_mw),
+                self._scaled(self._wind, self._wind_source, wind_mw),
+            )
+
     def project(
         self, solar_mw: float, wind_mw: float
     ) -> Tuple[HourlySeries, HourlySeries, HourlySeries]:
@@ -96,7 +117,11 @@ class SupplyProjectionCache:
             inc("supply_cache_misses")
             solar_trace = self._scaled(self._solar, self._solar_source, solar_mw)
             wind_trace = self._scaled(self._wind, self._wind_source, wind_mw)
-            supply = (solar_trace + wind_trace).with_name("renewable supply")
+            supply = HourlySeries.from_buffer(
+                np.add(solar_trace.values, wind_trace.values),
+                solar_trace.calendar,
+                name="renewable supply",
+            )
             self._combined[key] = supply
             if len(self._combined) > self._MAX_COMBINED_ENTRIES:
                 self._combined.popitem(last=False)
@@ -380,93 +405,90 @@ def evaluate_design(
     across all four strategies.
     """
     design = design.constrained_to(strategy)
+    solar_mw = design.investment.solar_mw
+    wind_mw = design.investment.wind_mw
     with span(
         "evaluate_design",
         strategy=strategy.value,
         site=context.site_state,
-        solar_mw=design.investment.solar_mw,
-        wind_mw=design.investment.wind_mw,
+        solar_mw=solar_mw,
+        wind_mw=wind_mw,
         battery_mwh=design.battery_mwh,
         extra_capacity=design.extra_capacity_fraction,
     ):
         demand_power = context.demand.power
-        calendar = demand_power.calendar
-
-        solar_trace, wind_trace, supply = context.supply_cache.project(
-            design.investment.solar_mw, design.investment.wind_mw
-        )
-
-        capacity_mw = demand_power.max() * (1.0 + design.extra_capacity_fraction)
-        battery_spec = design.battery_spec()
-
         moved_mwh = 0.0
         battery_cycles_per_day = 0.0
 
         if strategy is Strategy.RENEWABLES_ONLY:
-            grid_import = (demand_power - supply).positive_part()
-            surplus = (supply - demand_power).positive_part()
-        elif strategy is Strategy.RENEWABLES_BATTERY:
-            seed = context.battery_seed_cache.seed_for(
-                (design.investment.solar_mw, design.investment.wind_mw),
-                supply.values,
+            # Raw year-length arrays: no combined-supply LRU entry and no
+            # HourlySeries per intermediate (the tail checks finiteness).
+            solar_trace, wind_trace = context.supply_cache.axis_traces(
+                solar_mw, wind_mw
             )
-            result = simulate_battery(demand_power, supply, battery_spec, seed=seed)
-            grid_import = result.grid_import
-            surplus = result.surplus
-            battery_cycles_per_day = result.cycles_per_day()
-        elif strategy is Strategy.RENEWABLES_CAS:
-            result = schedule_carbon_aware(
-                demand_power,
-                supply,
-                context.grid_intensity,
-                capacity_mw=capacity_mw,
-                flexible_ratio=design.flexible_ratio,
+            if solar_trace.calendar != demand_power.calendar:
+                raise ValueError(
+                    "cannot combine series on different calendars: "
+                    f"{demand_power.calendar.year} vs {solar_trace.calendar.year}"
+                )
+            supply = np.add(solar_trace.values, wind_trace.values)
+            grid_import = np.clip(demand_power.values - supply, 0.0, None)
+            surplus = np.clip(supply - demand_power.values, 0.0, None)
+        else:
+            solar_trace, wind_trace, supply_series = context.supply_cache.project(
+                solar_mw, wind_mw
             )
-            grid_import = (result.shifted_demand - supply).positive_part()
-            surplus = (supply - result.shifted_demand).positive_part()
-            moved_mwh = result.moved_mwh
-        elif strategy is Strategy.RENEWABLES_BATTERY_CAS:
-            result = simulate_combined(
-                demand_power,
-                supply,
-                battery_spec,
-                capacity_mw=capacity_mw,
-                flexible_ratio=design.flexible_ratio,
-            )
-            grid_import = result.grid_import
-            surplus = result.surplus
-            moved_mwh = result.deferred_mwh
-            battery_cycles_per_day = (
-                result.equivalent_full_cycles() / calendar.n_days
-            )
-        else:  # pragma: no cover - exhaustive enum
-            raise AssertionError(f"unhandled strategy {strategy}")
+            capacity_mw = demand_power.max() * (1.0 + design.extra_capacity_fraction)
+            if strategy is Strategy.RENEWABLES_BATTERY:
+                seed = context.battery_seed_cache.seed_for(
+                    (solar_mw, wind_mw), supply_series.values
+                )
+                result = simulate_battery(
+                    demand_power, supply_series, design.battery_spec(), seed=seed
+                )
+                grid_import = result.grid_import.values
+                surplus = result.surplus.values
+                battery_cycles_per_day = result.cycles_per_day()
+            elif strategy is Strategy.RENEWABLES_CAS:
+                result = schedule_carbon_aware(
+                    demand_power,
+                    supply_series,
+                    context.grid_intensity,
+                    capacity_mw=capacity_mw,
+                    flexible_ratio=design.flexible_ratio,
+                )
+                shifted = result.shifted_demand.values
+                grid_import = np.clip(shifted - supply_series.values, 0.0, None)
+                surplus = np.clip(supply_series.values - shifted, 0.0, None)
+                moved_mwh = result.moved_mwh
+            elif strategy is Strategy.RENEWABLES_BATTERY_CAS:
+                result = simulate_combined(
+                    demand_power,
+                    supply_series,
+                    design.battery_spec(),
+                    capacity_mw=capacity_mw,
+                    flexible_ratio=design.flexible_ratio,
+                )
+                grid_import = result.grid_import.values
+                surplus = result.surplus.values
+                moved_mwh = result.deferred_mwh
+                battery_cycles_per_day = (
+                    result.equivalent_full_cycles() / demand_power.calendar.n_days
+                )
+            else:  # pragma: no cover - exhaustive enum
+                raise AssertionError(f"unhandled strategy {strategy}")
 
-        operational = operational_carbon_tons(grid_import, context.grid_intensity)
-        renewables_embodied = context.embodied.renewables_annual_tons(
-            solar_trace, wind_trace
+        return _finish_evaluation(
+            context,
+            design,
+            strategy,
+            solar_trace,
+            wind_trace,
+            grid_import,
+            surplus,
+            moved_mwh,
+            battery_cycles_per_day,
         )
-        battery_embodied = context.embodied.battery_annual_tons(
-            battery_spec, cycles_per_day=max(battery_cycles_per_day, 1e-3)
-        )
-        servers_embodied = context.embodied.servers_annual_tons(
-            _extra_servers(context, design.extra_capacity_fraction)
-        )
-
-    inc("designs_evaluated")
-    return DesignEvaluation(
-        design=design,
-        strategy=strategy,
-        coverage=coverage_from_grid_import(demand_power, grid_import),
-        operational_tons=operational,
-        renewables_embodied_tons=renewables_embodied,
-        battery_embodied_tons=battery_embodied,
-        servers_embodied_tons=servers_embodied,
-        grid_import_mwh=grid_import.total(),
-        surplus_mwh=surplus.total(),
-        moved_mwh=moved_mwh,
-        battery_cycles_per_day=battery_cycles_per_day,
-    )
 
 
 #: Smallest block (rows) routed through a batched kernel, per strategy;
@@ -526,18 +548,30 @@ def _finish_evaluation(
     strategy: Strategy,
     solar_trace: HourlySeries,
     wind_trace: HourlySeries,
-    grid_import: HourlySeries,
-    surplus: HourlySeries,
+    grid_import: np.ndarray,
+    surplus: np.ndarray,
     moved_mwh: float,
     battery_cycles_per_day: float,
 ) -> DesignEvaluation:
-    """The strategy-independent tail of :func:`evaluate_design`.
+    """The strategy-independent carbon-accounting tail of every evaluation.
 
-    Shared between the per-design path and the batched path so both run
-    the identical carbon-accounting operations on identical inputs.
+    Shared between the per-design path and the batched finishers so both
+    run the identical operations on identical inputs.  ``grid_import`` and
+    ``surplus`` are raw year-length rows; a non-finite hour raises the
+    :class:`HourlySeries` constructor's error, as wrapping the rows would.
+    Finite totals imply finite rows, so the elementwise scan runs only when
+    a total is not finite (an overflowing sum of finite hours passes).
     """
+    import_mwh = float(grid_import.sum())
+    surplus_mwh = float(surplus.sum())
+    if not (math.isfinite(import_mwh) and math.isfinite(surplus_mwh)) and not (
+        np.isfinite(grid_import).all() and np.isfinite(surplus).all()
+    ):
+        raise ValueError("series values must be finite (no NaN/inf)")
     demand_power = context.demand.power
-    operational = operational_carbon_tons(grid_import, context.grid_intensity)
+    operational = operational_carbon_tons_values(
+        grid_import, context.grid_intensity.values
+    )
     renewables_embodied = context.embodied.renewables_annual_tons(
         solar_trace, wind_trace
     )
@@ -551,13 +585,13 @@ def _finish_evaluation(
     return DesignEvaluation(
         design=design,
         strategy=strategy,
-        coverage=coverage_from_grid_import(demand_power, grid_import),
+        coverage=coverage_from_import_values(demand_power.values, grid_import),
         operational_tons=operational,
         renewables_embodied_tons=renewables_embodied,
         battery_embodied_tons=battery_embodied,
         servers_embodied_tons=servers_embodied,
-        grid_import_mwh=grid_import.total(),
-        surplus_mwh=surplus.total(),
+        grid_import_mwh=import_mwh,
+        surplus_mwh=surplus_mwh,
         moved_mwh=moved_mwh,
         battery_cycles_per_day=battery_cycles_per_day,
     )
@@ -609,8 +643,10 @@ def evaluate_block(
     per design.  The per-design path remains both the fallback and the
     bitwise oracle:
 
-    * ``RENEWABLES_ONLY`` blocks always take it (the strategy is already
-      a couple of vectorized array ops — there is no loop to batch);
+    * ``RENEWABLES_ONLY`` blocks always take it: the strategy has no
+      year loop to batch, and its per-design rows (two clips over
+      year-length arrays) stay cache-resident where a ``(D, H)`` clip
+      would not (DESIGN.md, "Tensorized evaluation");
     * ``RENEWABLES_BATTERY`` blocks take it unless ``min_rows`` or
       ``REPRO_BATCH_MIN_ROWS`` forces batching: every row's serial run is
       seeded from the context's battery seed cache, whose per-row rail
@@ -692,22 +728,19 @@ def evaluate_block(
                     np.full(HOURS_PER_DAY, float(ratio)),
                 )
                 for j, i in enumerate(rows):
-                    design = constrained[i]
-                    supply = projections[i][2]
-                    shifted = HourlySeries(
-                        shifted_rows.shifted[j], calendar, name="shifted demand"
-                    )
+                    shifted = shifted_rows.shifted[j]
+                    supply = supply_block[i]
                     inc("schedules_run")
                     inc("schedule_days", calendar.n_days)
                     inc("schedule_moved_mwh", float(shifted_rows.moved_mwh[j]))
                     evaluations[i] = _finish_evaluation(
                         context,
-                        design,
+                        constrained[i],
                         strategy,
                         projections[i][0],
                         projections[i][1],
-                        (shifted - supply).positive_part(),
-                        (supply - shifted).positive_part(),
+                        np.clip(shifted - supply, 0.0, None),
+                        np.clip(supply - shifted, 0.0, None),
                         float(shifted_rows.moved_mwh[j]),
                         0.0,
                     )
@@ -773,8 +806,8 @@ def _finish_battery_rows(
                 Strategy.RENEWABLES_BATTERY,
                 projections[i][0],
                 projections[i][1],
-                HourlySeries(run.grid_import[i], calendar, name="grid import"),
-                HourlySeries(run.surplus[i], calendar, name="surplus"),
+                run.grid_import[i],
+                run.surplus[i],
                 0.0,
                 _batch_cycles_per_day(design, run.discharged_mwh[i], calendar),
             )
@@ -806,8 +839,8 @@ def _finish_combined_rows(
                 Strategy.RENEWABLES_BATTERY_CAS,
                 projections[j][0],
                 projections[j][1],
-                HourlySeries(run.grid_import[i], calendar, name="grid import"),
-                HourlySeries(run.surplus[i], calendar, name="surplus"),
+                run.grid_import[i],
+                run.surplus[i],
                 float(run.deferred_mwh[i]),
                 _batch_cycles_per_day(design, run.discharged_mwh[i], calendar),
             )

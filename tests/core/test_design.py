@@ -78,6 +78,39 @@ class TestDesignPoint:
         constrained = point.constrained_to(Strategy.RENEWABLES_BATTERY_CAS)
         assert constrained == point
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_constrained_returns_self_when_nothing_changes(self, strategy):
+        point = DesignPoint(
+            investment=RenewableInvestment(100, 0),
+            battery_mwh=50.0 if strategy.uses_battery else 0.0,
+            extra_capacity_fraction=0.5 if strategy.uses_scheduling else 0.0,
+            flexible_ratio=0.4 if strategy.uses_scheduling else 0.0,
+        )
+        assert point.constrained_to(strategy) is point
+
+    @pytest.mark.parametrize(
+        "field", ["battery_mwh", "extra_capacity_fraction", "flexible_ratio"]
+    )
+    @pytest.mark.parametrize("zero", [-0.0, 0])
+    def test_constrained_normalises_other_zeros(self, field, zero):
+        # Digests hash repr(field): -0.0 and int 0 must become +0.0.
+        fields = dict(battery_mwh=0.0, extra_capacity_fraction=0.0, flexible_ratio=0.0)
+        fields[field] = zero
+        point = DesignPoint(investment=RenewableInvestment(100, 0), **fields)
+        constrained = point.constrained_to(Strategy.RENEWABLES_ONLY)
+        assert constrained is not point
+        assert repr(getattr(constrained, field)) == "0.0"
+        assert repr(constrained) == repr(
+            DesignPoint(investment=RenewableInvestment(100, 0))
+            .constrained_to(Strategy.RENEWABLES_ONLY)
+        )
+
+    def test_constrained_keeps_negative_zero_in_allowed_dimension(self):
+        point = DesignPoint(
+            investment=RenewableInvestment(100, 0), battery_mwh=-0.0, flexible_ratio=0.0
+        )
+        assert point.constrained_to(Strategy.RENEWABLES_BATTERY) is point
+
     def test_describe(self):
         point = DesignPoint(investment=RenewableInvestment(100, 50), battery_mwh=20)
         text = point.describe()
