@@ -16,6 +16,7 @@ inputs, opens the tracing span, and wraps the kernel's arrays back into
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -186,8 +187,12 @@ def capacity_for_full_coverage(
     stretch spent pinned at full capacity.  Every probe of one call shares
     one :class:`~repro.kernels.battery.BatterySeed`, built on the first.
     """
+    if not math.isfinite(max_hours_of_load):
+        raise ValueError(f"max_hours_of_load must be finite, got {max_hours_of_load}")
     if max_hours_of_load <= 0:
         raise ValueError(f"max_hours_of_load must be positive, got {max_hours_of_load}")
+    if not math.isfinite(tolerance_mwh):
+        raise ValueError(f"tolerance_mwh must be finite, got {tolerance_mwh}")
     if tolerance_mwh <= 0:
         raise ValueError(f"tolerance_mwh must be positive, got {tolerance_mwh}")
     if demand.calendar != supply.calendar:

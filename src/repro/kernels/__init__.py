@@ -40,7 +40,12 @@ from .battery import (
     renewables_only_run,
 )
 from .combined import CombinedRunArrays, combined_run
-from .greedy import schedule_run
+from .greedy import (
+    ScheduleSeed,
+    schedule_deficit_exceeds,
+    schedule_run,
+    schedule_run_seeded,
+)
 
 __all__ = [
     "BatteryRunArrays",
@@ -51,7 +56,10 @@ __all__ = [
     "renewables_only_run",
     "CombinedRunArrays",
     "combined_run",
+    "ScheduleSeed",
+    "schedule_deficit_exceeds",
     "schedule_run",
+    "schedule_run_seeded",
     "BatteryRunBatch",
     "CombinedRunBatch",
     "ScheduleRunBatch",

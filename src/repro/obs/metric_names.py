@@ -37,6 +37,7 @@ COUNTERS: FrozenSet[str] = frozenset(
         "schedule_moved_mwh",
         "schedule_deferrals",
         "forecast_schedules",
+        "cas_capacity_probes",
         # combined battery+scheduling simulation
         "combined_sims",
         "combined_sim_hours",

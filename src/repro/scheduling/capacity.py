@@ -15,8 +15,12 @@ paper poses:
 
 from __future__ import annotations
 
+import math
+
+from ..kernels.greedy import ScheduleSeed, schedule_deficit_exceeds
+from ..obs import inc, span
 from ..timeseries import HourlySeries
-from .greedy import schedule_carbon_aware
+from .greedy import _validated_profile, schedule_carbon_aware
 from ..timeseries.stats import is_exact_zero
 
 #: Widest capacity expansion the search considers, as a multiple of the
@@ -56,34 +60,47 @@ def additional_capacity_for_full_coverage(
     The search is a bisection on the capacity limit; the deficit after
     scheduling is monotonically non-increasing in capacity because any
     schedule feasible at a lower limit remains feasible at a higher one.
+    Each step only asks whether :func:`deficit_after_scheduling` exceeds
+    ``tolerance_mwh``, so it runs on
+    :func:`repro.kernels.greedy.schedule_deficit_exceeds`: the inputs are
+    validated once, every step shares one
+    :class:`~repro.kernels.greedy.ScheduleSeed`, and an undersized
+    capacity stops at the first day whose running deficit proves the
+    answer.
     """
+    if not math.isfinite(tolerance_mwh):
+        raise ValueError(f"tolerance_mwh must be finite, got {tolerance_mwh}")
     if tolerance_mwh <= 0:
         raise ValueError(f"tolerance_mwh must be positive, got {tolerance_mwh}")
+    if not math.isfinite(max_multiple):
+        raise ValueError(f"max_multiple must be finite, got {max_multiple}")
     if max_multiple < 1.0:
         raise ValueError(f"max_multiple must be >= 1, got {max_multiple}")
 
     base_peak = demand.max()
     if is_exact_zero(base_peak):
         raise ValueError("demand trace is identically zero")
+    ratio_profile = _validated_profile(demand, supply, intensity, flexible_ratio)
+    seed = ScheduleSeed(demand.values, supply.values, intensity.values, ratio_profile)
 
-    def deficit(multiple: float) -> float:
-        return deficit_after_scheduling(
-            demand, supply, intensity, base_peak * multiple, flexible_ratio
-        )
+    def has_deficit(multiple: float) -> bool:
+        inc("cas_capacity_probes")
+        return schedule_deficit_exceeds(seed, base_peak * multiple, tolerance_mwh)
 
-    if deficit(1.0) <= tolerance_mwh:
-        return 0.0
-    if deficit(max_multiple) > tolerance_mwh:
-        return float("inf")
+    with span("additional_capacity_for_full_coverage", max_multiple=max_multiple):
+        if not has_deficit(1.0):
+            return 0.0
+        if has_deficit(max_multiple):
+            return float("inf")
 
-    low, high = 1.0, max_multiple
-    # Bisect until the capacity bracket is tight to ~0.1% of the peak.
-    while high - low > 1e-3:
-        mid = (low + high) / 2.0
-        if deficit(mid) > tolerance_mwh:
-            low = mid
-        else:
-            high = mid
+        low, high = 1.0, max_multiple
+        # Bisect until the capacity bracket is tight to ~0.1% of the peak.
+        while high - low > 1e-3:
+            mid = (low + high) / 2.0
+            if has_deficit(mid):
+                low = mid
+            else:
+                high = mid
     return high - 1.0
 
 

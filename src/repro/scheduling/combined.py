@@ -23,6 +23,7 @@ kernel's arrays into the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..battery import BatterySpec
@@ -120,6 +121,8 @@ def simulate_combined(
         raise ValueError(f"flexible_ratio must be in [0, 1], got {flexible_ratio}")
     if deadline_hours < 1:
         raise ValueError(f"deadline_hours must be >= 1, got {deadline_hours}")
+    if math.isnan(capacity_mw):
+        raise ValueError(f"capacity {capacity_mw} MW is not a number (use inf for no limit)")
     if capacity_mw < demand.max():
         raise ValueError(
             f"capacity {capacity_mw} MW below demand peak {demand.max():.3f} MW"

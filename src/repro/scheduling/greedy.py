@@ -22,6 +22,7 @@ this module validates inputs and wraps the kernel's arrays into the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -47,12 +48,24 @@ def _ratio_profile(flexible_ratio: FlexibleRatio) -> np.ndarray:
             raise ValueError(
                 f"flexible_ratio profile must have 24 values, got shape {profile.shape}"
             )
-    if profile.min() < 0.0 or profile.max() > 1.0:
+    if not np.all(np.isfinite(profile)) or profile.min() < 0.0 or profile.max() > 1.0:
         raise ValueError(
             f"flexible_ratio values must be in [0, 1], got "
             f"[{profile.min()}, {profile.max()}]"
         )
     return profile
+
+
+def _validated_profile(
+    demand: HourlySeries,
+    supply: HourlySeries,
+    intensity: HourlySeries,
+    flexible_ratio: FlexibleRatio,
+) -> np.ndarray:
+    """Check the three traces share a calendar; return the FWR profile."""
+    if demand.calendar != supply.calendar or demand.calendar != intensity.calendar:
+        raise ValueError("demand, supply, and intensity must share a calendar")
+    return _ratio_profile(flexible_ratio)
 
 
 @dataclass(frozen=True)
@@ -138,9 +151,9 @@ def schedule_carbon_aware(
     ScheduleResult
         With a shifted demand trace of identical total energy.
     """
-    if demand.calendar != supply.calendar or demand.calendar != intensity.calendar:
-        raise ValueError("demand, supply, and intensity must share a calendar")
-    ratio_profile = _ratio_profile(flexible_ratio)
+    ratio_profile = _validated_profile(demand, supply, intensity, flexible_ratio)
+    if math.isnan(capacity_mw):
+        raise ValueError(f"capacity {capacity_mw} MW is not a number (use inf for no limit)")
     if capacity_mw < demand.max():
         raise ValueError(
             f"capacity {capacity_mw} MW below demand peak {demand.max():.3f} MW: "

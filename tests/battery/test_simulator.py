@@ -130,3 +130,10 @@ class TestCapacityForFullCoverage:
             capacity_for_full_coverage(flat_demand, flat_demand, max_hours_of_load=0.0)
         with pytest.raises(ValueError):
             capacity_for_full_coverage(flat_demand, flat_demand, tolerance_mwh=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_bounds_rejected(self, flat_demand, value):
+        with pytest.raises(ValueError, match="max_hours_of_load"):
+            capacity_for_full_coverage(flat_demand, flat_demand, max_hours_of_load=value)
+        with pytest.raises(ValueError, match="tolerance_mwh"):
+            capacity_for_full_coverage(flat_demand, flat_demand, tolerance_mwh=value)

@@ -121,6 +121,12 @@ class TestConservationAndConstraints:
                 flat_demand, day_night_supply, BatterySpec(1.0), 50.0, 0.4, deadline_hours=0
             )
 
+    def test_nan_capacity_rejected(self, flat_demand, day_night_supply):
+        with pytest.raises(ValueError, match="capacity"):
+            simulate_combined(
+                flat_demand, day_night_supply, BatterySpec(1.0), float("nan"), 0.4
+            )
+
     def test_unserved_small_for_sane_configs(self, flat_demand, day_night_supply):
         result = simulate_combined(
             flat_demand, day_night_supply, BatterySpec(20.0), 50.0, flexible_ratio=0.4

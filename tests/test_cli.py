@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.obs import (
     LOGGER_NAME,
@@ -55,6 +60,28 @@ class TestBattery:
         out = capsys.readouterr().out
         assert "battery for 24/7" in out
 
+    def test_infinite_search_ceiling_fails_promptly(self):
+        # A separate process with a timeout: an unbounded bisection would
+        # otherwise hang the suite instead of failing it.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "battery", "UT", "--max-hours", "inf"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:")
+        assert "max_hours_of_load" in done.stderr
+
+    def test_nan_search_ceiling_is_domain_error(self, capsys):
+        assert main(["battery", "UT", "--max-hours", "nan"]) == 1
+        assert "error: max_hours_of_load" in capsys.readouterr().err
+
 
 class TestSchedule:
     def test_reports_gain(self, capsys):
@@ -66,6 +93,13 @@ class TestSchedule:
     def test_invalid_fwr_is_domain_error(self, capsys):
         assert main(["schedule", "UT", "--fwr", "2.0"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--fwr", "nan"), ("--capacity-multiple", "nan")]
+    )
+    def test_nan_constraint_is_domain_error(self, flag, value, capsys):
+        assert main(["schedule", "UT", flag, value]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestOptimize:
