@@ -58,6 +58,7 @@ from typing import (
     Any,
     Deque,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -107,6 +108,7 @@ from .evaluate import (
     SiteContext,
     batch_min_rows_override,
     evaluate_block,
+    evaluate_block_sites,
     evaluate_design,
 )
 from .shm import (
@@ -420,19 +422,6 @@ class _SiteFaultAdapter:
         self, site: str, ordinal: int, attempt: int
     ) -> Optional[FaultAction]:
         return self.plan.action_for(ordinal, attempt)
-
-
-def _round_robin_next(
-    states: List[SiteRun], cursor: int
-) -> Tuple[Optional[SiteRun], int]:
-    """Next active, non-quarantined site with queued work, after ``cursor``."""
-    n = len(states)
-    for step in range(1, n + 1):
-        index = (cursor + step) % n
-        state = states[index]
-        if state.active and not state.quarantined and state.queue:
-            return state, index
-    return None, cursor
 
 
 def _validated_payload(
@@ -861,24 +850,65 @@ class SweepEngine:
     # Serial dispatch
     # ------------------------------------------------------------------
 
+    def _evaluate_round(
+        self, chunks: List[Tuple[SiteRun, int, int, int]]
+    ) -> List[List[DesignEvaluation]]:
+        """One batched call for a round's chunks (one per site).
+
+        :func:`evaluate_block_sites` owns the routing: combined chunks
+        merge into one kernel call once the round reaches the batch
+        floor, anything else runs per site.
+        """
+        with span(
+            "evaluate_round",
+            sites=[state.key for state, _, _, _ in chunks],
+            n_designs=sum(stop - start for _, _, start, stop in chunks),
+        ):
+            return evaluate_block_sites(
+                [
+                    (state.context, state.designs[start:stop])
+                    for state, _, start, stop in chunks
+                ],
+                self.strategy,
+            )
+
     def _dispatch_serial(self) -> None:
         # Fault plans are not applied in-parent — faults fire in pool
         # workers, and the serial path *is* the fault-free oracle the
         # pooled path is tested against.
-        cursor = -1
+        #
+        # A round is the next chunk of every schedulable site in site
+        # order — the round-robin sequence, one lap at a time.  A batched
+        # round of several chunks is evaluated in one call; commits stay
+        # per chunk in round order, so journals and events match a
+        # chunk-at-a-time dispatch.  The deadline is checked per round.
         while True:
-            state, cursor = _round_robin_next(self.states, cursor)
-            if state is None:
+            sites = [
+                state
+                for state in self.states
+                if state.active and not state.quarantined and state.queue
+            ]
+            if not sites:
                 break
             if self._deadline_hit():
                 self._close_deadline([s for s in self.states if s.active])
                 break
-            ordinal, start, stop = state.queue.popleft()
-            evaluations = self._evaluate_in_parent(state, start, stop)
-            self._commit(state, ordinal, start, evaluations, None)
-            remaining = self._remaining_s()
-            if remaining is not None:
-                set_gauge("fleet_deadline_remaining_s", remaining)
+            chunks = [(state, *state.queue.popleft()) for state in sites]
+            if self.batched and len(chunks) > 1:
+                evaluated: Iterable[List[DesignEvaluation]] = self._evaluate_round(
+                    chunks
+                )
+            else:
+                # Lazy, so each chunk commits before the next one runs.
+                evaluated = (
+                    self._evaluate_in_parent(state, start, stop)
+                    for state, _, start, stop in chunks
+                )
+            for (state, ordinal, start, _), evaluations in zip(chunks, evaluated):
+                self._commit(state, ordinal, start, evaluations, None)
+                remaining = self._remaining_s()
+                if remaining is not None:
+                    set_gauge("fleet_deadline_remaining_s", remaining)
 
     # ------------------------------------------------------------------
     # Pooled dispatch

@@ -753,7 +753,7 @@ def evaluate_block(
                 capacity_mw=np.array(capacities),
                 flexible_ratio=np.array([d.flexible_ratio for d in constrained]),
                 deadline_hours=COMBINED_DEADLINE_HOURS,
-                charge_plane=False,
+                planes=False,
             )
             evaluations = _finish_combined_rows(
                 context, constrained, projections, run, 0
@@ -859,77 +859,73 @@ def evaluate_block_sites(
     The batched kernels' per-hour cost is numpy dispatch overhead, nearly
     independent of the number of rows — so a sweep over many sites pays
     that cost once per *site* even though the rows would happily share a
-    block.  This merges the site axis into the design axis: ``demand``
-    becomes a ``(D, H)`` block with each row carrying its own site's
-    trace, and one kernel call covers every site.  Bitwise identical to
-    calling :func:`evaluate_block` per site (property: the kernels are
-    pure row-wise lockstep; a row never observes its neighbours).
+    block.  This merges the site axis into the design axis: the kernel
+    gets each site's demand trace once plus a row→site index, and one
+    call covers every site.  Bitwise identical to calling
+    :func:`evaluate_block` per site (property: the kernels are pure
+    row-wise lockstep; a row never observes its neighbours).
 
-    Only ``RENEWABLES_BATTERY_CAS`` merges, once the fleet block reaches
+    Only ``RENEWABLES_BATTERY_CAS`` merges, once the merged block reaches
     its :data:`_BATCH_MIN_ROWS` floor (the same table, and the same
-    overrides, as :func:`evaluate_block`).  Other strategies — and any
-    site block that fails the batch preconditions — fall back to per-site
-    :func:`evaluate_block`, which preserves its own routing rules: battery
-    blocks run the seeded serial kernel there, and CAS blocks already
-    batch per site from 8 rows.
+    overrides, as :func:`evaluate_block`), and only across blocks whose
+    years have the same hour count: a fleet mixing leap and non-leap
+    years merges each hour count's blocks separately.  Other strategies —
+    and any site block that fails the batch preconditions — fall back to
+    per-site :func:`evaluate_block`, which preserves its own routing
+    rules: battery blocks run the seeded serial kernel there, and CAS
+    blocks already batch per site from 8 rows.
     """
     blocks = [(context, list(designs)) for context, designs in blocks]
-    total_rows = sum(len(designs) for _, designs in blocks)
-    if (
-        strategy is not Strategy.RENEWABLES_BATTERY_CAS
-        or len(blocks) < 2
-        or total_rows < _batch_min_rows(strategy, min_rows)
-    ):
+
+    def per_site() -> List[List[DesignEvaluation]]:
         return [
             evaluate_block(context, designs, strategy, min_rows=min_rows)
             for context, designs in blocks
         ]
 
-    segments = []  # (context, constrained, projections, specs, capacities)
+    if strategy is not Strategy.RENEWABLES_BATTERY_CAS or len(blocks) < 2:
+        return per_site()
+    hours = [context.demand.power.calendar.n_hours for context, _ in blocks]
+    if len(set(hours)) > 1:
+        merged: List[List[DesignEvaluation]] = [[] for _ in blocks]
+        for n_hours in dict.fromkeys(hours):
+            members = [i for i, h in enumerate(hours) if h == n_hours]
+            evaluated = evaluate_block_sites(
+                [blocks[i] for i in members], strategy, min_rows=min_rows
+            )
+            for i, evaluations in zip(members, evaluated):
+                merged[i] = evaluations
+        return merged
+    total_rows = sum(len(designs) for _, designs in blocks)
+    if total_rows < _batch_min_rows(strategy, min_rows):
+        return per_site()
+
+    segments = []  # (context, constrained, projections)
+    capacities: List[float] = []
     for context, designs in blocks:
-        if not designs:
-            segments.append((context, [], [], [], []))
-            continue
         constrained = [design.constrained_to(strategy) for design in designs]
         if not _batch_preconditions_hold(context, constrained):
-            return [
-                evaluate_block(context, designs, strategy, min_rows=min_rows)
-                for context, designs in blocks
-            ]
+            return per_site()
         projections = [
             context.supply_cache.project(d.investment.solar_mw, d.investment.wind_mw)
             for d in constrained
         ]
+        segments.append((context, constrained, projections))
         peak = context.demand.power.max()
-        segments.append(
-            (
-                context,
-                constrained,
-                projections,
-                [d.battery_spec() for d in constrained],
-                [peak * (1.0 + d.extra_capacity_fraction) for d in constrained],
-            )
-        )
+        capacities.extend(peak * (1.0 + d.extra_capacity_fraction) for d in constrained)
 
-    n_hours = blocks[0][0].demand.power.calendar.n_hours
-    supply_block = np.empty((total_rows, n_hours))
-    demand_block = np.empty((total_rows, n_hours))
+    supply_block = np.empty((total_rows, hours[0]))
     offsets = []
     row = 0
-    for context, constrained, projections, _, _ in segments:
+    for _, _, projections in segments:
         offsets.append(row)
-        demand_values = context.demand.power.values
         for _, _, supply in projections:
             supply_block[row] = supply.values
-            demand_block[row] = demand_values
             row += 1
     if float(supply_block.min()) < 0.0:
-        return [
-            evaluate_block(context, designs, strategy, min_rows=min_rows)
-            for context, designs in blocks
-        ]
+        return per_site()
 
-    all_specs = [spec for seg in segments for spec in seg[3]]
+    designs = [d for _, constrained, _ in segments for d in constrained]
     with span(
         "evaluate_block_sites",
         strategy=strategy.value,
@@ -939,19 +935,21 @@ def evaluate_block_sites(
         inc("designs_batched", total_rows)
         set_gauge("batch_rows_peak", max(gauge_value("batch_rows_peak"), total_rows))
         run = combined_run_batch(
-            demand_block,
+            np.stack([context.demand.power.values for context, _, _ in segments]),
             supply_block,
-            **_battery_columns(all_specs),
-            capacity_mw=np.array([c for seg in segments for c in seg[4]]),
-            flexible_ratio=np.array(
-                [d.flexible_ratio for seg in segments for d in seg[1]]
-            ),
+            **_battery_columns([d.battery_spec() for d in designs]),
+            capacity_mw=np.array(capacities),
+            flexible_ratio=np.array([d.flexible_ratio for d in designs]),
             deadline_hours=COMBINED_DEADLINE_HOURS,
-            charge_plane=False,
+            row_sites=np.repeat(
+                np.arange(len(segments)),
+                [len(constrained) for _, constrained, _ in segments],
+            ),
+            planes=False,
         )
         return [
             _finish_combined_rows(context, constrained, projections, run, offset)
-            for (context, constrained, projections, _, _), offset in zip(
+            for (context, constrained, projections), offset in zip(
                 segments, offsets
             )
         ]

@@ -14,7 +14,11 @@ one-site fleet whose finished :class:`SiteSweep` is unwrapped into the
   lazily, the first time they evaluate one of its chunks.
 * **Site-interleaved dispatch** — per-site chunk queues are drained
   round-robin, so a site with slow chunks cannot starve the others and
-  partial results accrue across the whole fleet at once.
+  partial results accrue across the whole fleet at once.  A serial
+  batched sweep evaluates each lap of chunks in one call, which merges
+  combined-strategy rows across sites into one kernel block
+  (:func:`~repro.core.evaluate.evaluate_block_sites`); commits stay per
+  chunk, in lap order.
 * **Cross-site work stealing** (``steal=True``, the default) — when a
   site's queue drains, its share of the in-flight budget is re-granted
   to the site with the largest remaining grid, so one oversized site

@@ -259,10 +259,13 @@ def optimize_fleet(
     back to per-site evaluation inside ``evaluate_block_sites``.
 
     ``batch_size`` caps the rows merged into one kernel call (``None``,
-    the default, merges the entire fleet — at thirteen sites × a few
-    hundred designs the block is tens of MB, far below memory pressure,
-    and fewer calls is strictly faster).  ``progress`` receives ``(done,
-    total, strategy_name)`` with ``total`` counting rows fleet-wide.
+    the default, merges the entire fleet, and fewer calls is faster).
+    Memory grows with the merged rows: the thirteen-site Fig. 15
+    combined fleet is one 1600-row block whose supply block and two
+    outputs take 337 MB, and whose overdue-work matrix grows with the
+    longest backlog; the whole sweep peaked at 665 MB on a 2-vCPU Xeon
+    VM.  ``progress`` receives ``(done, total, strategy_name)`` with
+    ``total`` counting rows fleet-wide.
 
     This is a serial, in-process path: it composes with ``workers=1``
     sweeps only.  Multi-process fleets should keep per-site

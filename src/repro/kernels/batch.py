@@ -111,21 +111,22 @@ class CombinedRunBatch:
     """Row-stacked :class:`~repro.kernels.combined.CombinedRunArrays`.
 
     Hourly fields are ``(D, H)``; meter totals are ``(D,)``.  The
-    ``shifted_demand`` and ``charge_level`` planes materialize lazily from
-    hour-major scratch on first access, exactly like
-    :class:`BatteryRunBatch.charge_level` — the sweep path only reads
-    ``grid_import``/``surplus`` and the meter columns.
+    ``shifted_demand`` and ``charge_level`` diagnostic planes exist only
+    when the kernel ran with ``planes=True``: the sweep path reads
+    ``grid_import``/``surplus`` and the meter columns alone, so it skips
+    recording them, and reading a skipped plane raises
+    ``AttributeError`` naming the keyword.
     """
 
     __slots__ = (
         "grid_import", "surplus", "deferred_mwh", "late_mwh",
         "unserved_mwh", "charged_mwh", "discharged_mwh", "deferral_events",
-        "_shifted_t", "_shifted", "_charge_t", "_charge",
+        "shifted_demand", "charge_level",
     )
 
-    def __init__(self, shifted_t, grid_import, surplus, charge_t,
-                 deferred_mwh, late_mwh, unserved_mwh, charged_mwh,
-                 discharged_mwh, deferral_events):
+    def __init__(self, grid_import, surplus, deferred_mwh, late_mwh,
+                 unserved_mwh, charged_mwh, discharged_mwh, deferral_events,
+                 shifted_demand=None, charge_level=None):
         self.grid_import = grid_import
         self.surplus = surplus
         self.deferred_mwh = deferred_mwh
@@ -134,30 +135,18 @@ class CombinedRunBatch:
         self.charged_mwh = charged_mwh
         self.discharged_mwh = discharged_mwh
         self.deferral_events = deferral_events
-        self._shifted_t = shifted_t
-        self._shifted = None
-        self._charge_t = charge_t
-        self._charge = None
+        if shifted_demand is not None:
+            self.shifted_demand = shifted_demand
+            self.charge_level = charge_level
 
-    @property
-    def shifted_demand(self) -> np.ndarray:
-        """The ``(D, H)`` post-deferral served-load plane."""
-        if self._shifted is None:
-            self._shifted = _transpose_copy(self._shifted_t)
-            self._shifted_t = None
-        return self._shifted
-
-    @property
-    def charge_level(self) -> np.ndarray:
-        """The ``(D, H)`` end-of-hour stored-energy plane."""
-        if self._charge is None:
-            if self._charge_t is None:
-                raise AttributeError(
-                    "charge_level was not recorded (charge_plane=False)"
-                )
-            self._charge = _transpose_copy(self._charge_t)
-            self._charge_t = None
-        return self._charge
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails: an unset plane slot or an
+        # unknown name.
+        if name in ("shifted_demand", "charge_level"):
+            raise AttributeError(f"{name} was not recorded (planes=False)")
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
 
 def _rows(value, n_rows: int) -> np.ndarray:
@@ -436,14 +425,22 @@ def combined_run_batch(
     capacity_mw,
     flexible_ratio,
     deadline_hours: int,
-    charge_plane: bool = True,
+    row_sites=None,
+    planes: bool = True,
 ) -> CombinedRunBatch:
     """One year of the combined heuristic for a ``(D, H)`` block of designs.
 
     Bitwise identical to mapping :func:`~repro.kernels.combined.combined_run`
     over the rows (including its ``flexible_ratio == 0`` delegations to the
-    battery / renewables-only kernels).  The serial kernel's FIFO deque
-    splits into two structures that vectorize across rows:
+    battery / renewables-only kernels).  ``demand`` is the shared ``(H,)``
+    trace, or ``(S, H)`` site traces with ``row_sites`` the ``(D,)`` index
+    of each row's site — which lets one call span several sites; a
+    ``(D, H)`` block without ``row_sites`` gives each row its own trace.
+    ``planes=False`` skips the ``shifted_demand``/``charge_level``
+    diagnostic planes.
+
+    The serial kernel's FIFO deque splits into two structures that
+    vectorize across rows:
 
     * a **deadline ring** ``(deadline_hours + 1, D)`` for not-yet-due work —
       each hour defers into slot ``(hour + deadline) % ring``, and each
@@ -481,9 +478,14 @@ def combined_run_batch(
     target is non-negative, so the unconditional updates are bitwise
     no-ops there.
 
-    Scratch memory is five ``(H, D)`` hour-major planes plus the ring and
-    matrix — about 360 MB at ``D = 512`` for a full year, the reason
-    callers chunk sweeps by ``batch_size``.
+    Memory is the caller's ``(D, H)`` supply block, the two ``(D, H)``
+    outputs (``grid_import``, ``surplus``), the two optional diagnostic
+    planes, and ``(D,)``-scale state (the ring and the matrix): no
+    hour-major planes and no input copies — about 36 MB per plane at
+    ``D = 512`` for a leap year.  Each hour reads its supply
+    column and writes its output columns in place; the ``D`` cache lines
+    a column touches serve the next seven hours too, so the strided
+    access stays cache-resident and needs no transpose pass.
     """
     n_rows, n_hours = supply.shape
     dl = int(deadline_hours)
@@ -503,27 +505,21 @@ def combined_run_batch(
     init = _rows(initial_energy_mwh, n_rows)
     any_battery = bool(hasb.any())
 
-    # Hour-major planes: one contiguous (D,) row per hour on both sides.
-    # A (D, H) demand block (rows from different sites) transposes the same
-    # way; the hourly demand operand is then a (D,) row instead of a scalar,
-    # which every ufunc below broadcasts identically per lane.
+    # The hour's demand operand: a python float for a shared trace, or a
+    # (D,) row gathered from the site traces, which every ufunc below
+    # applies identically per lane.
     if demand.ndim == 2:
-        shifted_t = np.empty((n_hours, n_rows))
-        for start in range(0, n_hours, _TRANSPOSE_BLOCK):
-            stop = start + _TRANSPOSE_BLOCK
-            shifted_t[start:stop] = demand[:, start:stop].T
-        demand_hours = list(shifted_t.copy())
+        if row_sites is None:
+            row_sites = np.arange(n_rows)
+        demand_hours = None
+        demand_h = np.empty(n_rows)
     else:
-        shifted_t = np.broadcast_to(demand[:, None], (n_hours, n_rows)).copy()
         demand_hours = demand.tolist()
-    sup_t = np.empty((n_hours, n_rows))
-    for start in range(0, n_hours, _TRANSPOSE_BLOCK):
-        stop = start + _TRANSPOSE_BLOCK
-        sup_t[start:stop] = supply[:, start:stop].T
-    grid_t = np.zeros((n_hours, n_rows))
-    surplus_t = np.zeros((n_hours, n_rows))
-    # Pure output; sweeps never read it, so they skip the plane entirely.
-    charge_t = np.empty((n_hours, n_rows)) if charge_plane else None
+    grid = np.zeros((n_rows, n_hours))
+    surplus = np.zeros((n_rows, n_hours))
+    # Diagnostic planes; sweeps never read them, so they skip both.
+    shifted = np.empty((n_rows, n_hours)) if planes else None
+    charge = np.empty((n_rows, n_hours)) if planes else None
 
     # Rows delegating to renewables_only_run report an all-zero charge level.
     energy = np.where(fr_zero & ~hasb, 0.0, init)
@@ -534,17 +530,19 @@ def combined_run_batch(
     late = np.zeros(n_rows)
     events = np.zeros(n_rows, dtype=np.int64)
 
-    # Deadline ring + defer-time occupancy counts: occ_cnt[slot] is the
-    # number of rows that deferred into the slot (set absolutely at defer,
-    # zeroed at drain; soak pops do NOT decrement, so the counts are
-    # sloppy-high in between).  That is enough to skip never-filled slots
-    # and idle hours with plain python int tests, and it keeps the soak
-    # walk's per-round cost free of any bookkeeping reductions — emptied
-    # lanes hold +0.0, which is bitwise-transparent through the serial
-    # take/pop expressions.
+    # Deadline ring + defer-time occupancy counts: occ[slot] is the number
+    # of rows that deferred into the slot (set absolutely at defer, zeroed
+    # at drain; soak pops do NOT decrement, so the counts are sloppy-high
+    # in between).  That is enough to skip never-filled slots and idle
+    # hours with scalar tests, and it keeps the soak walk free of any
+    # bookkeeping reductions — emptied lanes hold +0.0, which is
+    # bitwise-transparent through the serial take/pop expressions.
+    # ring_order[due] lists the not-yet-due slots in increasing-deadline
+    # order for the hour whose due slot is ``due``.
     ring_n = dl + 1
     ring_amt = np.zeros((ring_n, n_rows))
-    occ_cnt = [0] * ring_n
+    occ = np.zeros(ring_n, dtype=np.int64)
+    ring_order = (np.arange(ring_n)[:, None] + np.arange(1, dl)) % ring_n
     ring_rows = 0
 
     # Overdue matrix: circular (D, L), per-row head/count cursors.
@@ -559,6 +557,7 @@ def combined_run_batch(
     overdue_any = False
 
     # (D,) scratch
+    load = np.empty(n_rows)
     headroom = np.empty(n_rows)
     gap = np.empty(n_rows)
     ex = np.empty(n_rows)
@@ -580,13 +579,16 @@ def combined_run_batch(
     defer_mask = np.empty(n_rows, dtype=bool)
     soak_mask = np.empty(n_rows, dtype=bool)
     flag = np.empty(n_rows, dtype=bool)
-    neg_mask = np.empty(n_rows, dtype=bool)
     i64a = np.empty(n_rows, dtype=np.int64)
     for hour in range(n_hours):
-        demand_h = demand_hours[hour]
-        load = shifted_t[hour]
+        if demand_hours is None:
+            np.take(demand[:, hour], row_sites, out=demand_h)
+            np.copyto(load, demand_h)
+        else:
+            demand_h = demand_hours[hour]
+            load.fill(demand_h)
         slot_due = hour % ring_n
-        due_flag = occ_cnt[slot_due] > 0
+        due_flag = occ[slot_due] > 0
         any_spill_now = False
 
         # ---- 1. Deadlines first: run_queued(headroom, hour, True).
@@ -701,12 +703,12 @@ def combined_run_batch(
                         rowbase = rows_idx * L
                         head.fill(0)
                 due_amt.fill(0.0)
-                ring_rows -= occ_cnt[slot_due]
-                occ_cnt[slot_due] = 0
+                ring_rows -= int(occ[slot_due])
+                occ[slot_due] = 0
             np.add(load, ex, out=load)
 
         # ---- Serial branch decision, with this hour's true load.
-        np.subtract(sup_t[hour], load, out=gap)
+        np.subtract(supply[:, hour], load, out=gap)
         np.greater(gap, 0.0, out=sup)
         any_sup = bool(sup.any())
         all_sup = any_sup and bool(sup.all())
@@ -731,30 +733,24 @@ def combined_run_batch(
                     overdue_any = bool(ocount.any())
             if ring_rows and bool(soak_mask.any()):
                 # Ring entries in increasing-deadline order = the serial
-                # queue's FIFO order; one slot per round, all rows in
-                # lockstep, with the serial loop's exact expressions
-                # (``take = min(amount, budget - executed)``, pop at
-                # ``take >= amount - eps``).  Each slot holds at most one
-                # entry per row (a deferral at hour h uniquely targets
-                # deadline h + dl), so a round IS a queue entry.  The walk
-                # runs *compressed* to the soak-gated rows: every other
-                # row would flow through the take/pop expressions as a
-                # bitwise no-op (a +/-0.0 budget can never pass the
+                # queue's FIFO order, with the serial loop's exact
+                # expressions (``take = min(amount, budget - executed)``,
+                # pop at ``take >= amount - eps``).  Each slot holds at
+                # most one entry per row (a deferral at hour h uniquely
+                # targets deadline h + dl), so a slot IS a queue entry.
+                # The walk runs *compressed* to the soak-gated rows: every
+                # other row would flow through the take/pop expressions as
+                # a bitwise no-op (a +/-0.0 budget can never pass the
                 # ``rem > eps`` gate), and soak rows are sparse — a few
-                # percent of a merged block on a typical hour — so each
-                # round's vector ops shrink from D lanes to the handful
-                # that can actually take work.
+                # percent of a merged block on a typical hour — so the
+                # sheet ops shrink from D lanes to the handful that can
+                # actually take work.
                 sidx = np.flatnonzero(soak_mask)
-                slots = []
-                for ahead in range(1, dl):
-                    slot = (hour + ahead) % ring_n
-                    if occ_cnt[slot]:
-                        slots.append(slot)
-                if slots:
-                    m = len(slots)
+                order = ring_order[slot_due]
+                slots = order[occ[order] > 0]
+                if slots.size:
                     bud_c = np.take(budget, sidx)
-                    qt_c = np.take(queued_total, sidx)
-                    qt0 = qt_c.copy()
+                    qt0 = np.take(queued_total, sidx)
                     cell = np.ix_(slots, sidx)
                     entries = ring_amt[cell]
                     # The serial walk takes entries whole until the budget
@@ -783,15 +779,15 @@ def combined_run_batch(
                     np.logical_not(pop2, out=pop2)
                     np.multiply(left2, pop2, out=left2)
                     # ``executed`` and the queue meter are serial
-                    # per-take folds (a lump-sum add would round
-                    # differently); m is the occupied-slot count, so this
-                    # loop is a handful of tiny row ops.
-                    ex_c = ex[:sidx.size]
-                    ex_c.fill(0.0)
-                    for k in range(m):
-                        take_k = take2[k]
-                        np.add(ex_c, take_k, out=ex_c)
-                        np.subtract(qt_c, take_k, out=qt_c)
+                    # per-take left folds (a lump-sum add would round
+                    # differently): accumulate along a sheet whose seed
+                    # row is 0.0, then the queue meter, above the takes.
+                    folds = np.empty((slots.size + 1, sidx.size))
+                    folds[0] = 0.0
+                    folds[1:] = take2
+                    ex_c = np.add.accumulate(folds, axis=0)[-1]
+                    folds[0] = qt0
+                    qt_c = np.subtract.accumulate(folds, axis=0)[-1]
                     partial2 = np.less(take2, entries)
                     partial2 &= gate2
                     rem_c = rem[:sidx.size]
@@ -829,7 +825,7 @@ def combined_run_batch(
             np.add(energy, scratch, out=energy)
             np.add(charged, power, out=charged)
             np.subtract(gap, power, out=scratch)
-            np.maximum(scratch, 0.0, out=surplus_t[hour])
+            np.maximum(scratch, 0.0, out=surplus[:, hour])
 
         # ---- 4. Deficit: battery, then deferral, then the grid.
         if not all_sup:
@@ -861,20 +857,15 @@ def combined_run_batch(
                 slot = (hour + dl) % ring_n
                 np.copyto(ring_amt[slot], scratch)
                 ndefer = int(np.count_nonzero(defer_mask))
-                occ_cnt[slot] = ndefer
+                occ[slot] = ndefer
                 ring_rows += ndefer
             np.logical_not(sup, out=flag)
-            np.copyto(grid_t[hour], deficit, where=flag)
+            np.copyto(grid[:, hour], deficit, where=flag)
 
-        if charge_plane:
-            charge_t[hour] = energy
+        if planes:
+            shifted[:, hour] = load
+            charge[:, hour] = energy
 
-    # sup_t is dead after the loop and grid_t after its own transpose;
-    # recycle their faulted-in pages as the row-major outputs.
-    grid = sup_t.reshape(n_rows, n_hours)
-    _transpose_into(grid, grid_t)
-    surplus = grid_t.reshape(n_rows, n_hours)
-    _transpose_into(surplus, surplus_t)
     if fr_zero.any():
         # The serial kernel's flexible_ratio == 0 delegations write their
         # grid column with np.maximum (never -0.0); the combined loop's
@@ -882,8 +873,8 @@ def combined_run_batch(
         rows_z = np.flatnonzero(fr_zero)
         grid[rows_z] = np.add(grid[rows_z], 0.0)
     return CombinedRunBatch(
-        shifted_t, grid, surplus, charge_t,
-        deferred_total, late, queued_total, charged, discharged, events,
+        grid, surplus, deferred_total, late, queued_total, charged,
+        discharged, events, shifted, charge,
     )
 
 

@@ -9,8 +9,10 @@ original object loops, so these tests transitively pin the batch kernels
 to the pre-kernel semantics.
 
 Covered edges: ``D = 1`` blocks, zero-capacity rows mixed into live
-blocks, per-row ``(D, H)`` demand (the fleet-merge layout), the lazy
-output planes, ``charge_plane=False``, NaN-freedom, and the surplus-soak
+blocks, per-row ``(D, H)`` demand and ``(S, H)`` site traces with a
+row->site index (the fleet-merge layouts), full leap and non-leap years,
+a soak over a full deadline ring, the output-plane opt-outs
+(``charge_plane=False``, ``planes=False``), NaN-freedom, and the surplus-soak
 hazard replay helper against an independent reimplementation of the
 serial FIFO walk.
 """
@@ -343,6 +345,129 @@ class TestCombinedBatch:
             assert batch.unserved_mwh[i] == ref.unserved_mwh
             assert batch.deferral_events[i] == ref.deferral_events
 
+    @settings(deadline=None, max_examples=6)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(SPEC_POOL),
+                st.sampled_from([0.0, 0.5, 1.0]),
+                st.sampled_from([0.0, 0.4]),
+                st.sampled_from([1.2, 1.5, 3.0]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        seed=SEEDS,
+        n_hours=st.sampled_from([8760, 8784]),
+        data=st.data(),
+    )
+    def test_site_index_form_equals_per_row_block(self, rows, seed, n_hours, data):
+        """(S, H) site traces + a row->site index == the (D, H) per-row
+        block == the serial kernel per row, over full (leap) years."""
+        rows = [(BatterySpec(0.0), 1.0, 0.4, 1.5)] + rows  # a zero-capacity row
+        n_sites = data.draw(st.integers(min_value=1, max_value=3))
+        row_sites = np.array(
+            data.draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=n_sites - 1),
+                    min_size=len(rows),
+                    max_size=len(rows),
+                )
+            )
+        )
+        rng = np.random.default_rng(seed)
+        traces = rng.uniform(0.0, 20.0, (n_sites, n_hours))
+        supply = rng.uniform(0.0, 40.0, (len(rows), n_hours))
+        kwargs = dict(
+            capacity_mw=np.array(
+                [float(traces[s].max()) * cap for s, (*_, cap) in zip(row_sites, rows)]
+            ),
+            flexible_ratio=np.array([ratio for _, _, ratio, _ in rows]),
+            deadline_hours=24,
+            **battery_columns(rows),
+        )
+        indexed = combined_run_batch(traces, supply, row_sites=row_sites, **kwargs)
+        per_row = combined_run_batch(traces[row_sites], supply, **kwargs)
+        for field in (
+            "shifted_demand", "grid_import", "surplus", "charge_level",
+            "deferred_mwh", "late_mwh", "unserved_mwh", "charged_mwh",
+            "discharged_mwh", "deferral_events",
+        ):
+            assert np.array_equal(getattr(indexed, field), getattr(per_row, field))
+        for i, (spec, soc, ratio, _) in enumerate(rows):
+            ref = combined_run(
+                traces[row_sites[i]],
+                supply[i],
+                capacity_mw=float(kwargs["capacity_mw"][i]),
+                flexible_ratio=ratio,
+                deadline_hours=24,
+                **battery_kwargs(spec, soc),
+            )
+            assert np.array_equal(indexed.shifted_demand[i], ref.shifted_demand)
+            assert np.array_equal(indexed.grid_import[i], ref.grid_import)
+            assert np.array_equal(indexed.surplus[i], ref.surplus)
+            assert np.array_equal(indexed.charge_level[i], ref.charge_level)
+            assert indexed.deferred_mwh[i] == ref.deferred_mwh
+            assert indexed.late_mwh[i] == ref.late_mwh
+            assert indexed.unserved_mwh[i] == ref.unserved_mwh
+            assert indexed.discharged_mwh[i] == ref.discharged_mwh
+            assert indexed.deferral_events[i] == ref.deferral_events
+
+    def test_soak_with_a_full_ring(self):
+        """23 deficit hours fill every not-yet-due ring slot before each
+        surplus hour, whose soak then folds a full (slots x rows) sheet:
+        a partial first take, one whole entry then a partial, several
+        whole entries, and a row that drains all 23 slots."""
+        n_hours = 5 * HOURS_PER_DAY
+        traces = np.array([np.full(n_hours, 10.0), np.full(n_hours, 8.0)])
+        row_sites = np.array([0, 1, 0, 1])
+        # Per row: supply in the 23 deficit hours and in the surplus hour.
+        deficit_supply = np.array([2.0, 3.0, 6.0, 2.0])
+        surplus_supply = np.array([13.0, 12.0, 60.0, 200.0])
+        day = np.zeros((4, HOURS_PER_DAY))
+        day[:, :-1] = deficit_supply[:, None]
+        day[:, -1] = surplus_supply
+        supply = np.tile(day, 5)
+        specs = [BatterySpec(0.0)] * 2 + [BatterySpec(0.001), BatterySpec(0.0)]
+        rows = [(spec, 1.0, None, None) for spec in specs]
+        capacity = np.array([15.0, 14.0, 30.0, 160.0])
+        ratios = np.array([0.4, 0.4, 0.4, 1.0])
+        batch = combined_run_batch(
+            traces,
+            supply,
+            row_sites=row_sites,
+            capacity_mw=capacity,
+            flexible_ratio=ratios,
+            deadline_hours=24,
+            **battery_columns(rows),
+        )
+        first_surplus = HOURS_PER_DAY - 1
+        for i, spec in enumerate(specs):
+            kwargs = dict(
+                capacity_mw=float(capacity[i]),
+                flexible_ratio=float(ratios[i]),
+                deadline_hours=24,
+                **battery_kwargs(spec, 1.0),
+            )
+            demand = traces[row_sites[i]]
+            ref = combined_run(demand, supply[i], **kwargs)
+            first_day = combined_run(
+                demand[:HOURS_PER_DAY], supply[i, :HOURS_PER_DAY], **kwargs
+            )
+            # Every hour before the first surplus hour deferred, so all 23
+            # not-yet-due slots are occupied when its soak runs, and the
+            # soak ran deferred work there.
+            assert first_day.deferral_events == HOURS_PER_DAY - 1
+            assert ref.shifted_demand[first_surplus] > demand[first_surplus]
+            assert np.array_equal(batch.shifted_demand[i], ref.shifted_demand)
+            assert np.array_equal(batch.grid_import[i], ref.grid_import)
+            assert np.array_equal(batch.surplus[i], ref.surplus)
+            assert batch.late_mwh[i] == ref.late_mwh
+            assert batch.unserved_mwh[i] == ref.unserved_mwh
+            assert batch.deferral_events[i] == ref.deferral_events
+        # The last row's soak drained the whole ring on the first day.
+        assert first_day.unserved_mwh == 0.0
+
     def test_single_starved_row_exercises_overdue_matrix(self):
         """One undersupplied row defers every hour, carries overdue work
         through the matrix, and still matches the serial deque walk."""
@@ -374,6 +499,7 @@ class TestCombinedBatch:
         assert batch.deferral_events[0] == ref.deferral_events
 
     def test_charge_plane_opt_out(self):
+        """``planes=False`` skips both diagnostic planes, nothing else."""
         demand, supply = make_traces(13, 2)
         kwargs = battery_kwargs(BatterySpec(5.0), 1.0)
         slim = combined_run_batch(
@@ -382,7 +508,7 @@ class TestCombinedBatch:
             capacity_mw=float(demand.max()) * 1.5,
             flexible_ratio=0.25,
             deadline_hours=24,
-            charge_plane=False,
+            planes=False,
             **kwargs,
         )
         full = combined_run_batch(
@@ -394,9 +520,11 @@ class TestCombinedBatch:
             **kwargs,
         )
         assert np.array_equal(slim.grid_import, full.grid_import)
-        assert np.array_equal(slim.shifted_demand, full.shifted_demand)
-        with pytest.raises(AttributeError, match="charge_plane"):
-            slim.charge_level
+        assert np.array_equal(slim.surplus, full.surplus)
+        assert np.array_equal(slim.deferred_mwh, full.deferred_mwh)
+        for plane in ("shifted_demand", "charge_level"):
+            with pytest.raises(AttributeError, match="planes=False"):
+                getattr(slim, plane)
 
     def test_rejects_non_positive_deadline(self):
         demand, supply = make_traces(1, 1)
