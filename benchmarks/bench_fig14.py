@@ -5,7 +5,7 @@ import json
 
 from _common import bench_batch_size, bench_workers, emit, run_once
 
-from repro import CarbonExplorer, Strategy, optimize_fleet
+from repro import CarbonExplorer, Strategy, sweep_fleet
 from repro.core import frontier_tail_ratio, knee_point, pareto_frontier
 from repro.reporting import format_table, percent
 
@@ -36,21 +36,18 @@ def frontier_for(explorer, strategy):
 
 
 def sweep_regions(explorers, strategy):
-    """One sweep per region; fleet-merged into one kernel block when serial."""
-    workers = bench_workers()
-    batch_size = bench_batch_size()
-    if workers == 1 and batch_size is not None:
-        sites = [(explorer.context, fig14_space(explorer)) for explorer in explorers]
-        return optimize_fleet(sites, strategy)
-    return [
-        explorer.optimize(
-            strategy,
-            fig14_space(explorer),
-            workers=workers,
-            batch_size=batch_size,
-        )
-        for explorer in explorers
-    ]
+    """One fleet sweep over every region; results in region order."""
+    fleet = sweep_fleet(
+        [
+            (explorer.context.site_state, explorer.context, fig14_space(explorer))
+            for explorer in explorers
+        ],
+        strategy,
+        workers=bench_workers(),
+        batch_size=bench_batch_size(),
+    )
+    assert fleet.complete, fleet.statuses()
+    return [fleet.site(explorer.context.site_state).result for explorer in explorers]
 
 
 def build_fig14() -> str:

@@ -6,7 +6,7 @@ import json
 
 from _common import bench_batch_size, bench_workers, emit, run_once
 
-from repro import CarbonExplorer, SITE_ORDER, Strategy, optimize_fleet
+from repro import CarbonExplorer, SITE_ORDER, Strategy, sweep_fleet
 from repro.reporting import format_table, percent
 
 _STRATEGY_LABELS = {
@@ -26,29 +26,22 @@ def fig15_space(explorer):
 
 
 def build_fig15() -> str:
-    workers = bench_workers()
-    batch_size = bench_batch_size()
     explorers = [CarbonExplorer(state) for state in SITE_ORDER]
-    spaces = [fig15_space(explorer) for explorer in explorers]
-    if workers == 1 and batch_size is not None:
-        # Serial batched runs fold all thirteen regions into one merged
-        # (design × hour) block per strategy (bitwise-identical to the
-        # per-region sweeps below — see repro.core.optimize_fleet).
-        sites = [
-            (explorer.context, space)
-            for explorer, space in zip(explorers, spaces)
-        ]
-        per_site = [{} for _ in explorers]
-        for strategy in Strategy:
-            for site_results, result in zip(
-                per_site, optimize_fleet(sites, strategy)
-            ):
-                site_results[strategy] = result
-    else:
-        per_site = [
-            explorer.optimize_all(space, workers=workers, batch_size=batch_size)
-            for explorer, space in zip(explorers, spaces)
-        ]
+    sites = [
+        (explorer.context.site_state, explorer.context, fig15_space(explorer))
+        for explorer in explorers
+    ]
+    per_site = [{} for _ in explorers]
+    for strategy in Strategy:
+        fleet = sweep_fleet(
+            sites,
+            strategy,
+            workers=bench_workers(),
+            batch_size=bench_batch_size(),
+        )
+        assert fleet.complete, fleet.statuses()
+        for (key, _, _), results in zip(sites, per_site):
+            results[strategy] = fleet.site(key).result
 
     rows = []
     for explorer, results in zip(explorers, per_site):

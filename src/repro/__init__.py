@@ -33,9 +33,9 @@ from .core import (
     knee_point,
     optimize,
     optimize_all_strategies,
-    optimize_fleet,
     pareto_frontier,
     renewable_coverage,
+    sweep_fleet,
 )
 from .datacenter import (
     DATACENTER_SITES,
@@ -60,7 +60,7 @@ from . import obs, resilience
 from .resilience import (
     CheckpointError,
     CheckpointMismatchError,
-    FaultPlan,
+    FleetFaultPlan,
     SweepInterrupted,
 )
 from .obs import (
@@ -112,9 +112,9 @@ __all__ = [
     "knee_point",
     "optimize",
     "optimize_all_strategies",
-    "optimize_fleet",
     "pareto_frontier",
     "renewable_coverage",
+    "sweep_fleet",
     "DATACENTER_SITES",
     "SITE_ORDER",
     "DatacenterSite",
@@ -138,7 +138,7 @@ __all__ = [
     "resilience",
     "CheckpointError",
     "CheckpointMismatchError",
-    "FaultPlan",
+    "FleetFaultPlan",
     "SweepInterrupted",
     "ProgressTicker",
     "configure_logging",

@@ -36,16 +36,17 @@ resilience flags ``--checkpoint FILE`` (journal completed chunks as the
 sweep runs), ``--resume`` (skip chunks already journaled by a previous
 interrupted run), ``--max-retries N`` and ``--chunk-timeout S`` (parallel
 fault tolerance), and ``--fault-plan SPEC`` (deterministic fault
-injection for testing, e.g. ``kill=0;delay=1:0.5;corrupt=2``).
+injection in pool workers for testing: ``kill=0;delay=1:0.5;corrupt=2``
+addresses chunk ordinals at every site, ``UT:kill@0.5;OR:shm;attempts=1``
+addresses sites).
 
 ``rank`` runs the whole fleet through one shared worker pool
 (:func:`repro.core.sweep_fleet`): every site is an isolated fault
 domain, ``--deadline SECONDS`` bounds the fleet's wall clock (unfinished
-sites report ``deadline_exceeded`` with partial results), ``--stream``
-prints frontier/quarantine/deadline events live as JSON lines, and
-``--site-fault-plan SPEC`` injects site-scoped faults (e.g.
-``UT:kill@0.5;OR:shm;attempts=1``).  A Ctrl-C prints the partial rank
-table for the sites that finished before exiting 130.
+sites report ``deadline_exceeded`` with partial results), and
+``--stream`` prints frontier/quarantine/deadline events live as JSON
+lines.  A Ctrl-C prints the partial rank table for the sites that
+finished before exiting 130.
 
 Every command prints a plain-text table and exits 0 on success; argument
 errors exit 2 (argparse) and domain errors exit 1 with a message on
@@ -75,7 +76,7 @@ from .core import (
     sweep_fleet,
 )
 from .core.optimizer import optimize_all_strategies, strategy_checkpoint_path
-from .resilience import FaultPlan, FleetFaultPlan, SweepInterrupted, inspect_journal
+from .resilience import FleetFaultPlan, SweepInterrupted, inspect_journal
 from .resilience.checkpoint import sweep_journal_path
 from .datacenter import SITE_ORDER
 from .grid import RenewableInvestment, generate_grid_dataset
@@ -309,8 +310,9 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         "--fault-plan",
         metavar="SPEC",
         default=None,
-        help="deterministic fault injection for testing, e.g. "
-        "'kill=0;delay=1:0.5;corrupt=2;attempts=1'",
+        help="deterministic fault injection in pool workers, for testing: "
+        "chunk ordinals at every site, e.g. 'kill=0;delay=1:0.5;corrupt=2', "
+        "and/or site-scoped faults, e.g. 'UT:kill@0.5;OR:shm;attempts=1;seed=7'",
     )
 
 
@@ -320,17 +322,29 @@ def _resilience_kwargs(args: argparse.Namespace) -> dict:
     The ``checkpoint`` path is left to each command, which may derive
     per-strategy or per-site paths from the base the user gave.
     """
-    kwargs = {
+    return {
         "max_retries": args.max_retries,
         "chunk_timeout": args.chunk_timeout,
         "resume": args.resume,
         "shm": not getattr(args, "no_shm", False),
         "events": getattr(args, "events_bus", None),
         "batch_size": getattr(args, "batch_size", None),
+        "faults": _fault_plan(args),
     }
-    if args.fault_plan:
-        kwargs["faults"] = FaultPlan.from_spec(args.fault_plan)
-    return kwargs
+
+
+def _fault_plan(args: argparse.Namespace) -> Optional[FleetFaultPlan]:
+    """Parse ``--fault-plan``, noting on stderr when it cannot fire."""
+    if not args.fault_plan:
+        return None
+    plan = FleetFaultPlan.from_spec(args.fault_plan)
+    if args.workers < 2:
+        print(
+            "note: --fault-plan fires in pool workers; "
+            "with --workers 1 the sweep runs in-process and injects nothing",
+            file=sys.stderr,
+        )
+    return plan
 
 
 def _add_investment_arguments(parser: argparse.ArgumentParser) -> None:
@@ -549,24 +563,7 @@ def _print_rank_table(
 
 def cmd_rank(args: argparse.Namespace) -> Optional[int]:
     strategy = _STRATEGY_BY_NAME[args.strategy]
-    if args.fault_plan:
-        raise ValueError(
-            "rank sweeps the whole fleet; --fault-plan addresses chunks of "
-            "one sweep and is ambiguous across thirteen — use the "
-            "site-scoped --site-fault-plan "
-            "(e.g. 'UT:kill@0.5;OR:shm;attempts=1') instead"
-        )
-    faults = (
-        FleetFaultPlan.from_spec(args.site_fault_plan)
-        if args.site_fault_plan
-        else None
-    )
-    if faults is not None and args.workers < 2:
-        print(
-            "note: --site-fault-plan fires in pool workers; "
-            "with --workers 1 the sweep runs in-process and injects nothing",
-            file=sys.stderr,
-        )
+    faults = _fault_plan(args)
     sites = _parse_rank_sites(args.sites)
     explorers: Dict[str, CarbonExplorer] = {}
     fleet_sites = []
@@ -905,13 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="global wall-clock budget for the whole fleet; unfinished "
         "sites are reported as deadline_exceeded with partial results",
-    )
-    p.add_argument(
-        "--site-fault-plan",
-        metavar="SPEC",
-        default=None,
-        help="site-scoped fault injection for testing, e.g. "
-        "'UT:kill@0.5;OR:delay=1.0@0.5;TX:shm;attempts=1;seed=7'",
     )
     p.add_argument(
         "--no-steal",

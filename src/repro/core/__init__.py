@@ -40,7 +40,6 @@ from .fleet import (
 from .optimizer import (
     optimize,
     optimize_all_strategies,
-    optimize_fleet,
     strategy_checkpoint_path,
 )
 from .shm import (
@@ -103,7 +102,6 @@ __all__ = [
     "OptimizationResult",
     "optimize",
     "optimize_all_strategies",
-    "optimize_fleet",
     "strategy_checkpoint_path",
     "SharedContextError",
     "SharedSiteContext",

@@ -91,7 +91,7 @@ from ..resilience import (
     CheckpointJournal,
     FaultAction,
     FaultKind,
-    FaultPlan,
+    FleetFaultPlan,
     JournalHeader,
     JOURNAL_VERSION,
     corrupt_payload,
@@ -412,18 +412,6 @@ class _Flight:
     submitted_s: float  # time.monotonic() at submission
 
 
-@dataclass(frozen=True)
-class _SiteFaultAdapter:
-    """Lift a chunk-scoped :class:`FaultPlan` to the site-keyed protocol."""
-
-    plan: FaultPlan
-
-    def action_for(
-        self, site: str, ordinal: int, attempt: int
-    ) -> Optional[FaultAction]:
-        return self.plan.action_for(ordinal, attempt)
-
-
 def _validated_payload(
     payload: Any, flight: _Flight
 ) -> Tuple[List[DesignEvaluation], Optional[Dict[str, Any]]]:
@@ -479,7 +467,7 @@ class SweepEngine:
         timeout: Optional[AdaptiveChunkTimeout] = None,
         checkpoints: Optional[Mapping[str, Optional[PathLike]]] = None,
         resume: bool = False,
-        faults: Optional[Any] = None,
+        faults: Optional[FleetFaultPlan] = None,
         quarantine: str = "serial",
         shm: bool = True,
         events: Optional[SweepEvents] = None,

@@ -69,7 +69,7 @@ from ..obs.events import SweepEvent
 from ..resilience import AdaptiveChunkTimeout, FleetFaultPlan
 from ..resilience.checkpoint import PathLike, sweep_journal_path
 from .design import DesignSpace, Strategy
-from .engine import EngineSite, SiteRun, SiteStatus, SweepEngine, _SiteFaultAdapter
+from .engine import EngineSite, SiteRun, SiteStatus, SweepEngine
 from .evaluate import DesignEvaluation
 from .pareto import pareto_frontier
 
@@ -82,9 +82,6 @@ FleetSite = EngineSite
 #: A base journal path (each site journals to ``<base>.<site lowercase>``)
 #: or an explicit site key → journal path map.
 FleetCheckpoint = Union[PathLike, Mapping[str, PathLike]]
-
-#: Site-scoped faults, or a chunk-scoped plan lifted to every site.
-FleetFaults = Union[FleetFaultPlan, _SiteFaultAdapter]
 
 
 @dataclass(frozen=True)
@@ -370,7 +367,7 @@ def prepare_fleet(
     timeout_floor_s: float = 0.25,
     checkpoint: Optional[FleetCheckpoint] = None,
     resume: bool = False,
-    faults: Optional[FleetFaults] = None,
+    faults: Optional[FleetFaultPlan] = None,
     quarantine: str = "serial",
     shm: bool = True,
     events: Optional[SweepEvents] = None,
@@ -407,6 +404,12 @@ def prepare_fleet(
     keys = [key for key, _, _ in sites]
     if len(set(keys)) != len(keys):
         raise ValueError(f"duplicate site keys in fleet: {keys}")
+    unknown = sorted(set(faults.sites) - set(keys)) if faults is not None else []
+    if unknown:
+        raise ValueError(
+            f"fault plan names sites not in this sweep: {unknown} "
+            f"(sweep sites: {keys})"
+        )
 
     base: Optional[PathLike] = None
     if checkpoint is None or isinstance(checkpoint, Mapping):
@@ -455,7 +458,7 @@ def sweep_fleet(
     timeout_floor_s: float = 0.25,
     checkpoint: Optional[FleetCheckpoint] = None,
     resume: bool = False,
-    faults: Optional[FleetFaults] = None,
+    faults: Optional[FleetFaultPlan] = None,
     quarantine: str = "serial",
     shm: bool = True,
     events: Optional[SweepEvents] = None,
@@ -484,8 +487,9 @@ def sweep_fleet(
       ``<base>.<site lowercase>`` (same scheme as ``repro rank``).  A
       mapping of site key → journal path names each journal exactly
       (what :func:`~repro.core.optimizer.optimize` passes).
-    * ``faults`` — site-scoped :class:`~repro.resilience.FleetFaultPlan`
-      (tests and CI only).
+    * ``faults`` — a :class:`~repro.resilience.FleetFaultPlan` (tests and
+      CI only); fires in pool workers only, and every site it names must
+      be a key of ``sites``.
     * ``quarantine`` — ``"serial"`` finishes a quarantined site's chunks
       serially in-parent (status ``degraded``); ``"fail"`` closes it out
       immediately (status ``failed``).

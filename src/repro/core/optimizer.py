@@ -28,18 +28,13 @@ journal, and commit mechanics live in :mod:`repro.core.engine`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
-from ..obs import ProgressCallback, SweepEvents, get_logger, inc, set_gauge, span
-from ..resilience import FaultPlan, SweepInterrupted
+from ..obs import ProgressCallback, SweepEvents, get_logger, span
+from ..resilience import FleetFaultPlan, SweepInterrupted
 from ..resilience.checkpoint import PathLike, sweep_journal_path
-from .design import DesignPoint, DesignSpace, Strategy, default_design_space
-from .engine import _SiteFaultAdapter
-from .evaluate import (
-    DesignEvaluation,
-    SiteContext,
-    evaluate_block_sites,
-)
+from .design import DesignSpace, Strategy, default_design_space
+from .evaluate import SiteContext
 from .fleet import FleetInterrupted, OptimizationResult, prepare_fleet
 
 _log = get_logger("core.optimizer")
@@ -55,7 +50,7 @@ def optimize(
     chunk_timeout: Optional[float] = None,
     checkpoint: Optional[PathLike] = None,
     resume: bool = False,
-    faults: Optional[FaultPlan] = None,
+    faults: Optional[FleetFaultPlan] = None,
     shm: bool = True,
     events: Optional[SweepEvents] = None,
     batch_size: Optional[int] = None,
@@ -102,7 +97,8 @@ def optimize(
       :class:`repro.resilience.SweepInterrupted` with the partial
       progress.
     * ``faults`` injects deterministic worker kills / delays / corrupt
-      payloads (tests and CI only).
+      payloads (tests and CI only; see
+      :class:`repro.resilience.FleetFaultPlan`).
     * ``shm`` (default on) ships the context to workers through the
       zero-copy shared-memory trace plane (:mod:`repro.core.shm`): the
       traces are packed into one segment and each pool initializer gets a
@@ -143,7 +139,7 @@ def optimize(
         chunk_timeout=chunk_timeout,
         checkpoint={site: checkpoint} if checkpoint is not None else None,
         resume=resume,
-        faults=_SiteFaultAdapter(faults) if faults is not None else None,
+        faults=faults,
         shm=shm,
         events=events,
         batch_size=batch_size,
@@ -196,7 +192,7 @@ def optimize_all_strategies(
     chunk_timeout: Optional[float] = None,
     checkpoint: Optional[PathLike] = None,
     resume: bool = False,
-    faults: Optional[FaultPlan] = None,
+    faults: Optional[FleetFaultPlan] = None,
     shm: bool = True,
     events: Optional[SweepEvents] = None,
     batch_size: Optional[int] = None,
@@ -235,106 +231,6 @@ def optimize_all_strategies(
         )
         for strategy in Strategy
     }
-
-
-def optimize_fleet(
-    sites: Sequence[Tuple[SiteContext, DesignSpace]],
-    strategy: Strategy,
-    *,
-    batch_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> List[OptimizationResult]:
-    """Sweep several sites under one strategy through merged kernel blocks.
-
-    A multi-site study (Fig. 14's three-site column, Fig. 15's thirteen
-    regions) runs the same grid at every site.  Per-site sweeps pay the
-    batched kernels' near-constant hour-loop dispatch cost once per site;
-    this entry point folds the site axis into the design axis instead —
-    :func:`repro.core.evaluate.evaluate_block_sites` stacks each site's
-    demand trace into a ``(design, hour)`` block row-for-row with its
-    supply — so the whole fleet pays that cost once.  Results are
-    bitwise-identical to ``[optimize(context, space, strategy,
-    batch_size=...) for context, space in sites]``: the kernels are pure
-    row-wise lockstep, and strategies (or blocks) that cannot merge fall
-    back to per-site evaluation inside ``evaluate_block_sites``.
-
-    ``batch_size`` caps the rows merged into one kernel call (``None``,
-    the default, merges the entire fleet, and fewer calls is faster).
-    Memory grows with the merged rows: the thirteen-site Fig. 15
-    combined fleet is one 1600-row block whose supply block and two
-    outputs take 337 MB, and whose overdue-work matrix grows with the
-    longest backlog; the whole sweep peaked at 665 MB on a 2-vCPU Xeon
-    VM.  ``progress`` receives ``(done, total, strategy_name)`` with
-    ``total`` counting rows fleet-wide.
-
-    This is a serial, in-process path: it composes with ``workers=1``
-    sweeps only.  Multi-process fleets should keep per-site
-    :func:`optimize` calls (the trace plane ships one site per worker).
-    """
-    sites = [(context, space) for context, space in sites]
-    if not sites:
-        return []
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    per_site_designs = [
-        list(space.points(strategy)) for _, space in sites
-    ]
-    if any(not designs for designs in per_site_designs):
-        raise ValueError("design space produced no points")
-    totals = [len(designs) for designs in per_site_designs]
-    total = sum(totals)
-    rows = [
-        (site_index, design)
-        for site_index, designs in enumerate(per_site_designs)
-        for design in designs
-    ]
-    chunk_size = total if batch_size is None else batch_size
-
-    collected: List[List[DesignEvaluation]] = [[] for _ in sites]
-    done = 0
-    with span(
-        "optimize_fleet",
-        strategy=strategy.value,
-        n_sites=len(sites),
-        grid_points=total,
-    ):
-        for start in range(0, total, chunk_size):
-            chunk = rows[start : start + chunk_size]
-            segments: List[Tuple[SiteContext, List[DesignPoint]]] = []
-            segment_sites: List[int] = []
-            for site_index, design in chunk:
-                if not segment_sites or segment_sites[-1] != site_index:
-                    segments.append((sites[site_index][0], []))
-                    segment_sites.append(site_index)
-                segments[-1][1].append(design)
-            evaluated = evaluate_block_sites(segments, strategy)
-            for site_index, evaluations in zip(segment_sites, evaluated):
-                collected[site_index].extend(evaluations)
-                done += len(evaluations)
-            if progress is not None:
-                progress(done, total, strategy.value)
-
-    results: List[OptimizationResult] = []
-    for (context, _), evaluations, site_total in zip(sites, collected, totals):
-        if len(evaluations) != site_total:  # pragma: no cover
-            raise AssertionError("fleet sweep left unevaluated grid points")
-        best = min(evaluations, key=lambda e: e.total_tons)
-        inc("sweeps_completed")
-        set_gauge("sweep_grid_points", site_total)
-        _log.info(
-            "fleet sweep done: site=%s strategy=%s best_total_tons=%.1f "
-            "coverage=%.3f",
-            context.site_state,
-            strategy.value,
-            best.total_tons,
-            best.coverage,
-        )
-        results.append(
-            OptimizationResult(
-                strategy=strategy, best=best, evaluations=tuple(evaluations)
-            )
-        )
-    return results
 
 
 def strategy_checkpoint_path(

@@ -6,15 +6,16 @@ work.  This package supplies the pieces the sweep engine
 (:mod:`repro.core.engine`) threads through every sweep:
 
 * :mod:`~repro.resilience.domains` — :class:`AdaptiveChunkTimeout`, the
-  EWMA stall budget, and :class:`FleetFaultPlan`, site-scoped fault
-  injection (chunk retries and per-site quarantine live in the engine);
+  EWMA stall budget, and :class:`FleetFaultPlan`, deterministic fault
+  injection by site, chunk ordinal and attempt, which tests and CI use
+  to prove the rest end-to-end (chunk retries and per-site quarantine
+  live in the engine);
 * :mod:`~repro.resilience.checkpoint` — an append-only JSONL journal of
   completed chunks with SHA-256 fingerprint validation
   (:func:`sweep_fingerprint`), exact float round-tripping, and tolerant
   recovery of crash-truncated files;
-* :mod:`~repro.resilience.faults` — :class:`FaultPlan`: seeded,
-  deterministic worker kills / delays / payload corruption that tests and
-  CI use to prove the above end-to-end.
+* :mod:`~repro.resilience.faults` — the worker side of an injected
+  fault: kills, delays and payload corruption.
 
 Counters surfaced through :mod:`repro.obs`: ``chunk_retries``,
 ``chunk_failures``, ``serial_fallbacks``, ``checkpoint_chunks_written``,
@@ -41,7 +42,6 @@ from .domains import (
 from .faults import (
     FaultAction,
     FaultKind,
-    FaultPlan,
     corrupt_payload,
     execute_pre_fault,
 )
@@ -69,7 +69,6 @@ __all__ = [
     "SiteFaultPolicy",
     "FaultAction",
     "FaultKind",
-    "FaultPlan",
     "corrupt_payload",
     "execute_pre_fault",
     "design_from_json",

@@ -1,7 +1,8 @@
-"""Deterministic fault injection for sweep chunks.
+"""Worker-side chunk faults: what a fault plan injects, and how.
 
-A :class:`FaultPlan` maps chunk ordinals to faults that tests and CI use to
-exercise the optimizer's fault-tolerance machinery end-to-end:
+A :class:`~repro.resilience.domains.FleetFaultPlan` picks, per
+``(site, chunk ordinal, attempt)``, one :class:`FaultAction` that tests
+and CI use to exercise the sweep engine's fault tolerance end to end:
 
 * ``kill`` — the worker process exits hard mid-chunk (``os._exit``), which
   poisons the sweep engine's whole process pool (``BrokenProcessPool``)
@@ -10,24 +11,17 @@ exercise the optimizer's fault-tolerance machinery end-to-end:
   configured per-chunk stall timeout;
 * ``corrupt`` — the worker returns a malformed payload (wrong element type),
   caught by :func:`repro.resilience.validate.validate_chunk_result` before
-  any result is written back.
-
-Plans are deterministic: built either from explicit chunk ordinals, from a
-compact CLI spec string (:meth:`FaultPlan.from_spec`), or pseudo-randomly
-from a seed (:meth:`FaultPlan.from_seed`).  By default a fault fires only on
-a chunk's *first* attempt (``max_faulted_attempts=1``), so retried chunks
-succeed and the sweep's final result is bitwise-identical to a fault-free
-run — the property the acceptance tests pin down.
+  any result is written back;
+* ``shm`` — the site's shared segment cannot be attached.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, unique
-from random import Random
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 
 @unique
@@ -55,125 +49,6 @@ class FaultAction:
 
     kind: FaultKind
     delay_s: float = 0.0
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """A deterministic schedule of chunk faults.
-
-    Chunk ordinals index the sweep's chunk list in submission order (0 is
-    the first chunk of the grid).  A fault fires only while the chunk's
-    attempt number is below ``max_faulted_attempts``; the default of 1
-    means "fail once, then behave", so any retry succeeds.
-    """
-
-    kill_chunks: FrozenSet[int] = frozenset()
-    delay_chunks: Mapping[int, float] = field(default_factory=dict)
-    corrupt_chunks: FrozenSet[int] = frozenset()
-    max_faulted_attempts: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_faulted_attempts < 1:
-            raise ValueError(
-                f"max_faulted_attempts must be >= 1, got {self.max_faulted_attempts}"
-            )
-        for ordinal, delay in self.delay_chunks.items():
-            if delay < 0:
-                raise ValueError(
-                    f"delay for chunk {ordinal} must be >= 0, got {delay}"
-                )
-
-    def is_empty(self) -> bool:
-        """Whether this plan injects no faults at all."""
-        return not (self.kill_chunks or self.delay_chunks or self.corrupt_chunks)
-
-    def action_for(self, chunk_ordinal: int, attempt: int) -> Optional[FaultAction]:
-        """The fault for one chunk attempt, or ``None`` (kill wins ties)."""
-        if attempt >= self.max_faulted_attempts:
-            return None
-        if chunk_ordinal in self.kill_chunks:
-            return FaultAction(FaultKind.KILL)
-        if chunk_ordinal in self.delay_chunks:
-            return FaultAction(FaultKind.DELAY, delay_s=self.delay_chunks[chunk_ordinal])
-        if chunk_ordinal in self.corrupt_chunks:
-            return FaultAction(FaultKind.CORRUPT)
-        return None
-
-    @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        n_chunks: int,
-        kills: int = 1,
-        delays: int = 0,
-        corruptions: int = 0,
-        delay_s: float = 0.5,
-        max_faulted_attempts: int = 1,
-    ) -> "FaultPlan":
-        """A pseudo-random plan over ``n_chunks`` chunks, fixed by ``seed``.
-
-        Selects ``kills + delays + corruptions`` distinct chunk ordinals
-        (capped at ``n_chunks``) with a seeded :class:`random.Random`, so
-        the same arguments always produce the same plan.
-        """
-        if n_chunks < 0:
-            raise ValueError(f"n_chunks must be >= 0, got {n_chunks}")
-        if min(kills, delays, corruptions) < 0:
-            raise ValueError("fault counts must be >= 0")
-        wanted = min(kills + delays + corruptions, n_chunks)
-        picked = Random(seed).sample(range(n_chunks), wanted)
-        killed = frozenset(picked[:kills])
-        delayed = {ordinal: delay_s for ordinal in picked[kills : kills + delays]}
-        corrupted = frozenset(picked[kills + delays :])
-        return cls(
-            kill_chunks=killed,
-            delay_chunks=delayed,
-            corrupt_chunks=corrupted,
-            max_faulted_attempts=max_faulted_attempts,
-        )
-
-    @classmethod
-    def from_spec(cls, spec: str) -> "FaultPlan":
-        """Parse a compact CLI spec, e.g. ``"kill=0,2;delay=1:0.5;corrupt=3"``.
-
-        Semicolon-separated clauses; ``kill``/``corrupt`` take
-        comma-separated chunk ordinals, ``delay`` takes comma-separated
-        ``ordinal:seconds`` pairs.  An optional ``attempts=N`` clause sets
-        ``max_faulted_attempts``.
-        """
-        kill: set = set()
-        corrupt: set = set()
-        delay: Dict[int, float] = {}
-        attempts = 1
-        for clause in filter(None, (part.strip() for part in spec.split(";"))):
-            if "=" not in clause:
-                raise ValueError(f"bad fault clause {clause!r} (expected key=values)")
-            key, _, values = clause.partition("=")
-            key = key.strip()
-            try:
-                if key == "kill":
-                    kill.update(int(v) for v in values.split(","))
-                elif key == "corrupt":
-                    corrupt.update(int(v) for v in values.split(","))
-                elif key == "delay":
-                    for pair in values.split(","):
-                        ordinal, _, seconds = pair.partition(":")
-                        delay[int(ordinal)] = float(seconds) if seconds else 0.5
-                elif key == "attempts":
-                    attempts = int(values)
-                else:
-                    raise ValueError(
-                        f"unknown fault kind {key!r} "
-                        f"(expected kill, delay, corrupt, or attempts)"
-                    )
-            except ValueError as error:
-                raise ValueError(f"bad fault clause {clause!r}: {error}") from None
-        return cls(
-            kill_chunks=frozenset(kill),
-            delay_chunks=delay,
-            corrupt_chunks=frozenset(corrupt),
-            max_faulted_attempts=attempts,
-        )
 
 
 def execute_pre_fault(action: Optional[FaultAction]) -> None:

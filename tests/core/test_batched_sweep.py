@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Strategy, optimize, optimize_fleet
+from repro.core import Strategy, optimize, sweep_fleet
 from repro.core.design import DesignSpace
 from repro.obs import (
     disable_metrics,
@@ -242,37 +242,42 @@ class TestBatchedCheckpointResume:
 
 
 class TestFleetMerge:
+    """Serial batched fleet sweeps merge each round of site chunks into
+    one evaluation; ``batch_size=3`` splits each 8-point site grid into
+    three chunks, so the fleet runs three merged rounds."""
+
     @pytest.mark.parametrize(
         "strategy", [Strategy.RENEWABLES_BATTERY, Strategy.RENEWABLES_BATTERY_CAS]
     )
     def test_fleet_equals_per_site_sweeps(
         self, ut_context, or_context, small_space, strategy
     ):
-        sites = [(ut_context, small_space), (or_context, small_space)]
-        fleet = optimize_fleet(sites, strategy)
+        sites = [("UT", ut_context, small_space), ("OR", or_context, small_space)]
+        fleet = sweep_fleet(sites, strategy, batch_size=3)
+        assert fleet.complete
         singles = [
-            optimize(context, space, strategy) for context, space in sites
+            optimize(context, space, strategy) for _, context, space in sites
         ]
-        assert len(fleet) == len(singles)
-        for merged, single in zip(fleet, singles):
-            assert merged.evaluations == single.evaluations
-            assert merged.best == single.best
+        assert len(fleet.sites) == len(singles)
+        for merged, single in zip(fleet.sites, singles):
+            assert merged.result.evaluations == single.evaluations
+            assert merged.result.best == single.best
 
     def test_fleet_chunked_by_batch_size(
         self, ut_context, or_context, small_space
     ):
         """A batch_size smaller than one site's grid splits rows mid-site;
         results must not change."""
-        sites = [(ut_context, small_space), (or_context, small_space)]
-        whole = optimize_fleet(sites, Strategy.RENEWABLES_BATTERY)
-        chunked = optimize_fleet(sites, Strategy.RENEWABLES_BATTERY, batch_size=3)
-        for a, b in zip(whole, chunked):
-            assert a.evaluations == b.evaluations
+        sites = [("UT", ut_context, small_space), ("OR", or_context, small_space)]
+        whole = sweep_fleet(sites, Strategy.RENEWABLES_BATTERY, batch_size=512)
+        chunked = sweep_fleet(sites, Strategy.RENEWABLES_BATTERY, batch_size=3)
+        for a, b in zip(whole.sites, chunked.sites):
+            assert a.result.evaluations == b.result.evaluations
 
     def test_fleet_rejects_bad_batch_size(self, ut_context, small_space):
         with pytest.raises(ValueError, match="batch_size"):
-            optimize_fleet(
-                [(ut_context, small_space)],
+            sweep_fleet(
+                [("UT", ut_context, small_space)],
                 Strategy.RENEWABLES_BATTERY,
                 batch_size=0,
             )

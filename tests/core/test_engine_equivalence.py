@@ -27,7 +27,7 @@ import pytest
 from repro.core import Strategy, SweepEngine, optimize, sweep_fleet
 from repro.core.design import DesignSpace
 from repro.obs import SweepEvents
-from repro.resilience import FaultPlan, FleetFaultPlan
+from repro.resilience import FleetFaultPlan
 from repro.resilience.domains import SiteFaultPolicy
 
 FIXTURES = "tests/fixtures/golden_journals"
@@ -215,7 +215,7 @@ class TestCrossEntryPoint:
     def test_faulted_sweep_is_bitwise_after_retries(self, ut_context):
         """Kill faults poison the pool; retried chunks must re-commit the
         exact same floats the fault-free run produces."""
-        faults = FaultPlan(kill_chunks=frozenset({0}))
+        faults = FleetFaultPlan.from_spec("kill=0")
         clean = optimize(
             ut_context, GOLDEN_SPACE, Strategy.RENEWABLES_BATTERY, workers=2
         )

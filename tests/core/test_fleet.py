@@ -24,6 +24,7 @@ from repro.core import (
     build_site_context,
     fleet_checkpoint_path,
     optimize,
+    prepare_fleet,
     shared_memory_available,
     sweep_fleet,
 )
@@ -138,6 +139,17 @@ class TestSerialFleet:
             sweep_fleet(trio_sites, STRATEGY, max_retries=-1)
         with pytest.raises(ValueError, match="chunk_timeout"):
             sweep_fleet(trio_sites, STRATEGY, chunk_timeout=0.0)
+
+    @pytest.mark.parametrize("spec", ["ZZ:kill", "ut:kill"])
+    def test_fault_plan_sites_must_be_in_the_sweep(self, trio_sites, spec):
+        """A typo'd or lowercase site key would inject nothing; it is
+        rejected before the sweep starts, naming both key sets."""
+        faults = FleetFaultPlan.from_spec(spec)
+        with pytest.raises(ValueError, match="not in this sweep") as error:
+            prepare_fleet(trio_sites, STRATEGY, faults=faults)
+        message = str(error.value)
+        assert repr(spec.partition(":")[0]) in message
+        assert all(repr(key) in message for key, _, _ in trio_sites)
 
 
 class TestPooledFleet:

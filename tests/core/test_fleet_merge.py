@@ -21,7 +21,6 @@ from repro.core import (
     build_site_context,
     fleet_checkpoint_path,
     optimize,
-    optimize_fleet,
     sweep_fleet,
 )
 from repro.core import engine as engine_module
@@ -200,11 +199,14 @@ class TestMixedYears:
                 evaluate_design(context, d, STRATEGY) for d in designs
             ]
 
-    def test_optimize_fleet_matches_per_site_optimize(self, mixed_sites, per_site):
-        results = optimize_fleet(
-            [(context, space) for _, context, space in mixed_sites], STRATEGY
-        )
-        for (key, _, _), result in zip(mixed_sites, results):
+    def test_one_round_fleet_matches_per_site_optimize(self, mixed_sites, per_site):
+        # A batch_size covering every site's grid makes each site one
+        # chunk, so the whole fleet is one merged round.
+        total = sum(space.size(STRATEGY) for _, _, space in mixed_sites)
+        fleet = sweep_fleet(mixed_sites, STRATEGY, batch_size=total)
+        assert fleet.complete
+        for key, _, _ in mixed_sites:
+            result = fleet.site(key).result
             assert result.evaluations == per_site[key].evaluations, key
             assert result.best == per_site[key].best, key
 

@@ -18,7 +18,7 @@ from repro.obs import (
     get_registry,
     reset_metrics,
 )
-from repro.resilience import FaultPlan, SweepInterrupted
+from repro.resilience import FleetFaultPlan, SweepInterrupted
 
 STRATEGY = Strategy.RENEWABLES_BATTERY
 
@@ -58,7 +58,7 @@ class TestFaultInjectedSweeps:
             small_space,
             STRATEGY,
             workers=2,
-            faults=FaultPlan(kill_chunks=frozenset({0})),
+            faults=FleetFaultPlan.from_spec("kill=0"),
         )
         assert result.evaluations == serial_result.evaluations
         assert result.best == serial_result.best
@@ -71,7 +71,7 @@ class TestFaultInjectedSweeps:
             small_space,
             STRATEGY,
             workers=2,
-            faults=FaultPlan(corrupt_chunks=frozenset({1, 3})),
+            faults=FleetFaultPlan.from_spec("corrupt=1,3"),
         )
         assert result.evaluations == serial_result.evaluations
 
@@ -84,14 +84,14 @@ class TestFaultInjectedSweeps:
             STRATEGY,
             workers=2,
             chunk_timeout=0.3,
-            faults=FaultPlan(delay_chunks={0: 3.0}),
+            faults=FleetFaultPlan.from_spec("delay=0:3.0"),
         )
         assert result.evaluations == serial_result.evaluations
 
     def test_seeded_plan_matches_serial_exactly(
         self, ut_context, small_space, serial_result
     ):
-        faults = FaultPlan.from_seed(42, n_chunks=8, kills=1, corruptions=1)
+        faults = FleetFaultPlan.from_spec("kill=1;corrupt=0")
         result = optimize(
             ut_context,
             small_space,
@@ -112,9 +112,7 @@ class TestFaultInjectedSweeps:
             STRATEGY,
             workers=2,
             max_retries=1,
-            faults=FaultPlan(
-                kill_chunks=frozenset({0}), max_faulted_attempts=99
-            ),
+            faults=FleetFaultPlan.from_spec("kill=0;attempts=99"),
         )
         assert result.evaluations == serial_result.evaluations
         assert fresh_metrics.counter_value("serial_fallbacks") >= 1
@@ -127,7 +125,7 @@ class TestFaultInjectedSweeps:
             small_space,
             STRATEGY,
             workers=2,
-            faults=FaultPlan(corrupt_chunks=frozenset({2})),
+            faults=FleetFaultPlan.from_spec("corrupt=2"),
         )
         assert fresh_metrics.counter_value("chunk_failures") >= 1
         assert fresh_metrics.counter_value("chunk_retries") >= 1
@@ -160,7 +158,7 @@ class TestWorkerMetricsMerge:
             small_space,
             STRATEGY,
             workers=2,
-            faults=FaultPlan(corrupt_chunks=frozenset({0})),
+            faults=FleetFaultPlan.from_spec("corrupt=0"),
         )
         assert fresh_metrics.counter_value("designs_evaluated") == small_space.size(
             STRATEGY

@@ -31,7 +31,7 @@ from repro.obs import (
     get_registry,
     reset_metrics,
 )
-from repro.resilience import FaultPlan, SweepInterrupted
+from repro.resilience import FleetFaultPlan, SweepInterrupted
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(), reason="no multiprocessing.shared_memory"
@@ -162,7 +162,7 @@ class TestShmSweeps:
             small_space,
             Strategy.RENEWABLES_BATTERY,
             workers=2,
-            faults=FaultPlan.from_spec("kill=0;corrupt=1"),
+            faults=FleetFaultPlan.from_spec("kill=0;corrupt=1"),
         )
         assert result.evaluations == serial.evaluations
         assert _live_segments() == []

@@ -10,6 +10,8 @@ CLI spec grammar.  :class:`AdaptiveChunkTimeout` must seed from
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.resilience import (
@@ -122,10 +124,21 @@ class TestFromSpec:
 
     @pytest.mark.parametrize(
         "spec",
-        ["UT:explode", "bogus=3", ":kill", "UT:kill@2.0", "attempts=x"],
+        [
+            "UT:explode",
+            "bogus=3",
+            ":kill",
+            "UT:kill@2.0",
+            "attempts=x",
+            "UT:delay=nan",
+            "UT:kill=3",
+            "UT:shm=1",
+            "UT:shm@0.5",
+        ],
     )
     def test_bad_clauses_are_loud(self, spec):
-        with pytest.raises(ValueError, match="bad fleet fault clause"):
+        clause = re.escape(repr(spec))
+        with pytest.raises(ValueError, match=f"bad fleet fault clause {clause}"):
             FleetFaultPlan.from_spec(spec)
 
 

@@ -2,7 +2,7 @@
 
 ``repro rank`` runs the fleet sweep, so these tests exercise the user-facing
 contracts: ``--stream`` narrates reconstructable JSON events, ``--deadline``
-reports cut-off sites instead of hanging, ``--site-fault-plan`` degrades only
+reports cut-off sites instead of hanging, ``--fault-plan`` degrades only
 the targeted fault domain, interrupts print a partial table and exit 130, and
 ``repro journal`` answers "is this checkpoint worth resuming?".
 """
@@ -51,18 +51,26 @@ class TestRank:
         assert main(["rank", "--sites", "UT,ZZ"]) == 1
         assert "unknown site" in capsys.readouterr().err
 
-    def test_chunk_scoped_fault_plan_is_rejected(self, capsys):
-        code = main(_RANK_UT + ["--fault-plan", "kill=0"])
-        assert code == 1
-        assert "--site-fault-plan" in capsys.readouterr().err
+    def test_bare_fault_plan_fires_at_every_site(self, capsys, tmp_path):
+        assert main(_RANK_UT) == 0
+        clean = capsys.readouterr().out
+        metrics = tmp_path / "metrics.json"
+        code = main(
+            ["rank", "--sites", "UT", "--workers", "2", "--fault-plan", "kill=0"]
+            + ["--metrics-out", str(metrics)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == clean
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["chunk_failures"] >= 1
 
-    def test_bad_site_fault_plan_spec_is_an_error(self, capsys):
-        code = main(_RANK_UT + ["--site-fault-plan", "UT:explode"])
+    def test_bad_fault_plan_spec_is_an_error(self, capsys):
+        code = main(_RANK_UT + ["--fault-plan", "UT:explode"])
         assert code == 1
         assert "bad fleet fault clause" in capsys.readouterr().err
 
     def test_serial_fault_plan_warns_it_cannot_fire(self, capsys):
-        code = main(_RANK_UT + ["--site-fault-plan", "UT:kill@0.5"])
+        code = main(_RANK_UT + ["--fault-plan", "UT:kill@0.5"])
         assert code == 0
         assert "--workers 1" in capsys.readouterr().err
 
@@ -104,7 +112,7 @@ class TestRankStream:
                 "--workers",
                 "2",
                 "--stream",
-                "--site-fault-plan",
+                "--fault-plan",
                 "OR:shm",
             ]
         )

@@ -100,6 +100,19 @@ class TestFailurePaths:
         assert code == 1
         assert "fault" in capsys.readouterr().err
 
+    def test_fault_plan_site_outside_the_sweep_is_an_error(self, capsys):
+        args = ["optimize", "NE"] + _SMALL_OPTIMIZE[2:]
+        code = main(args + ["--workers", "2", "--fault-plan", "UT:kill"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'UT'" in err and "'NE'" in err
+
+    def test_serial_fault_plan_warns_it_cannot_fire(self, capsys):
+        code = main(_SMALL_OPTIMIZE + ["--fault-plan", "kill=0"])
+        assert code == 0
+        assert "--workers 1" in capsys.readouterr().err
+
 
 class TestFaultInjectedRuns:
     def test_fault_injected_sweep_matches_a_clean_run(self, capsys):
