@@ -17,9 +17,6 @@ code      name                invariant
 RL001     determinism         *(project)* no wall-clock or global-RNG calls
                               reachable from the pool workers' entry points or
                               from kernel functions
-RL002     shm-lifecycle       ``SharedMemory(create=True)`` is unlinked in a
-                              ``finally`` or context manager in the same
-                              function (owner modules: see RL010)
 RL003     kernel-purity       *(project)* kernel-reachable functions never
                               mutate parameter arrays (unless provably
                               caller-owned scratch), import multiprocessing,
@@ -45,16 +42,18 @@ RL011     dispatch-hygiene    ``SweepEngine``'s dispatch loop never blocks
                               unboundedly or performs I/O
 ========  ==================  ==================================================
 
+Each file is read, parsed and walked once (:mod:`repro.lint.index`);
+nothing is cached between runs.
+
 Suppress a single statement with
 ``# repro-lint: disable=RL005 — justification`` on any of its lines;
 the justification text is required by review policy (see DESIGN.md).
 """
 
 from .engine import (
-    CACHE_VERSION,
-    DEFAULT_CACHE_PATH,
     JSON_FORMAT_VERSION,
     PARSE_ERROR_RULE,
+    LintPathError,
     LintReport,
     check_file,
     iter_python_files,
@@ -79,11 +78,10 @@ from .suppress import parse_directive, suppressed_lines
 
 __all__ = [
     "ALL_RULES",
-    "CACHE_VERSION",
-    "DEFAULT_CACHE_PATH",
     "EmptySelectionError",
     "Finding",
     "JSON_FORMAT_VERSION",
+    "LintPathError",
     "LintReport",
     "PARSE_ERROR_RULE",
     "Project",

@@ -8,16 +8,9 @@ Two entry points share this module:
   :func:`run`.
 
 Exit codes: ``0`` clean, ``1`` findings reported, ``2`` usage error
-(unknown rule code, empty rule selection, no files matched).  An empty
-selection — ``--select ,`` or a select/ignore combination that leaves
-zero rules — exits 2 loudly rather than "passing" a run that checked
-nothing.
-
-The incremental cache is on by default (``.repro-lint-cache.json`` in
-the invocation directory); ``--no-cache`` forces a cold run,
-``--cache PATH`` relocates it, ``--changed-only`` reports findings only
-for files changed since the last run plus their reverse-dependency
-closure.
+(unknown rule code, empty rule selection, a path that does not exist,
+no ``.py`` file matched).  Each of those would otherwise "pass" a run
+that checked nothing, so each exits 2 loudly instead.
 """
 
 from __future__ import annotations
@@ -26,20 +19,14 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .engine import (
-    DEFAULT_CACHE_PATH,
-    lint_project,
-    render_json,
-    render_sarif,
-    render_text,
-)
+from .engine import LintPathError, lint_project, render_json, render_sarif, render_text
 from .rules import ALL_RULES, EmptySelectionError, UnknownRuleError
 
 _DEFAULT_PATHS = ["src"]
 
 
 def _split_codes(values: Optional[Sequence[str]]) -> Optional[List[str]]:
-    """Flatten repeated/comma-separated ``--select RL001,RL002`` options.
+    """Flatten repeated/comma-separated ``--select RL001,RL003`` options.
 
     ``None`` means the option was not passed at all.  An option that
     *was* passed but named no codes (``--select ,``) flattens to the
@@ -82,29 +69,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="RULE",
         help="skip these rules (repeat or comma-separate)",
     )
-    parser.add_argument(
-        "--cache",
-        dest="cache_path",
-        default=DEFAULT_CACHE_PATH,
-        metavar="PATH",
-        help=(
-            "incremental cache file (default: %(default)s); unchanged "
-            "files are neither re-parsed nor re-checked"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache (cold run, nothing written)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "report findings only for files changed since the cached run "
-            "plus everything that transitively imports them"
-        ),
-    )
 
 
 def run_from_args(args: argparse.Namespace) -> int:
@@ -114,10 +78,8 @@ def run_from_args(args: argparse.Namespace) -> int:
             args.paths,
             select=_split_codes(args.select),
             ignore=_split_codes(args.ignore),
-            cache_path=None if args.no_cache else args.cache_path,
-            changed_only=args.changed_only,
         )
-    except (UnknownRuleError, EmptySelectionError) as exc:
+    except (UnknownRuleError, EmptySelectionError, LintPathError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
     findings = report.findings

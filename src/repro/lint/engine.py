@@ -1,25 +1,19 @@
-"""The lint engine: discover, hash, parse, run rules in two phases, render.
+"""The lint engine: discover, parse, run rules in two phases, render.
 
 The engine runs in two phases over the discovered files:
 
-* **file phase** — each file is content-hashed; on a cache hit its
-  stored findings and facts are reused verbatim, otherwise it is parsed
-  once and (a) every *file* rule runs over it, (b) the
-  :mod:`~repro.lint.graph` fact extractor records what the project
-  phase will need.  File findings are cached post-suppression and for
-  **all** file rules regardless of ``--select`` — the cache is
-  selection-independent, selection filters at report time.
-* **project phase** — the per-file facts (fresh or cached) assemble
-  into a :class:`~repro.lint.graph.Project` and the *project* rules
-  (RL001, RL003, RL009, RL010) run over it.  Project verdicts are never
-  cached: editing one file can change the reachability of files that
-  never import it, so only the per-file *inputs* are reused.
+* **file phase** — each file is read and parsed once into a
+  :class:`~repro.lint.findings.SourceFile`, whose node index is built in
+  one walk (:mod:`repro.lint.index`).  Every selected *file* rule reads
+  that index, and so does the :mod:`~repro.lint.graph` fact extractor
+  when a project rule is selected.  Only a file containing
+  ``repro-lint`` is tokenized for suppression directives.
+* **project phase** — the per-file facts assemble into a
+  :class:`~repro.lint.graph.Project` and the *project* rules (RL001,
+  RL003, RL009, RL010) run over it.
 
-The cache (``.repro-lint-cache.json`` by default) stores per path: the
-content hash, the file-phase findings, the extracted facts, and the
-suppression map.  ``--changed-only`` narrows the *report* to reparsed
-files plus their reverse-dependency closure — the only files whose
-verdicts the edit can have changed through imports.
+Nothing is cached between runs: a cold run over ``src/ benchmarks/
+tests/ examples/`` takes about 2 s on a 2-vCPU host.
 
 Files that fail to parse are themselves findings (rule ``RL000``,
 "parse-error") rather than crashes — a syntax error in one module must
@@ -27,21 +21,22 @@ not hide violations in the other three hundred.  A directory containing
 a ``.repro-lint-ignore`` marker is pruned from discovery (fixture trees
 full of deliberate violations live under one); the marker is ignored on
 an explicitly-passed root — asking for a directory by name means it.
+A path that does not exist, or a run that matches no ``.py`` file, is a
+:class:`LintPathError`: a typo'd path must not pass as a clean tree.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .findings import Finding, SourceFile
-from .graph import FACTS_VERSION, Project, extract_facts
+from .graph import Project, extract_facts
 from .rules import ALL_RULES, Rule, get_rules
-from .suppress import is_suppressed, suppressed_lines
+from .suppress import is_suppressed
 
 #: Pseudo-rule code attributed to files the engine cannot parse.
 #: Always reported, whatever ``--select`` says: an unparseable file
@@ -49,19 +44,23 @@ from .suppress import is_suppressed, suppressed_lines
 PARSE_ERROR_RULE = "RL000"
 
 #: Version of the ``--format json`` document shape.
-#: 2: added the ``stats`` object (cache hit/reparse counters).
-JSON_FORMAT_VERSION = 2
-
-#: Version of the on-disk cache document; bumped with the record shape.
-CACHE_VERSION = 1
-
-#: Default cache location, relative to the invocation directory.
-DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
+#: 3: ``stats`` holds only the file count.
+JSON_FORMAT_VERSION = 3
 
 #: Marker file pruning a directory subtree from discovery.
 IGNORE_MARKER = ".repro-lint-ignore"
 
 _SKIP_DIRS = frozenset({"__pycache__"})
+
+
+class LintPathError(ValueError):
+    """A lint path does not exist, or the paths match no ``.py`` file.
+
+    Linting nothing and exiting 0 would let a typo'd CI path pass as a
+    clean tree — the silent pass
+    :class:`~repro.lint.rules.EmptySelectionError` prevents for rule
+    selections.  The CLI maps it to exit 2.
+    """
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[pathlib.Path]:
@@ -122,182 +121,67 @@ def load_source_file(path: pathlib.Path) -> "SourceFile | Finding":
 
 def check_file(file: SourceFile, rules: Sequence[Rule]) -> List[Finding]:
     """All unsuppressed findings for one parsed file."""
-    suppressions = suppressed_lines(file.source, file.tree)
     findings: List[Finding] = []
     for rule in rules:
         if not rule.applies_to(file):
             continue
         for finding in rule.check(file):
-            if not is_suppressed(suppressions, finding.line, finding.rule):
+            if not is_suppressed(file.suppressions, finding.line, finding.rule):
                 findings.append(finding)
     return findings
 
 
 @dataclass
 class LintReport:
-    """Findings plus the cache/incrementality counters of one run."""
+    """Findings plus the counters of one run (``{"files": N}``)."""
 
     findings: List[Finding]
     stats: Dict[str, int] = field(default_factory=dict)
-
-
-def _finding_from_json(obj: Dict[str, Any]) -> Finding:
-    return Finding(
-        path=obj["path"],
-        line=obj["line"],
-        col=obj["col"],
-        rule=obj["rule"],
-        message=obj["message"],
-        severity=obj.get("severity", "error"),
-    )
-
-
-def _load_cache(cache_path: Optional[str]) -> Dict[str, Any]:
-    if cache_path is None:
-        return {}
-    try:
-        with open(cache_path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(document, dict):
-        return {}
-    if document.get("version") != CACHE_VERSION:
-        return {}
-    if document.get("facts_version") != FACTS_VERSION:
-        return {}
-    files = document.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(cache_path: Optional[str], files: Dict[str, Any]) -> None:
-    if cache_path is None:
-        return
-    document = {
-        "version": CACHE_VERSION,
-        "facts_version": FACTS_VERSION,
-        "files": files,
-    }
-    try:
-        with open(cache_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-    except OSError:
-        pass  # a read-only checkout still lints, just never warm
-
-
-def _all_file_rules() -> List[Rule]:
-    return [cls() for cls in ALL_RULES if cls.phase == "file"]
 
 
 def lint_project(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    cache_path: Optional[str] = None,
-    changed_only: bool = False,
 ) -> LintReport:
     """Lint ``paths`` through both phases; findings plus run stats.
 
-    ``cache_path=None`` disables the cache entirely.  ``changed_only``
-    narrows the report to files reparsed this run plus their
-    reverse-dependency closure (it never changes the *verdicts*, only
-    which files' findings are reported).
+    Raises :class:`LintPathError` when a path does not exist or no
+    ``.py`` file matches.
     """
     selected_rules = get_rules(select=select, ignore=ignore)
-    selected_codes = {rule.code for rule in selected_rules}
+    file_rules = [r for r in selected_rules if r.phase == "file"]
     project_rules = [r for r in selected_rules if r.phase == "project"]
-    file_rules = _all_file_rules()
+    missing = [path for path in paths if not pathlib.Path(path).exists()]
+    if missing:
+        raise LintPathError(f"no such file or directory: {', '.join(missing)}")
 
-    cached = _load_cache(cache_path)
-    records: Dict[str, Any] = {}
-    reparsed_paths: List[str] = []
-    stats = {"files": 0, "cache_hits": 0, "reparsed": 0, "rechecked": 0}
-
+    findings: List[Finding] = []
+    facts_by_path: Dict[str, Dict[str, Any]] = {}
+    suppressions_by_path = {}
+    files = 0
     for path in iter_python_files(paths):
-        key = str(path)
-        stats["files"] += 1
-        try:
-            content = path.read_bytes()
-        except OSError as exc:
-            records[key] = {
-                "sha256": "",
-                "findings": [
-                    Finding(
-                        path=key,
-                        line=1,
-                        col=0,
-                        rule=PARSE_ERROR_RULE,
-                        message=f"cannot parse file: {exc}",
-                    ).as_json()
-                ],
-                "facts": None,
-            }
-            reparsed_paths.append(key)
-            stats["reparsed"] += 1
-            continue
-        digest = hashlib.sha256(content).hexdigest()
-        record = cached.get(key)
-        if record is not None and record.get("sha256") == digest:
-            records[key] = record
-            stats["cache_hits"] += 1
-            continue
+        files += 1
         loaded = load_source_file(path)
         if isinstance(loaded, Finding):
-            records[key] = {
-                "sha256": digest,
-                "findings": [loaded.as_json()],
-                "facts": None,
-            }
-        else:
-            records[key] = {
-                "sha256": digest,
-                "findings": [
-                    f.as_json() for f in check_file(loaded, file_rules)
-                ],
-                "facts": extract_facts(loaded),
-            }
-        reparsed_paths.append(key)
-        stats["reparsed"] += 1
+            findings.append(loaded)
+            continue
+        findings.extend(check_file(loaded, file_rules))
+        if project_rules:
+            facts_by_path[loaded.path] = extract_facts(loaded)
+            suppressions_by_path[loaded.path] = loaded.suppressions
+    if not files:
+        raise LintPathError(
+            f"no Python file under {', '.join(paths)}: nothing would be checked"
+        )
 
-    # -- file-phase report: cached findings filtered by selection ----------
-    findings: List[Finding] = []
-    for record in records.values():
-        for obj in record["findings"]:
-            if (
-                obj["rule"] == PARSE_ERROR_RULE
-                or obj["rule"] in selected_codes
-            ):
-                findings.append(_finding_from_json(obj))
-
-    # -- project phase: always recomputed over fresh + cached facts --------
-    facts_by_path = {
-        key: record["facts"]
-        for key, record in records.items()
-        if record["facts"] is not None
-    }
     project = Project(facts_by_path)
-    suppressed_by_path = {
-        key: {
-            int(line): frozenset(codes)
-            for line, codes in (record["facts"].get("suppressed") or {}).items()
-        }
-        for key, record in records.items()
-        if record["facts"] is not None
-    }
     for rule in project_rules:
         for finding in rule.check_project(project):
-            suppressions = suppressed_by_path.get(finding.path, {})
+            suppressions = suppressions_by_path.get(finding.path, {})
             if not is_suppressed(suppressions, finding.line, finding.rule):
                 findings.append(finding)
-
-    # -- incremental accounting and --changed-only narrowing ---------------
-    closure: Set[str] = project.reverse_dependency_closure(reparsed_paths)
-    stats["rechecked"] = len(closure)
-    if changed_only:
-        findings = [f for f in findings if f.path in closure]
-
-    _save_cache(cache_path, records)
-    return LintReport(findings=sorted(findings), stats=stats)
+    return LintReport(findings=sorted(findings), stats={"files": files})
 
 
 def run_lint(
@@ -305,11 +189,7 @@ def run_lint(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Lint ``paths`` with the selected rules; sorted findings.
-
-    Compatibility wrapper over :func:`lint_project` with the cache
-    disabled — the shape every pre-existing caller and test expects.
-    """
+    """Lint ``paths`` with the selected rules; sorted findings."""
     return lint_project(paths, select=select, ignore=ignore).findings
 
 

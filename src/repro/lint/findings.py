@@ -4,18 +4,23 @@ A :class:`Finding` is one rule violation at one source location; the
 engine collects them across files, filters suppressed ones, and renders
 them as ``path:line:col RULE message`` text or a JSON document.  A
 :class:`SourceFile` bundles everything a rule needs to inspect one file —
-the parsed AST, the raw source, and the path split into components for
-scope checks — so each file is read and parsed exactly once no matter
-how many rules run over it.
+the parsed AST, the raw source, the node index, the import table, the
+suppression map, and the path split into components for scope checks —
+so each file is read, parsed, tokenized and walked at most once no
+matter how many rules and extractors look at it.
 """
 
 from __future__ import annotations
 
 import ast
 import enum
+import functools
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, FrozenSet, Tuple
+
+from .index import FileIndex, ImportTable, module_name_for_path
+from .suppress import comment_directives, widen_to_statements
 
 
 class Severity(enum.Enum):
@@ -68,6 +73,26 @@ class SourceFile:
     path: str
     source: str
     tree: ast.Module
+
+    @functools.cached_property
+    def index(self) -> FileIndex:
+        """The one walk of :attr:`tree` every consumer reads."""
+        return FileIndex(self.tree)
+
+    @functools.cached_property
+    def module(self) -> str:
+        """Dotted module name (see :func:`~repro.lint.index.module_name_for_path`)."""
+        return module_name_for_path(self.path)
+
+    @functools.cached_property
+    def imports(self) -> ImportTable:
+        """The file's import table, relative imports resolved."""
+        return ImportTable(self.index.of(ast.Import, ast.ImportFrom), self.module)
+
+    @functools.cached_property
+    def suppressions(self) -> Dict[int, FrozenSet[str]]:
+        """Line → disabled rule codes, widened to statement spans."""
+        return widen_to_statements(comment_directives(self.source), self.index.nodes)
 
     @property
     def dir_parts(self) -> Tuple[str, ...]:

@@ -1,41 +1,38 @@
-"""Per-file fact extraction: everything the project phase needs, as JSON.
+"""Per-file fact extraction: everything the project phase needs.
 
-One pass over a parsed file produces a plain-dict record of the facts
-the whole-program rules consume — module identity, resolved imports,
-defined functions and classes, call sites (with enough receiver
-structure to build a conservative call graph), rule *candidates* (every
-RL001/RL003-shaped site, scoping deferred to the project phase), metric
-name uses/declarations for the census, and shared-memory creation
-shapes for ownership tracking.  The record is what the incremental
-cache stores per content hash: re-linting an unchanged file costs a
-hash, never a parse.
+One pass over a file's node index (:class:`~repro.lint.index.FileIndex`)
+produces a plain-dict record of the facts the whole-program rules
+consume — module identity, resolved imports, defined functions and
+classes, call sites (with enough receiver structure to build a
+conservative call graph), rule *candidates* (every RL001/RL003-shaped
+site, scoping deferred to the project phase), metric name
+uses/declarations for the census, and shared-memory creation shapes for
+ownership tracking.
 
-Everything here is local analysis — no fact depends on any other file,
-which is exactly what makes the cache sound.
+Everything here is local analysis — no fact depends on any other file.
+Code is attributed to its *outermost* enclosing function: a nested
+``def`` only runs when the function around it does.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..findings import SourceFile
-from ..suppress import suppressed_lines
+from ..index import FileIndex, ImportTable, dotted_name
 from ..rules.determinism import determinism_violation
 from ..rules.kernel_purity import (
     _IO_CALLS,
     _IO_PREFIXES,
+    REBINDING_NODES,
     _parameter_names,
     _rebound_names,
     _subscript_base,
 )
 from ..rules.metric_names import _API_KINDS
 from ..rules.events import _is_bus_emit
-
-#: Bumped whenever the record shape or the extraction logic changes, so
-#: stale caches from an older linter are discarded wholesale.
-FACTS_VERSION = 1
 
 #: Method names too generic to anchor a conservative dynamic-dispatch
 #: edge: matching ``x.append(...)`` against every project method named
@@ -142,103 +139,26 @@ _VIEW_METHODS = frozenset(
 )
 
 
-def module_name_for_path(path_str: str) -> str:
-    """Dotted module name for a file, following ``__init__.py`` chains.
+#: Binding statements the ownership analysis reads, in source order.
+_OWNERSHIP_BINDINGS = (
+    ast.Assign,
+    ast.AnnAssign,
+    ast.For,
+    ast.AsyncFor,
+    ast.With,
+    ast.AsyncWith,
+)
 
-    ``src/repro/core/engine.py`` → ``repro.core.engine`` (``src`` has no
-    ``__init__.py``, ``repro`` does).  Files outside any package get a
-    two-component pseudo-module from their parent directory and stem
-    (``tmp/kernels/battery.py`` → ``kernels.battery``) so fixture trees
-    and scratch copies scope the same way the packaged source does.
-    """
-    path = pathlib.Path(path_str)
-    stem = path.stem
-    pkg: List[str] = []
-    directory = path.parent
-    try:
-        while (directory / "__init__.py").is_file():
-            pkg.append(directory.name)
-            parent = directory.parent
-            if parent == directory:
-                break
-            directory = parent
-    except OSError:  # pragma: no cover - unreadable ancestor
-        pkg = []
-    if pkg:
-        parts = list(reversed(pkg))
-        if stem != "__init__":
-            parts.append(stem)
-        return ".".join(parts)
-    parent_name = path.parent.name
-    if parent_name in ("", ".", ".."):
-        return stem
-    return f"{parent_name}.{stem}"
+#: What code in one scope (a module, ``def`` or ``class`` node) is
+#: attributed to: the qualname of its outermost enclosing function
+#: (``None`` at module or class level), the class whose body it is
+#: (``None`` inside functions), and the outermost function's node.
+_Context = Tuple[Optional[str], Optional[str], Optional[ast.AST]]
 
 
 def module_matches(module: str, suffix: str) -> bool:
     """Whether dotted ``module`` is ``suffix`` or ends with ``.suffix``."""
     return module == suffix or module.endswith("." + suffix)
-
-
-class _Imports:
-    """Import table with *relative imports resolved* against the module.
-
-    Unlike :class:`repro.lint.rules.base.ImportAliases` (which strips
-    leading dots because stdlib-name matching never meets them), the
-    call graph must resolve ``from ..obs import inc`` in
-    ``repro.core.engine`` to ``repro.obs.inc`` — intra-package edges are
-    the whole point.
-    """
-
-    def __init__(self, tree: ast.Module, module: str) -> None:
-        self.aliases: Dict[str, str] = {}
-        self.imported: List[Dict[str, Any]] = []
-        mod_parts = module.split(".")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = (
-                        alias.name if alias.asname else alias.name.split(".")[0]
-                    )
-                    self.aliases[local] = target
-                    self.imported.append({"module": alias.name, "names": []})
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    anchor = (
-                        mod_parts[: -node.level]
-                        if len(mod_parts) >= node.level
-                        else []
-                    )
-                    base = ".".join(anchor + ([node.module] if node.module else []))
-                if not base:
-                    continue
-                names = [alias.name for alias in node.names]
-                self.imported.append({"module": base, "names": names})
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    self.aliases[local] = f"{base}.{alias.name}"
-
-    def resolve(self, dotted: Optional[str]) -> Optional[str]:
-        if dotted is None:
-            return None
-        head, _, rest = dotted.partition(".")
-        canonical = self.aliases.get(head)
-        if canonical is None:
-            return dotted
-        return f"{canonical}.{rest}" if rest else canonical
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 class _Ownership:
@@ -252,7 +172,9 @@ class _Ownership:
     RL003 mutation candidates are kernel-owned scratch.
     """
 
-    def __init__(self, func: ast.AST, imports: _Imports) -> None:
+    def __init__(
+        self, func: ast.AST, bindings: List[ast.AST], imports: ImportTable
+    ) -> None:
         self._imports = imports
         self.env: Dict[str, str] = {
             name: f"param:{name}" for name in _parameter_names(func)
@@ -260,7 +182,7 @@ class _Ownership:
         # Two passes: a loop body may bind a name before its textual
         # definition site is reached on pass one.
         for _ in range(2):
-            for node in ast.walk(func):
+            for node in bindings:
                 if isinstance(node, ast.Assign) and len(node.targets) == 1:
                     target = node.targets[0]
                     if isinstance(target, ast.Name):
@@ -322,7 +244,7 @@ class _Ownership:
                 return "owned"
             if func.attr in _VIEW_METHODS:
                 return self.classify(func.value)
-        callee = self._imports.resolve(_dotted(func))
+        callee = self._imports.resolve(dotted_name(func))
         if callee is None:
             return "unknown"
         parts = callee.split(".")
@@ -342,8 +264,7 @@ class _Ownership:
         return "unknown"
 
 
-def _is_shm_create(node: ast.Call, imports: _Imports) -> bool:
-    callee = imports.resolve(_dotted(node.func))
+def _is_shm_create(node: ast.Call, callee: Optional[str]) -> bool:
     if callee is None or callee.split(".")[-1] != "SharedMemory":
         return False
     for keyword in node.keywords:
@@ -353,11 +274,11 @@ def _is_shm_create(node: ast.Call, imports: _Imports) -> bool:
     return False
 
 
-def _registry_declarations(tree: ast.Module) -> List[Dict[str, Any]]:
+def _registry_declarations(file: SourceFile) -> List[Dict[str, Any]]:
     """``COUNTERS``/``GAUGES``/``EVENTS`` string literals with lines."""
     kinds = {"COUNTERS": "counter", "GAUGES": "gauge", "EVENTS": "event"}
     declarations: List[Dict[str, Any]] = []
-    for node in tree.body:
+    for node in file.tree.body:
         targets: List[ast.expr] = []
         value: Optional[ast.expr] = None
         if isinstance(node, ast.Assign):
@@ -368,8 +289,8 @@ def _registry_declarations(tree: ast.Module) -> List[Dict[str, Any]]:
             if not (isinstance(target, ast.Name) and target.id in kinds):
                 continue
             kind = kinds[target.id]
-            for sub in ast.walk(value):
-                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            for sub in file.index.within(value, ast.Constant):
+                if isinstance(sub.value, str):
                     declarations.append(
                         {"kind": kind, "name": sub.value, "line": sub.lineno}
                     )
@@ -385,13 +306,14 @@ def _is_registry_file(path: str) -> bool:
     )
 
 
-class _Extractor(ast.NodeVisitor):
-    """One traversal collecting every fact; see :func:`extract_facts`."""
 
-    def __init__(self, file: SourceFile, module: str) -> None:
-        self.file = file
-        self.module = module
-        self.imports = _Imports(file.tree, module)
+
+class _Extractor:
+    """Every fact of one file, read off its index; see :func:`extract_facts`."""
+
+    def __init__(self, file: SourceFile) -> None:
+        self.index: FileIndex = file.index
+        self.imports: ImportTable = file.imports
         self.functions: List[Dict[str, Any]] = []
         self.classes: List[Dict[str, Any]] = []
         self.calls: List[Dict[str, Any]] = []
@@ -402,103 +324,189 @@ class _Extractor(ast.NodeVisitor):
         self.rl003_import: List[Dict[str, Any]] = []
         self.uses: List[Dict[str, Any]] = []
         self.shm: List[Dict[str, Any]] = []
-        self._cls: Optional[str] = None
-        self._owner: Optional[str] = None  # outermost enclosing function
-        self._ownership: Optional[_Ownership] = None
+        self._context: Dict[ast.AST, _Context] = {file.tree: (None, None, None)}
+        self._ownership: Dict[ast.AST, _Ownership] = {}
+        self._creations: Dict[ast.AST, List[ast.Call]] = {}
 
-    # -- scope bookkeeping -------------------------------------------------
+    def run(self) -> None:
+        self._collect_scopes()
+        for node in self.index.of(ast.Import, ast.ImportFrom):
+            self._record_import(node)
+        for node in self.index.of(ast.Call):
+            self._record_call(node)
+        for func, creations in self._creations.items():
+            self._collect_shm(func, creations)
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if self._owner is not None:
-            self.generic_visit(node)  # class-in-function: keep attribution
-            return
-        self.classes.append(self._class_facts(node))
-        previous = self._cls
-        self._cls = node.name
-        for child in node.body:
-            self.visit(child)
-        self._cls = previous
+    # -- scopes: functions, classes, mutation candidates -------------------
 
-    def _visit_function(self, node: ast.AST) -> None:
-        if self._owner is not None:
-            # Nested defs are attributed to their outermost function:
-            # their code only runs when the outer function does.
-            self._collect_mutations(node)
-            self.generic_visit(node)
-            return
-        qual = f"{self._cls}.{node.name}" if self._cls else node.name
-        self.functions.append(
-            {
-                "qual": qual,
-                "name": node.name,
-                "cls": self._cls,
-                "line": node.lineno,
-                "public": not node.name.startswith("_"),
-                "params": [
-                    a.arg for a in node.args.posonlyargs + node.args.args
-                ],
-            }
-        )
-        self._collect_mutations(node)
-        self._collect_shm(node, qual)
-        self._owner = qual
-        self._ownership = _Ownership(node, self.imports)
-        cls = self._cls
-        self._cls = None
-        self.generic_visit(node)
-        self._cls = cls
-        self._owner = None
-        self._ownership = None
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    # -- imports -----------------------------------------------------------
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name.split(".")[0] == "multiprocessing":
-                self.rl003_import.append(
+    def _collect_scopes(self) -> None:
+        index = self.index
+        defs = index.of(ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        for node in defs:  # source order: enclosing scopes come first
+            owner, cls, outer = self._context[index.scope_of(node)]
+            if isinstance(node, ast.ClassDef):
+                if owner is None:
+                    self.classes.append(self._class_facts(node))
+                    context: _Context = (None, node.name, None)
+                else:
+                    context = (owner, None, outer)
+                self._context[node] = context
+                continue
+            if owner is None:
+                owner = f"{cls}.{node.name}" if cls else node.name
+                outer = node
+                self.functions.append(
                     {
+                        "qual": owner,
+                        "name": node.name,
+                        "cls": cls,
                         "line": node.lineno,
-                        "col": node.col_offset,
+                        "public": not node.name.startswith("_"),
+                        "params": [
+                            a.arg for a in node.args.posonlyargs + node.args.args
+                        ],
+                    }
+                )
+            self._context[node] = (owner, None, outer)
+            self._collect_mutations(node, owner)
+
+    def _collect_mutations(self, func: ast.AST, owner: str) -> None:
+        tracked = _parameter_names(func)
+        if not tracked:
+            return
+        index = self.index
+        tracked -= _rebound_names(index.within(func, *REBINDING_NODES))
+        if not tracked:
+            return
+        params = [a.arg for a in func.args.posonlyargs + func.args.args]
+        for sub in index.within(func, ast.Assign, ast.AugAssign):
+            augmented = isinstance(sub, ast.AugAssign)
+            for target in [sub.target] if augmented else sub.targets:
+                base = (
+                    target
+                    if augmented and isinstance(target, ast.Name)
+                    else _subscript_base(target)
+                )
+                if base is None or base.id not in tracked:
+                    continue
+                kind = "augmented-assigns to" if augmented else "writes into"
+                self.rl003_mut.append(
+                    {
+                        "owner": owner,
+                        "func": func.name,
+                        "private": func.name.startswith("_"),
+                        "param": base.id,
+                        "index": (
+                            params.index(base.id) if base.id in params else -1
+                        ),
+                        "line": sub.lineno,
+                        "col": sub.col_offset,
                         "message": (
-                            f"kernel module imports {alias.name!r}; kernels "
-                            "run inside pool workers and must not spawn or "
-                            "coordinate processes"
+                            f"kernel {func.name!r} {kind} parameter "
+                            f"{base.id!r}; parameter arrays may be "
+                            "read-only shared-memory views and must "
+                            "never be mutated"
                         ),
                     }
                 )
-        self.generic_visit(node)
 
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if (node.module or "").split(".")[0] == "multiprocessing":
+    def _class_facts(self, node: ast.ClassDef) -> Dict[str, Any]:
+        index = self.index
+        methods = []
+        init_params: List[str] = []
+        attr_by_param: Dict[str, str] = {}
+        unlink_methods: List[Dict[str, Any]] = []
+        for child in node.body:
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            methods.append(child.name)
+            if child.name == "__init__":
+                init_params = [
+                    a.arg for a in child.args.posonlyargs + child.args.args
+                ]
+                for stmt in index.within(child, ast.Assign):
+                    if not isinstance(stmt.value, ast.Name):
+                        continue
+                    for target in stmt.targets:
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"
+                        ):
+                            attr_by_param[stmt.value.id] = target.attr
+            if child.name in ("unlink", "close", "__exit__"):
+                attrs = sorted(
+                    {
+                        sub.attr
+                        for sub in index.within(child, ast.Attribute)
+                        if isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"
+                    }
+                )
+                has_unlink = any(
+                    isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr == "unlink"
+                    for sub in index.within(child, ast.Call)
+                )
+                unlink_methods.append(
+                    {"name": child.name, "attrs": attrs, "unlinks": has_unlink}
+                )
+        return {
+            "name": node.name,
+            "line": node.lineno,
+            "methods": methods,
+            "init_params": init_params,
+            "attr_by_param": attr_by_param,
+            "unlink_methods": unlink_methods,
+        }
+
+    # -- imports -----------------------------------------------------------
+
+    def _record_import(self, node: ast.AST) -> None:
+        if isinstance(node, ast.Import):
+            banned = [
+                alias.name
+                for alias in node.names
+                if alias.name.split(".")[0] == "multiprocessing"
+            ]
+            what = "imports"
+        else:
+            banned = (
+                [node.module]
+                if (node.module or "").split(".")[0] == "multiprocessing"
+                else []
+            )
+            what = "imports from"
+        for name in banned:
             self.rl003_import.append(
                 {
                     "line": node.lineno,
                     "col": node.col_offset,
                     "message": (
-                        f"kernel module imports from {node.module!r}; kernels "
-                        "run inside pool workers and must not spawn or "
-                        "coordinate processes"
+                        f"kernel module {what} {name!r}; kernels run inside "
+                        "pool workers and must not spawn or coordinate "
+                        "processes"
                     ),
                 }
             )
-        self.generic_visit(node)
 
     # -- calls -------------------------------------------------------------
 
-    def visit_Call(self, node: ast.Call) -> None:
+    def _record_call(self, node: ast.Call) -> None:
+        scope = self.index.scope_of(node)
+        owner, cls, outer = self._context[scope]
+        if cls is None and owner is not None and "." in owner:
+            cls = owner.split(".")[0]
         func = node.func
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         resolved = self.imports.resolve(dotted)
-        self._record_call_edge(node, func, dotted, resolved)
+        self._record_call_edge(node, func, dotted, resolved, owner, cls)
         if resolved is not None:
             message = determinism_violation(resolved)
             if message is not None:
                 self.rl001.append(
                     {
-                        "caller": self._owner,
+                        "caller": owner,
                         "line": node.lineno,
                         "col": node.col_offset,
                         "message": message,
@@ -507,7 +515,7 @@ class _Extractor(ast.NodeVisitor):
             if resolved in _IO_CALLS or resolved.startswith(_IO_PREFIXES):
                 self.rl003_io.append(
                     {
-                        "caller": self._owner,
+                        "caller": owner,
                         "line": node.lineno,
                         "col": node.col_offset,
                         "message": (
@@ -516,9 +524,12 @@ class _Extractor(ast.NodeVisitor):
                         ),
                     }
                 )
+            if outer is not None:
+                self._record_argsite(node, resolved, owner, outer)
+            if scope is outer and _is_shm_create(node, resolved):
+                # Only an outermost function's own creations are tracked.
+                self._creations.setdefault(outer, []).append(node)
         self._record_metric_use(node, dotted)
-        self._record_argsite(node, dotted, resolved)
-        self.generic_visit(node)
 
     def _record_call_edge(
         self,
@@ -526,18 +537,17 @@ class _Extractor(ast.NodeVisitor):
         func: ast.AST,
         dotted: Optional[str],
         resolved: Optional[str],
+        owner: Optional[str],
+        cls: Optional[str],
     ) -> None:
+        aliases = self.imports.aliases
         edge: Optional[Dict[str, Any]] = None
         if dotted is not None:
             parts = dotted.split(".")
             head = parts[0]
-            if head == "self" and len(parts) == 2 and self._effective_cls():
-                edge = {
-                    "kind": "self",
-                    "method": parts[1],
-                    "cls": self._effective_cls(),
-                }
-            elif len(parts) == 1 or head in self.imports.aliases:
+            if head == "self" and len(parts) == 2 and cls:
+                edge = {"kind": "self", "method": parts[1], "cls": cls}
+            elif len(parts) == 1 or head in aliases:
                 edge = {"kind": "exact", "target": resolved}
             elif parts[-1] not in GENERIC_METHODS:
                 edge = {"kind": "dyn", "method": parts[-1]}
@@ -545,7 +555,7 @@ class _Extractor(ast.NodeVisitor):
             if func.attr not in GENERIC_METHODS:
                 edge = {"kind": "dyn", "method": func.attr}
         if edge is not None:
-            edge["caller"] = self._owner
+            edge["caller"] = owner
             edge["line"] = node.lineno
             self.calls.append(edge)
         # Function references handed as arguments (pool.submit(f, ...),
@@ -557,27 +567,19 @@ class _Extractor(ast.NodeVisitor):
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
             if not isinstance(arg, (ast.Name, ast.Attribute)):
                 continue
-            arg_dotted = _dotted(arg)
+            arg_dotted = dotted_name(arg)
             if arg_dotted is None:
                 continue
-            head = arg_dotted.split(".")[0]
-            if "." in arg_dotted and head not in self.imports.aliases:
+            if "." in arg_dotted and arg_dotted.split(".")[0] not in aliases:
                 continue  # attribute of a local object, not a function ref
             self.calls.append(
                 {
                     "kind": "ref",
                     "target": self.imports.resolve(arg_dotted),
-                    "caller": self._owner,
+                    "caller": owner,
                     "line": node.lineno,
                 }
             )
-
-    def _effective_cls(self) -> Optional[str]:
-        if self._cls is not None:
-            return self._cls
-        if self._owner is not None and "." in self._owner:
-            return self._owner.split(".")[0]
-        return None
 
     def _record_metric_use(self, node: ast.Call, dotted: Optional[str]) -> None:
         if not node.args:
@@ -607,17 +609,20 @@ class _Extractor(ast.NodeVisitor):
             )
 
     def _record_argsite(
-        self, node: ast.Call, dotted: Optional[str], resolved: Optional[str]
+        self, node: ast.Call, resolved: str, owner: str, outer: ast.AST
     ) -> None:
-        if resolved is None or self._ownership is None:
-            return
         if not resolved.split(".")[-1].startswith("_"):
             return  # ownership exemption only ever applies to private helpers
         if not (node.args or node.keywords):
             return
-        args = [self._ownership.classify(arg) for arg in node.args]
+        ownership = self._ownership.get(outer)
+        if ownership is None:
+            bindings = self.index.within(outer, *_OWNERSHIP_BINDINGS)
+            ownership = _Ownership(outer, bindings, self.imports)
+            self._ownership[outer] = ownership
+        args = [ownership.classify(arg) for arg in node.args]
         kwargs = {
-            kw.arg: self._ownership.classify(kw.value)
+            kw.arg: ownership.classify(kw.value)
             for kw in node.keywords
             if kw.arg is not None
         }
@@ -626,7 +631,7 @@ class _Extractor(ast.NodeVisitor):
         )
         self.argsites.append(
             {
-                "caller": self._owner,
+                "caller": owner,
                 "callee": resolved,
                 "args": args,
                 "kwargs": kwargs,
@@ -635,167 +640,43 @@ class _Extractor(ast.NodeVisitor):
             }
         )
 
-    # -- per-function candidate collection ---------------------------------
-
-    def _collect_mutations(self, func: ast.AST) -> None:
-        tracked = _parameter_names(func) - _rebound_names(func)
-        if not tracked:
-            return
-        params = [a.arg for a in func.args.posonlyargs + func.args.args]
-        owner = self._owner or (
-            f"{self._cls}.{func.name}" if self._cls else func.name
-        )
-        for node in func.body:
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Assign):
-                    targets = sub.targets
-                elif isinstance(sub, ast.AugAssign):
-                    targets = [sub.target]
-                else:
-                    continue
-                for target in targets:
-                    base = (
-                        target
-                        if isinstance(target, ast.Name)
-                        and isinstance(sub, ast.AugAssign)
-                        else _subscript_base(target)
-                    )
-                    if base is None or base.id not in tracked:
-                        continue
-                    kind = (
-                        "augmented-assigns to"
-                        if isinstance(sub, ast.AugAssign)
-                        else "writes into"
-                    )
-                    self.rl003_mut.append(
-                        {
-                            "owner": owner,
-                            "func": func.name,
-                            "private": func.name.startswith("_"),
-                            "param": base.id,
-                            "index": (
-                                params.index(base.id)
-                                if base.id in params
-                                else -1
-                            ),
-                            "line": sub.lineno,
-                            "col": sub.col_offset,
-                            "message": (
-                                f"kernel {func.name!r} {kind} parameter "
-                                f"{base.id!r}; parameter arrays may be "
-                                "read-only shared-memory views and must "
-                                "never be mutated"
-                            ),
-                        }
-                    )
-
-    # -- class facts for ownership transfer --------------------------------
-
-    def _class_facts(self, node: ast.ClassDef) -> Dict[str, Any]:
-        methods = []
-        init_params: List[str] = []
-        attr_by_param: Dict[str, str] = {}
-        unlink_methods: List[Dict[str, Any]] = []
-        for child in node.body:
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            methods.append(child.name)
-            if child.name == "__init__":
-                init_params = [
-                    a.arg for a in child.args.posonlyargs + child.args.args
-                ]
-                for stmt in ast.walk(child):
-                    if not isinstance(stmt, ast.Assign):
-                        continue
-                    if not isinstance(stmt.value, ast.Name):
-                        continue
-                    for target in stmt.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            attr_by_param[stmt.value.id] = target.attr
-            if child.name in ("unlink", "close", "__exit__"):
-                attrs = sorted(
-                    {
-                        sub.attr
-                        for sub in ast.walk(child)
-                        if isinstance(sub, ast.Attribute)
-                        and isinstance(sub.value, ast.Name)
-                        and sub.value.id == "self"
-                    }
-                )
-                has_unlink = any(
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "unlink"
-                    for sub in ast.walk(child)
-                )
-                unlink_methods.append(
-                    {"name": child.name, "attrs": attrs, "unlinks": has_unlink}
-                )
-        return {
-            "name": node.name,
-            "line": node.lineno,
-            "methods": methods,
-            "init_params": init_params,
-            "attr_by_param": attr_by_param,
-            "unlink_methods": unlink_methods,
-        }
-
     # -- shared-memory creation shapes -------------------------------------
 
-    def _collect_shm(self, func: ast.AST, qual: str) -> None:
-        creations: List[Tuple[ast.Call, Optional[str]]] = []
-        managed: List[ast.Call] = []
-        finally_unlink = False
-        stack: List[ast.AST] = list(func.body)
-        nodes: List[ast.AST] = []
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue  # nested scopes own their creations
-            stack.extend(ast.iter_child_nodes(node))
-        for node in nodes:
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if isinstance(item.context_expr, ast.Call):
-                        managed.append(item.context_expr)
-            elif isinstance(node, ast.Try) and node.finalbody:
-                for stmt in node.finalbody:
-                    for sub in ast.walk(stmt):
-                        if (
-                            isinstance(sub, ast.Call)
-                            and isinstance(sub.func, ast.Attribute)
-                            and sub.func.attr == "unlink"
-                        ):
-                            finally_unlink = True
-        for node in nodes:
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                if _is_shm_create(node.value, self.imports):
-                    var = (
-                        node.targets[0].id
-                        if len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)
-                        else None
-                    )
-                    creations.append((node.value, var))
-            elif isinstance(node, ast.Call) and _is_shm_create(
-                node, self.imports
-            ):
-                if not any(
-                    isinstance(parent, ast.Assign)
-                    and parent.value is node
-                    for parent in nodes
-                ):
-                    creations.append((node, None))
-        for call, var in creations:
+    def _own(self, func: ast.AST, *types: type) -> Iterable[ast.AST]:
+        """Nodes of ``types`` in ``func``'s own scope (nested defs excluded)."""
+        index = self.index
+        return (n for n in index.within(func, *types) if index.scope_of(n) is func)
+
+    def _collect_shm(self, func: ast.AST, creations: List[ast.Call]) -> None:
+        """Ownership records for ``SharedMemory`` creations in ``func``'s scope."""
+        managed = [
+            item.context_expr
+            for node in self._own(func, ast.With, ast.AsyncWith)
+            for item in node.items
+            if isinstance(item.context_expr, ast.Call)
+        ]
+        finally_unlink = any(
+            _is_unlink(call, None)
+            for node in self._own(func, ast.Try)
+            for stmt in node.finalbody
+            for call in self.index.within(stmt, ast.Call)
+        )
+        assigned = {
+            node.value: node.targets
+            for node in self._own(func, ast.Assign)
+            if isinstance(node.value, ast.Call)
+        }
+        for call in creations:
+            targets = assigned.get(call)
+            var = (
+                targets[0].id
+                if targets is not None
+                and len(targets) == 1
+                and isinstance(targets[0], ast.Name)
+                else None
+            )
             record: Dict[str, Any] = {
-                "scope": qual,
+                "scope": self._context[func][0],
                 "line": call.lineno,
                 "col": call.col_offset,
                 "var": var,
@@ -806,63 +687,59 @@ class _Extractor(ast.NodeVisitor):
                 "transfers": [],
             }
             if var is not None:
-                for node in nodes:
-                    if isinstance(node, ast.ExceptHandler):
-                        for sub in ast.walk(node):
-                            if (
-                                isinstance(sub, ast.Call)
-                                and isinstance(sub.func, ast.Attribute)
-                                and sub.func.attr == "unlink"
-                                and isinstance(sub.func.value, ast.Name)
-                                and sub.func.value.id == var
-                            ):
-                                record["error_unlink"] = True
-                    elif isinstance(node, ast.Return):
-                        if (
-                            isinstance(node.value, ast.Name)
-                            and node.value.id == var
-                        ):
-                            record["returned_bare"] = True
-                    elif isinstance(node, ast.Call) and node is not call:
-                        callee = self.imports.resolve(_dotted(node.func))
-                        if callee is None:
-                            continue
-                        for index, arg in enumerate(node.args):
-                            if isinstance(arg, ast.Name) and arg.id == var:
-                                record["transfers"].append(
-                                    {
-                                        "callee": callee,
-                                        "index": index,
-                                        "kw": None,
-                                        "line": node.lineno,
-                                    }
-                                )
-                        for kw in node.keywords:
-                            if (
-                                isinstance(kw.value, ast.Name)
-                                and kw.value.id == var
-                                and kw.arg is not None
-                            ):
-                                record["transfers"].append(
-                                    {
-                                        "callee": callee,
-                                        "index": None,
-                                        "kw": kw.arg,
-                                        "line": node.lineno,
-                                    }
-                                )
+                self._track_segment(record, func, call, var)
             self.shm.append(record)
+
+    def _track_segment(
+        self, record: Dict[str, Any], func: ast.AST, creation: ast.Call, var: str
+    ) -> None:
+        """Error-path unlinks, bare returns and hand-offs of segment ``var``."""
+        record["error_unlink"] = any(
+            _is_unlink(call, var)
+            for handler in self._own(func, ast.ExceptHandler)
+            for call in self.index.within(handler, ast.Call)
+        )
+        record["returned_bare"] = any(
+            isinstance(node.value, ast.Name) and node.value.id == var
+            for node in self._own(func, ast.Return)
+        )
+        for node in self._own(func, ast.Call):
+            if node is creation:
+                continue
+            callee = self.imports.resolve_call(node)
+            if callee is None:
+                continue
+            bindings = [(i, None, arg) for i, arg in enumerate(node.args)] + [
+                (None, kw.arg, kw.value) for kw in node.keywords if kw.arg is not None
+            ]
+            for index, keyword, value in bindings:
+                if isinstance(value, ast.Name) and value.id == var:
+                    record["transfers"].append(
+                        {
+                            "callee": callee,
+                            "index": index,
+                            "kw": keyword,
+                            "line": node.lineno,
+                        }
+                    )
+
+
+def _is_unlink(call: ast.Call, var: Optional[str]) -> bool:
+    """Whether ``call`` is ``<x>.unlink()`` (``x`` named ``var`` if given)."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "unlink"):
+        return False
+    return var is None or (isinstance(func.value, ast.Name) and func.value.id == var)
 
 
 def extract_facts(file: SourceFile) -> Dict[str, Any]:
-    """The complete JSON-serializable fact record for one parsed file."""
-    module = module_name_for_path(file.path)
-    extractor = _Extractor(file, module)
-    extractor.visit(file.tree)
+    """The complete fact record for one parsed file."""
+    extractor = _Extractor(file)
+    extractor.run()
     # A bare-name ref can only denote one of this module's own functions;
     # drop the ones that don't (ordinary variables passed as arguments).
     local_functions = {f["name"] for f in extractor.functions}
-    extractor.calls = [
+    calls = [
         call
         for call in extractor.calls
         if not (
@@ -871,28 +748,19 @@ def extract_facts(file: SourceFile) -> Dict[str, Any]:
             and call["target"] not in local_functions
         )
     ]
-    suppressed = suppressed_lines(file.source, file.tree)
     return {
-        "version": FACTS_VERSION,
         "path": file.path,
-        "module": module,
+        "module": file.module,
         "imports": extractor.imports.imported,
         "functions": extractor.functions,
         "classes": extractor.classes,
-        "calls": extractor.calls,
+        "calls": calls,
         "argsites": extractor.argsites,
         "rl001": extractor.rl001,
         "rl003_mut": extractor.rl003_mut,
         "rl003_io": extractor.rl003_io,
         "rl003_import": extractor.rl003_import,
         "uses": extractor.uses,
-        "decls": (
-            _registry_declarations(file.tree)
-            if _is_registry_file(file.path)
-            else []
-        ),
+        "decls": _registry_declarations(file) if _is_registry_file(file.path) else [],
         "shm": extractor.shm,
-        "suppressed": {
-            str(line): sorted(codes) for line, codes in suppressed.items()
-        },
     }

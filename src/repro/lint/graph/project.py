@@ -1,14 +1,9 @@
 """The whole-program model: module graph, call graph, reachability.
 
 A :class:`Project` is built from the per-file fact records of every
-linted file (fresh or straight from the incremental cache — the records
-are identical either way).  It answers the questions the graph-aware
-rules ask:
+linted file.  It answers the questions the graph-aware rules ask:
 
-* **Module graph** — which project modules import which, and the
-  *reverse*-dependency closure of a changed file (the set of files whose
-  verdicts a change can influence through imports); this drives
-  ``--changed-only`` reporting and the cache-invalidation accounting.
+* **Module graph** — which project modules import which.
 * **Call graph** — name-resolution edges: exact calls through import
   aliases (``shm.attach_context(...)``), bare local calls, ``self``
   method calls, conservative dynamic-dispatch edges (``x.evaluate()``
@@ -51,13 +46,9 @@ class Project:
     """Index over every linted file's facts; see the module docstring."""
 
     def __init__(self, facts_by_path: Dict[str, Dict[str, Any]]) -> None:
-        self.facts_by_path = facts_by_path
         self.modules: Dict[str, Dict[str, Any]] = {}
         for facts in facts_by_path.values():
             self.modules[facts["module"]] = facts
-        self.path_of: Dict[str, str] = {
-            name: facts["path"] for name, facts in self.modules.items()
-        }
         self._functions: Dict[FuncId, Dict[str, Any]] = {}
         self._classes: Dict[Tuple[str, str], Dict[str, Any]] = {}
         self._methods_by_name: Dict[str, List[FuncId]] = {}
@@ -72,10 +63,6 @@ class Project:
             for cls in facts["classes"]:
                 self._classes[(name, cls["name"])] = cls
         self._import_edges = self._build_import_edges()
-        self._reverse_imports: Dict[str, Set[str]] = {}
-        for src, targets in self._import_edges.items():
-            for target in targets:
-                self._reverse_imports.setdefault(target, set()).add(src)
         self._worker_cache: Optional[
             Tuple[FrozenSet[str], FrozenSet[FuncId]]
         ] = None
@@ -100,32 +87,6 @@ class Project:
 
     def imports_of(self, module: str) -> Set[str]:
         return self._import_edges.get(module, set())
-
-    def reverse_dependency_closure(self, paths: Iterable[str]) -> Set[str]:
-        """Paths of every file that (transitively) imports any of ``paths``.
-
-        Includes the given paths themselves.  This is the set of files
-        whose lint verdicts a change to ``paths`` can influence through
-        the import graph — what ``--changed-only`` re-reports and what
-        the cache accounting counts as re-checked.
-        """
-        module_of = {
-            facts["path"]: facts["module"]
-            for facts in self.facts_by_path.values()
-        }
-        frontier = [
-            module_of[path] for path in paths if path in module_of
-        ]
-        seen: Set[str] = set(frontier)
-        while frontier:
-            module = frontier.pop()
-            for dependent in self._reverse_imports.get(module, ()):
-                if dependent not in seen:
-                    seen.add(dependent)
-                    frontier.append(dependent)
-        closure = {self.path_of[m] for m in seen if m in self.path_of}
-        closure.update(path for path in paths)
-        return closure
 
     def import_closure(
         self, roots: Iterable[str], barrier: str = OBS_BARRIER

@@ -6,9 +6,8 @@ rule is: write the module, add the class here, add a fixture pair under
 ``tests/lint/fixtures/`` (see DESIGN.md "Static analysis").
 
 Rules come in two phases (see :class:`~repro.lint.rules.base.Rule`):
-*file* rules see one parsed file and their findings are cached per
-content hash; *project* rules run over the whole-program
-:class:`~repro.lint.graph.Project` model on every run.
+*file* rules see one parsed file; *project* rules run over the
+whole-program :class:`~repro.lint.graph.Project` model.
 """
 
 from __future__ import annotations
@@ -25,13 +24,11 @@ from .float_equality import FloatEqualityRule
 from .kernel_purity import KernelPurityRule
 from .metric_names import MetricNamesRule
 from .pool_confinement import PoolConfinementRule
-from .shm_lifecycle import ShmLifecycleRule
 from .shm_ownership import ShmOwnershipRule
 
 #: Every rule the checker knows, in report order.
 ALL_RULES: Tuple[type, ...] = (
     DeterminismRule,
-    ShmLifecycleRule,
     KernelPurityRule,
     MetricNamesRule,
     FloatEqualityRule,
@@ -114,7 +111,6 @@ __all__ = [
     "UnknownRuleError",
     "get_rules",
     "DeterminismRule",
-    "ShmLifecycleRule",
     "KernelPurityRule",
     "MetricNamesRule",
     "FloatEqualityRule",

@@ -5,32 +5,28 @@ A rule is a small, stateless object with a ``code`` (``RL001``…), a
 :meth:`Rule.check` generator producing :class:`~repro.lint.findings.Finding`
 objects from a parsed :class:`~repro.lint.findings.SourceFile`.  The
 engine parses each file once and hands the same ``SourceFile`` to every
-selected rule.
-
-The helpers here cover the two analyses almost every rule needs:
-
-* :func:`dotted_name` — resolve an ``ast.Name``/``ast.Attribute`` chain to
-  its ``"a.b.c"`` spelling (or ``None`` for dynamic expressions);
-* :class:`ImportAliases` — map local names back to the canonical module
-  path they were imported as, so ``from time import time as now`` and
-  ``import numpy as np`` are seen through.
+selected rule; rules query its node index (``file.index.of(ast.Call)``)
+and import table (``file.imports.resolve_call(call)``) rather than
+walking the tree themselves.  :func:`dotted_name` resolves an
+``ast.Name``/``ast.Attribute`` chain to its ``"a.b.c"`` spelling.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional
+from typing import Iterator
 
 from ..findings import Finding, Severity, SourceFile
+from ..index import dotted_name
+
+__all__ = ["ProjectRule", "Rule", "dotted_name"]
 
 
 class Rule:
     """Base class for one invariant check.
 
     ``phase`` is ``"file"`` for rules that see one parsed file at a time
-    (and whose findings the incremental cache can therefore reuse
-    verbatim while the file's content hash is unchanged) and
-    ``"project"`` for whole-program rules that run over the
+    and ``"project"`` for whole-program rules that run over the
     :class:`~repro.lint.graph.Project` model after every file's facts
     are in hand.
     """
@@ -67,10 +63,7 @@ class ProjectRule(Rule):
     A project rule never sees raw ASTs: it queries the
     :class:`~repro.lint.graph.Project` built from every linted file's
     extracted facts (module graph, call graph, reachability universes)
-    and yields findings anchored back into individual files.  The
-    engine recomputes project rules on every run — their *inputs* are
-    cached per file, their *verdicts* are not, because a change to one
-    file can alter the reachability of files that never import it.
+    and yields findings anchored back into individual files.
     """
 
     phase = "project"
@@ -94,55 +87,3 @@ class ProjectRule(Rule):
             message=message,
             severity=self.severity.value,
         )
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``"a.b.c"`` for a Name/Attribute chain, ``None`` for anything else."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-class ImportAliases:
-    """Local-name → canonical-module-path map for one file.
-
-    ``import time as t`` maps ``t`` → ``time``;
-    ``from time import time as now`` maps ``now`` → ``time.time``;
-    ``from numpy import random`` maps ``random`` → ``numpy.random``.
-    Relative imports are recorded with their leading dots stripped (the
-    rules match on suffixes of well-known stdlib/numpy paths, which a
-    relative import can never be).
-    """
-
-    def __init__(self, tree: ast.Module) -> None:
-        self._aliases: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    # `import a.b` binds `a`; `import a.b as c` binds `a.b` to c.
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    self._aliases[local] = target
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    self._aliases[local] = f"{node.module}.{alias.name}"
-
-    def resolve(self, dotted: Optional[str]) -> Optional[str]:
-        """Canonicalize the leading component of ``dotted`` through imports."""
-        if dotted is None:
-            return None
-        head, _, rest = dotted.partition(".")
-        canonical = self._aliases.get(head)
-        if canonical is None:
-            return dotted
-        return f"{canonical}.{rest}" if rest else canonical
-
-    def resolve_call(self, call: ast.Call) -> Optional[str]:
-        """Canonical dotted path of a call's callee (``None`` if dynamic)."""
-        return self.resolve(dotted_name(call.func))

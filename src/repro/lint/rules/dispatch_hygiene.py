@@ -33,7 +33,8 @@ import ast
 from typing import Dict, Iterator, List, Set
 
 from ..findings import Finding, SourceFile
-from .base import ImportAliases, Rule, dotted_name
+from ..index import FileIndex
+from .base import Rule, dotted_name
 
 #: Class whose dispatch loop this rule audits.
 _ENGINE_CLASS = "SweepEngine"
@@ -49,7 +50,9 @@ _WAIT_CALLS = frozenset(
 _BLOCKING_IO = frozenset({"open", "print", "input"})
 
 
-def _reached_methods(cls: ast.ClassDef) -> List[ast.FunctionDef]:
+def _reached_methods(
+    index: FileIndex, cls: ast.ClassDef
+) -> List[ast.FunctionDef]:
     """Methods reachable from ``dispatch`` via ``self.*`` calls."""
     methods: Dict[str, ast.FunctionDef] = {
         node.name: node
@@ -62,9 +65,7 @@ def _reached_methods(cls: ast.ClassDef) -> List[ast.FunctionDef]:
     frontier = [_DISPATCH_ROOT]
     while frontier:
         method = methods[frontier.pop()]
-        for node in ast.walk(method):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in index.within(method, ast.Call):
             func = node.func
             if (
                 isinstance(func, ast.Attribute)
@@ -108,22 +109,15 @@ class DispatchHygieneRule(Rule):
     )
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        aliases = ImportAliases(file.tree)
-        for node in ast.walk(file.tree):
-            if isinstance(node, ast.ClassDef) and node.name == _ENGINE_CLASS:
-                for method in _reached_methods(node):
-                    for found in self._check_method(file, aliases, method):
-                        yield found
+        for node in file.index.of(ast.ClassDef):
+            if node.name == _ENGINE_CLASS:
+                for method in _reached_methods(file.index, node):
+                    yield from self._check_method(file, method)
 
     def _check_method(
-        self,
-        file: SourceFile,
-        aliases: ImportAliases,
-        method: ast.FunctionDef,
+        self, file: SourceFile, method: ast.FunctionDef
     ) -> Iterator[Finding]:
-        for node in ast.walk(method):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in file.index.within(method, ast.Call):
             func = node.func
             if (
                 isinstance(func, ast.Attribute)
@@ -138,7 +132,7 @@ class DispatchHygieneRule(Rule):
                     "sweep — pass timeout= (0 for futures already done)",
                 )
                 continue
-            callee = aliases.resolve_call(node)
+            callee = file.imports.resolve_call(node)
             if callee is None:
                 continue
             if callee in _WAIT_CALLS and not _has_timeout(node, 1):

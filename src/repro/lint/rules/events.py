@@ -58,8 +58,8 @@ class EventNamesRule(Rule):
     )
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.Call) or not _is_bus_emit(node):
+        for node in file.index.of(ast.Call):
+            if not _is_bus_emit(node):
                 continue
             if not node.args:
                 continue

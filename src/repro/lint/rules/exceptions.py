@@ -48,11 +48,6 @@ def _caught_interrupts(handler: ast.ExceptHandler) -> List[str]:
     return caught
 
 
-def _reraises(handler: ast.ExceptHandler) -> bool:
-    """Whether the handler body contains any ``raise`` statement."""
-    return any(isinstance(node, ast.Raise) for node in ast.walk(handler))
-
-
 class ExceptionHygieneRule(Rule):
     code = "RL006"
     name = "exception-hygiene"
@@ -62,12 +57,10 @@ class ExceptionHygieneRule(Rule):
     )
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.ExceptHandler):
-                continue
+        for node in file.index.of(ast.ExceptHandler):
             caught = _caught_interrupts(node)
-            if not caught or _reraises(node):
-                continue
+            if not caught or file.index.within(node, ast.Raise):
+                continue  # nothing interrupt-shaped, or it re-raises
             yield self.finding(
                 file,
                 node,

@@ -53,13 +53,13 @@ class FloatEqualityRule(Rule):
     )
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        asserted: Set[ast.AST] = set()
-        for node in ast.walk(file.tree):
-            if isinstance(node, ast.Assert):
-                asserted.update(ast.walk(node))
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.Compare):
-                continue
+        index = file.index
+        asserted: Set[ast.AST] = {
+            node
+            for check in index.of(ast.Assert)
+            for node in index.within(check, ast.Compare)
+        }
+        for node in index.of(ast.Compare):
             if node in asserted:
                 continue  # asserts want bitwise equality — see docstring
             if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):

@@ -37,7 +37,7 @@ outside the analyzed world.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set, Union
+from typing import Iterable, Iterator, Set, Union
 
 from ..findings import Finding
 from .base import ProjectRule
@@ -81,10 +81,18 @@ def _binding_names(target: ast.AST) -> Iterator[str]:
             yield name
 
 
-def _rebound_names(func: _FunctionNode) -> Set[str]:
-    """Names assigned a fresh binding anywhere in the function body."""
+#: Node types that can bind a name fresh (see :func:`_rebound_names`).
+REBINDING_NODES = (ast.Assign, ast.AnnAssign, ast.NamedExpr, ast.For)
+
+
+def _rebound_names(nodes: Iterable[ast.AST]) -> Set[str]:
+    """Names the given :data:`REBINDING_NODES` bind fresh.
+
+    The caller passes every such node of one function body (nested
+    scopes included): ``file.index.within(func, *REBINDING_NODES)``.
+    """
     rebound: Set[str] = set()
-    for node in ast.walk(func):
+    for node in nodes:
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 rebound.update(_binding_names(target))

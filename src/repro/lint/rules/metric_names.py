@@ -47,9 +47,7 @@ class MetricNamesRule(Rule):
     )
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in file.index.of(ast.Call):
             kind = _api_kind(node)
             if kind is None or not node.args:
                 continue

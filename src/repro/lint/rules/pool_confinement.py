@@ -22,7 +22,7 @@ import pathlib
 from typing import Iterator
 
 from ..findings import Finding, SourceFile
-from .base import ImportAliases, Rule
+from .base import Rule
 
 #: Basenames of the owner modules; the exemption also requires the file
 #: to live under a ``core/`` directory so fixture trees scope identically
@@ -46,11 +46,8 @@ class PoolConfinementRule(Rule):
         return not (name in _OWNER_FILES and file.in_directory("core"))
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
-        aliases = ImportAliases(file.tree)
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = aliases.resolve_call(node)
+        for node in file.index.of(ast.Call):
+            callee = file.imports.resolve_call(node)
             if callee is None:
                 continue
             leaf = callee.split(".")[-1]

@@ -1,16 +1,12 @@
 """RL010 — shm ownership escape: every created segment provably unlinks.
 
-RL002 polices the easy shape file-locally: a ``SharedMemory(create=True)``
-inside a function should sit in a ``with`` block or a ``try/finally``
-that unlinks it.  The owner modules (``core/engine.py``, ``core/shm.py``)
-historically carried a blanket suppression instead, because their
-legitimate pattern is *ownership transfer*: ``share_context`` creates a
-segment, guards the fill with an unlink-on-error handler, then hands the
-segment to ``SharedSiteContext``, whose ``unlink()``/``__exit__`` releases
-it.  A file-local rule cannot see that the receiving class really does
-unlink — so the suppression hid real leaks along with the false alarm.
-
-This project rule replaces the suppression with the actual proof.  For
+Outside the owner modules (``core/engine.py``, ``core/shm.py``) RL008
+forbids building a ``SharedMemory`` at all.  Inside them, segments are
+built on purpose, and their legitimate pattern is *ownership transfer*:
+``share_context`` creates a segment, guards the fill with an
+unlink-on-error handler, then hands the segment to
+``SharedSiteContext``, whose ``unlink()``/``__exit__`` releases it.  A file-local rule cannot see that the receiving class really does
+unlink, so this project rule follows the transfer and demands proof.  For
 every ``SharedMemory(create=True)`` in an owner module, at least one of:
 
 * the creation is ``with``-managed, or
@@ -23,9 +19,7 @@ every ``SharedMemory(create=True)`` in an owner module, at least one of:
 
 Anything else — a bare ``return segment``, a transfer to a class that
 never unlinks, a creation with no error guard — escapes ownership and is
-flagged at the creation site.  Outside the owner modules RL002's
-file-local shape check stays in force; this rule is the owner modules'
-stricter replacement.
+flagged at the creation site.
 """
 
 from __future__ import annotations
@@ -35,13 +29,12 @@ from typing import Any, Dict, Iterator
 from ..findings import Finding
 from .base import ProjectRule
 
-#: Module-name suffixes whose shm creations this rule owns (and which
-#: RL002 correspondingly skips).
+#: Module-name suffixes whose shm creations this rule polices.
 OWNER_MODULE_SUFFIXES = ("core.engine", "core.shm")
 
 
 def is_owner_module(module: str) -> bool:
-    """Whether ``module`` is one RL010 (not RL002) polices for shm."""
+    """Whether ``module`` is one RL010 polices for shm."""
     # Suffix match spelled inline (not via graph.facts.module_matches):
     # the graph package imports the rules package for its shared
     # classifiers, so this module must not import it back at load time.

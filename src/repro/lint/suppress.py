@@ -27,7 +27,7 @@ import ast
 import io
 import re
 import tokenize
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Iterable, Optional
 
 #: Sentinel rule name matching every rule on the line.
 ALL_RULES = "all"
@@ -59,8 +59,8 @@ def parse_directive(comment: str) -> FrozenSet[str]:
     return frozenset(code.strip() for code in match.group(1).split(","))
 
 
-def _statement_spans(tree: ast.AST) -> "list[tuple[int, int]]":
-    """``(first, last)`` physical-line spans of every statement.
+def _statement_spans(nodes: Iterable[ast.AST]) -> "list[tuple[int, int]]":
+    """``(first, last)`` physical-line spans of every statement in ``nodes``.
 
     Simple statements span their full ``lineno..end_lineno``.  Compound
     statements span from their first decorator (if any) to the line
@@ -69,7 +69,7 @@ def _statement_spans(tree: ast.AST) -> "list[tuple[int, int]]":
     anchored anywhere on it, without blanketing the body.
     """
     spans = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.stmt):
             continue
         first = node.lineno
@@ -87,21 +87,19 @@ def _statement_spans(tree: ast.AST) -> "list[tuple[int, int]]":
     return spans
 
 
-def suppressed_lines(
-    source: str, tree: Optional[ast.AST] = None
-) -> Dict[int, FrozenSet[str]]:
-    """Map of line number to the rule codes disabled on that line.
+def comment_directives(source: str) -> Dict[int, FrozenSet[str]]:
+    """Map of line number to the rule codes its own comment disables.
 
-    With ``tree`` (the file's parsed AST), each directive is widened to
-    its statement's full line span — see the module docstring.  Without
-    it, only the directive's own physical line is covered.
-
+    Only a source containing ``repro-lint`` is tokenized: the directive
+    pattern requires that string, so every other file has none.
     Tokenization errors (the file may be unparseable or use an encoding
     trick) degrade to "no suppressions" — the engine reports the parse
     failure separately, and a file that cannot be tokenized cannot carry
     trustworthy directives anyway.
     """
     suppressions: Dict[int, FrozenSet[str]] = {}
+    if "repro-lint" not in source:
+        return suppressions
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for token in tokens:
@@ -113,21 +111,41 @@ def suppressed_lines(
                 suppressions[line] = suppressions.get(line, frozenset()) | codes
     except (tokenize.TokenError, SyntaxError, IndentationError, ValueError):
         return {}
-    if tree is not None and suppressions:
-        for first, last in _statement_spans(tree):
-            span_codes = frozenset().union(
-                *(
-                    suppressions.get(line, frozenset())
-                    for line in range(first, last + 1)
-                )
-            )
-            if not span_codes:
-                continue
-            for line in range(first, last + 1):
-                suppressions[line] = (
-                    suppressions.get(line, frozenset()) | span_codes
-                )
     return suppressions
+
+
+def widen_to_statements(
+    suppressions: Dict[int, FrozenSet[str]], nodes: Iterable[ast.AST]
+) -> Dict[int, FrozenSet[str]]:
+    """Widen each directive in place to its statement's full line span."""
+    if not suppressions:
+        return suppressions
+    for first, last in _statement_spans(nodes):
+        span_codes = frozenset().union(
+            *(suppressions.get(line, frozenset()) for line in range(first, last + 1))
+        )
+        if not span_codes:
+            continue
+        for line in range(first, last + 1):
+            suppressions[line] = suppressions.get(line, frozenset()) | span_codes
+    return suppressions
+
+
+def suppressed_lines(
+    source: str, tree: Optional[ast.AST] = None
+) -> Dict[int, FrozenSet[str]]:
+    """Map of line number to the rule codes disabled on that line.
+
+    With ``tree`` (the file's parsed AST), each directive is widened to
+    its statement's full line span — see the module docstring.  Without
+    it, only the directive's own physical line is covered.  The engine
+    reads :attr:`SourceFile.suppressions <repro.lint.findings.SourceFile>`
+    instead, which widens over the file's index rather than a new walk.
+    """
+    suppressions = comment_directives(source)
+    if tree is None or not suppressions:
+        return suppressions
+    return widen_to_statements(suppressions, ast.walk(tree))
 
 
 def is_suppressed(

@@ -1,4 +1,4 @@
-"""RL002 fixture: created segments with no unlink in scope."""
+"""RL008 fixture: segments created outside the owner modules, never unlinked."""
 
 from multiprocessing import shared_memory
 from multiprocessing.shared_memory import SharedMemory

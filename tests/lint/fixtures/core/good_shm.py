@@ -1,4 +1,4 @@
-"""RL002 fixture: the two blessed lifecycle shapes, plus attach-only."""
+"""RL008 fixture: well-managed segments, still outside the owner modules."""
 
 from multiprocessing.shared_memory import SharedMemory
 

@@ -55,6 +55,20 @@ class TestStandaloneRunner:
         assert code == 2
         assert "selection is empty" in capsys.readouterr().err
 
+    def test_missing_path_exits_two(self, fixtures, tmp_path, capsys):
+        # A typo'd CI path must not pass as a clean tree.
+        missing = str(tmp_path / "nonexistent")
+        assert lint_main([missing]) == 2
+        assert "no such file or directory" in capsys.readouterr().err
+        assert lint_main([str(fixtures / "good_floats.py"), missing]) == 2
+        assert missing in capsys.readouterr().err
+
+    def test_no_python_file_exits_two(self, repo_root, tmp_path, capsys):
+        assert lint_main([str(repo_root / "README.md")]) == 2
+        assert "nothing would be checked" in capsys.readouterr().err
+        assert repro_main(["lint", str(tmp_path)]) == 2
+        assert "nothing would be checked" in capsys.readouterr().err
+
     def test_sarif_format(self, fixtures, capsys):
         code = lint_main(
             [
@@ -71,46 +85,6 @@ class TestStandaloneRunner:
         run = document["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-lint"
         assert len(run["results"]) == 4
-
-
-class TestCacheFlags:
-    def test_cache_file_is_written_and_reused(self, fixtures, tmp_path, capsys):
-        cache = tmp_path / "lint-cache.json"
-        target = str(fixtures / "bad_floats.py")
-        argv = ["--cache", str(cache), "--format", "json", target]
-        assert lint_main(argv) == 1
-        cold = json.loads(capsys.readouterr().out)
-        assert cache.is_file()
-        assert lint_main(argv) == 1
-        warm = json.loads(capsys.readouterr().out)
-        assert warm["stats"]["cache_hits"] == 1
-        assert warm["findings"] == cold["findings"]
-
-    def test_no_cache_disables_persistence(self, fixtures, tmp_path, capsys):
-        cache = tmp_path / "lint-cache.json"
-        argv = [
-            "--no-cache",
-            "--cache",
-            str(cache),
-            str(fixtures / "good_floats.py"),
-        ]
-        assert lint_main(argv) == 0
-        capsys.readouterr()
-        assert not cache.exists()
-
-    def test_changed_only_quiets_an_untouched_tree(
-        self, fixtures, tmp_path, capsys
-    ):
-        cache = tmp_path / "lint-cache.json"
-        target = str(fixtures / "bad_floats.py")
-        assert lint_main(["--cache", str(cache), target]) == 1
-        capsys.readouterr()
-        code = lint_main(
-            ["--cache", str(cache), "--changed-only", target]
-        )
-        # The standing finding is outside the (empty) changed set.
-        assert code == 0
-        capsys.readouterr()
 
 
 class TestReproSubcommand:
@@ -140,7 +114,6 @@ class TestAcceptance:
         """
         code = lint_main(
             [
-                "--no-cache",
                 str(repo_root / "src"),
                 str(repo_root / "benchmarks"),
                 str(repo_root / "tests"),

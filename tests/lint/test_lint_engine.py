@@ -1,12 +1,16 @@
 """Engine behavior: discovery, selection, parse errors, rendering."""
 
+import ast
 import json
+import pathlib
+import tokenize
 
 import pytest
 
 from repro.lint import (
     JSON_FORMAT_VERSION,
     PARSE_ERROR_RULE,
+    LintPathError,
     UnknownRuleError,
     get_rules,
     iter_python_files,
@@ -32,6 +36,43 @@ class TestFileDiscovery:
             d.mkdir()
             (d / "junk.py").write_text("import time\ntime.time()\n")
         assert list(iter_python_files([str(tmp_path)])) == []
+
+    def test_missing_path_or_no_python_file_raises(self, tmp_path):
+        with pytest.raises(LintPathError, match="no such file"):
+            run_lint([str(tmp_path / "missing")])
+        (tmp_path / "notes.txt").write_text("not python\n")
+        with pytest.raises(LintPathError, match="nothing would be checked"):
+            run_lint([str(tmp_path)])
+
+
+class TestOnePass:
+    def test_one_parse_per_file_and_tokenize_only_with_directives(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "plain.py").write_text("def f(x):\n    return x + 1\n")
+        (tmp_path / "flagged.py").write_text("ok = 1.0 == x\n")
+        (tmp_path / "quiet.py").write_text(
+            "ok = 1.0 == x  # repro-lint: disable=RL005 — test subject\n"
+        )
+        parsed, tokenized = [], []
+        real_parse, real_tokens = ast.parse, tokenize.generate_tokens
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(pathlib.Path(filename).name)
+            return real_parse(source, filename, *args, **kwargs)
+
+        def counting_tokens(readline):
+            tokenized.append(readline)
+            return real_tokens(readline)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.setattr(tokenize, "generate_tokens", counting_tokens)
+        findings = run_lint([str(tmp_path)])  # every rule, both phases
+        assert sorted(parsed) == ["flagged.py", "plain.py", "quiet.py"]
+        assert len(tokenized) == 1  # quiet.py, the one carrying a directive
+        assert [(pathlib.Path(f.path).name, f.rule) for f in findings] == [
+            ("flagged.py", "RL005")
+        ]
 
 
 class TestRuleSelection:

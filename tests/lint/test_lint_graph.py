@@ -1,8 +1,8 @@
 """Unit tests for the whole-program model (``repro.lint.graph``).
 
 These pin down the project model the reachability rules stand on:
-module naming, import edges, reverse-dependency closures, the obs
-barrier, and the two universes (worker, kernel).  The packaged tree
+module naming, import edges, the obs barrier, and the two universes
+(worker, kernel).  The packaged tree
 under ``fixtures/graph/wproj`` is the shared subject — it has worker
 roots, a reachable helper, an orphan module, and a kernel module.
 """
@@ -48,23 +48,6 @@ class TestModuleNaming:
 class TestImportGraph:
     def test_from_import_of_a_submodule_is_an_edge(self, wproj):
         assert "wproj.core.helpers" in wproj.imports_of("wproj.core.engine")
-
-    def test_reverse_dependency_closure_walks_importers(self, wproj, fixtures):
-        helpers = str(fixtures / "graph" / "wproj" / "core" / "helpers.py")
-        names = {
-            pathlib.Path(p).name
-            for p in wproj.reverse_dependency_closure([helpers])
-        }
-        # helpers.py itself plus its importer; the orphan is untouched.
-        assert names == {"helpers.py", "engine.py"}
-
-    def test_closure_of_an_unimported_module_is_itself(self, wproj, fixtures):
-        orphan = str(fixtures / "graph" / "wproj" / "core" / "orphan.py")
-        names = {
-            pathlib.Path(p).name
-            for p in wproj.reverse_dependency_closure([orphan])
-        }
-        assert names == {"orphan.py"}
 
     def test_import_closure_stops_at_the_obs_barrier(self, tmp_path):
         # core/engine.py imports both a helper and the obs plane; the
