@@ -69,19 +69,6 @@ def bench_workers() -> int:
     return _env_count("REPRO_BENCH_WORKERS", "1", minimum=1)
 
 
-def bench_batch_size() -> Optional[int]:
-    """Sweep batch size for the benches (``REPRO_BENCH_BATCH_SIZE``).
-
-    Defaults to 512 — sweep chunks tensorize into (design × hour) kernel
-    blocks (:mod:`repro.kernels.batch`), which is the configuration the
-    perf trajectory tracks; results are bitwise-identical either way.
-    Set ``REPRO_BENCH_BATCH_SIZE=0`` for the legacy per-design path
-    (what the CI ``compare.py`` diff smoke uses as its oracle).
-    """
-    value = _env_count("REPRO_BENCH_BATCH_SIZE", "512", minimum=0)
-    return value if value > 0 else None
-
-
 def emit(name: str, text: str) -> pathlib.Path:
     """Print a reproduced table/series and persist it under benchmarks/out/.
 

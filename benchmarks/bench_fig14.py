@@ -3,7 +3,7 @@ strategies in Oregon, North Carolina, and Utah (FWR = 40%)."""
 
 import json
 
-from _common import bench_batch_size, bench_workers, emit, run_once
+from _common import bench_workers, emit, run_once
 
 from repro import CarbonExplorer, Strategy, sweep_fleet
 from repro.core import frontier_tail_ratio, knee_point, pareto_frontier
@@ -30,7 +30,7 @@ def frontier_for(explorer, strategy):
             strategy,
             fig14_space(explorer),
             workers=bench_workers(),
-            batch_size=bench_batch_size(),
+            batch_size=512,
         ).evaluations
     )
 
@@ -44,7 +44,7 @@ def sweep_regions(explorers, strategy):
         ],
         strategy,
         workers=bench_workers(),
-        batch_size=bench_batch_size(),
+        batch_size=512,
     )
     assert fleet.complete, fleet.statuses()
     return [fleet.site(explorer.context.site_state).result for explorer in explorers]

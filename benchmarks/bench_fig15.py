@@ -4,7 +4,7 @@ all thirteen regions — with coverage annotations (stars = 100%)."""
 
 import json
 
-from _common import bench_batch_size, bench_workers, emit, run_once
+from _common import bench_workers, emit, run_once
 
 from repro import CarbonExplorer, SITE_ORDER, Strategy, sweep_fleet
 from repro.reporting import format_table, percent
@@ -37,7 +37,7 @@ def build_fig15() -> str:
             sites,
             strategy,
             workers=bench_workers(),
-            batch_size=bench_batch_size(),
+            batch_size=512,
         )
         assert fleet.complete, fleet.statuses()
         for (key, _, _), results in zip(sites, per_site):

@@ -268,10 +268,10 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="evaluate sweep chunks of N designs as blocks: CAS blocks of "
-        "8+ rows and combined blocks of 160+ rows run one (design x hour) "
-        "kernel call, battery blocks the seeded per-design kernel (results "
-        "are bitwise-identical to the default per-design evaluation; try a "
+        help="widen sweep chunks to at least N designs; routing depends only "
+        "on block size: CAS blocks of 8+ rows and combined rounds of 160+ "
+        "rows run one (design x hour) kernel call, battery rows the seeded "
+        "per-design kernel (results are bitwise-identical at any N; try a "
         "few hundred)",
     )
 

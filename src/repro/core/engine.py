@@ -58,7 +58,6 @@ from typing import (
     Any,
     Deque,
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -107,9 +106,9 @@ from .evaluate import (
     DesignEvaluation,
     SiteContext,
     batch_min_rows_override,
-    evaluate_block,
+    evaluate_block,  # perfbench/layers.py patches this name: the evaluate layer
     evaluate_block_sites,
-    evaluate_design,
+    evaluate_design,  # unused here, but perfbench/layers.py patches this name too
 )
 from .shm import (
     SharedContextError,
@@ -278,7 +277,6 @@ def _evaluate_chunk(
     designs: Sequence[DesignPoint],
     strategy: Strategy,
     fault: Optional[FaultAction] = None,
-    batched: bool = False,
 ) -> Tuple[str, int, List[DesignEvaluation], Optional[Dict[str, Any]]]:
     """Evaluate one contiguous slice of a site's grid in a worker process.
 
@@ -291,9 +289,9 @@ def _evaluate_chunk(
     render them on a per-process Chrome lane.  Metrics are reset
     *before* the lazy attach so a first attach's
     ``context_attach_count`` lands in this chunk's snapshot.  ``fault``
-    is the test/CI fault injected into this attempt, if any; ``batched``
-    routes the slice through :func:`evaluate_block` (bitwise identical
-    to the per-design loop).
+    is the test/CI fault injected into this attempt, if any.  The slice
+    goes through :func:`evaluate_block`, which batches it or not by its
+    strategy and row count alone (bitwise identical either way).
     """
     if _worker_collect_metrics:
         reset_metrics()
@@ -309,12 +307,7 @@ def _evaluate_chunk(
     context = _context_for(site)
     evaluations: List[Any]
     with span("evaluate_chunk", site=site, start=start, n_designs=len(designs)):
-        if batched:
-            evaluations = list(evaluate_block(context, designs, strategy))
-        else:
-            evaluations = [
-                evaluate_design(context, design, strategy) for design in designs
-            ]
+        evaluations = evaluate_block(context, designs, strategy)
     telemetry: Optional[Dict[str, Any]] = (
         metrics_snapshot() if _worker_collect_metrics else None
     )
@@ -487,11 +480,9 @@ class SweepEngine:
         self.shm = shm
         self.events = events if events is not None else SweepEvents()
         self.batch_size = batch_size
-        self.batched = batch_size is not None
         # Read the sweep's environment knobs once in the parent, so a
         # malformed value fails here rather than inside a pool worker.
-        if self.batched:
-            batch_min_rows_override()
+        batch_min_rows_override()
         if workers > 1:
             _mp_context()
         self.progress = progress
@@ -823,16 +814,9 @@ class SweepEngine:
         with span(
             "evaluate_chunk", site=state.key, start=start, n_designs=stop - start
         ):
-            if self.batched:
-                return list(
-                    evaluate_block(
-                        state.context, state.designs[start:stop], self.strategy
-                    )
-                )
-            return [
-                evaluate_design(state.context, state.designs[index], self.strategy)
-                for index in range(start, stop)
-            ]
+            return evaluate_block(
+                state.context, state.designs[start:stop], self.strategy
+            )
 
     # ------------------------------------------------------------------
     # Serial dispatch
@@ -841,7 +825,7 @@ class SweepEngine:
     def _evaluate_round(
         self, chunks: List[Tuple[SiteRun, int, int, int]]
     ) -> List[List[DesignEvaluation]]:
-        """One batched call for a round's chunks (one per site).
+        """One block-evaluator call for a round's chunks (one per site).
 
         :func:`evaluate_block_sites` owns the routing: combined chunks
         merge into one kernel call once the round reaches the batch
@@ -866,8 +850,8 @@ class SweepEngine:
         # pooled path is tested against.
         #
         # A round is the next chunk of every schedulable site in site
-        # order — the round-robin sequence, one lap at a time.  A batched
-        # round of several chunks is evaluated in one call; commits stay
+        # order — the round-robin sequence, one lap at a time.  A round
+        # of several chunks is evaluated in one call; commits stay
         # per chunk in round order, so journals and events match a
         # chunk-at-a-time dispatch.  The deadline is checked per round.
         while True:
@@ -882,16 +866,11 @@ class SweepEngine:
                 self._close_deadline([s for s in self.states if s.active])
                 break
             chunks = [(state, *state.queue.popleft()) for state in sites]
-            if self.batched and len(chunks) > 1:
-                evaluated: Iterable[List[DesignEvaluation]] = self._evaluate_round(
-                    chunks
-                )
+            if len(chunks) > 1:
+                evaluated = self._evaluate_round(chunks)
             else:
-                # Lazy, so each chunk commits before the next one runs.
-                evaluated = (
-                    self._evaluate_in_parent(state, start, stop)
-                    for state, _, start, stop in chunks
-                )
+                ((state, _, start, stop),) = chunks
+                evaluated = [self._evaluate_in_parent(state, start, stop)]
             for (state, ordinal, start, _), evaluations in zip(chunks, evaluated):
                 self._commit(state, ordinal, start, evaluations, None)
                 remaining = self._remaining_s()
@@ -1092,7 +1071,6 @@ class SweepEngine:
                         state.designs[start:stop],
                         self.strategy,
                         fault,
-                        self.batched,
                     )
                 except BrokenExecutor:
                     # The pool died between completions; put the chunk back

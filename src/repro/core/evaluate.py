@@ -497,9 +497,9 @@ def evaluate_design(
 #: serial battery kernel skips each row's rail stretches on its own and
 #: beats ``battery_run_batch`` on the 20-80-row blocks per-site sweeps
 #: produce; batched CAS wins 4-14x even at 8 rows; batched combined
-#: breaks even near 160 rows.  ``min_rows`` or ``REPRO_BATCH_MIN_ROWS``
-#: replaces the whole table (the env var reaches spawned workers, which
-#: a monkeypatched module global would not).
+#: breaks even near 160 rows.  ``REPRO_BATCH_MIN_ROWS`` replaces the
+#: whole table (an env var reaches spawned workers, which a
+#: monkeypatched module global would not).
 _BATCH_MIN_ROWS = {
     Strategy.RENEWABLES_CAS: 8,
     Strategy.RENEWABLES_BATTERY_CAS: 160,
@@ -530,12 +530,10 @@ def batch_min_rows_override() -> Optional[int]:
     return rows
 
 
-def _batch_min_rows(strategy: Strategy, min_rows: Optional[int]) -> Optional[int]:
+def _batch_min_rows(strategy: Strategy) -> Optional[int]:
     """The block floor for ``strategy``; ``None`` means never batch."""
     if strategy is Strategy.RENEWABLES_ONLY:
         return None
-    if min_rows is not None:
-        return max(1, min_rows)
     override = batch_min_rows_override()
     if override is not None:
         return override
@@ -631,78 +629,172 @@ def evaluate_block(
     context: SiteContext,
     designs: Sequence[DesignPoint],
     strategy: Strategy,
-    *,
-    min_rows: Optional[int] = None,
 ) -> List[DesignEvaluation]:
-    """Evaluate a block of designs, batching the design axis when it pays.
+    """Evaluate one site's design block: a one-site :func:`evaluate_block_sites`."""
+    return evaluate_block_sites([(context, designs)], strategy)[0]
 
-    Semantically identical to ``[evaluate_design(context, d, strategy)
-    for d in designs]`` — every returned float is bitwise-equal to the
-    per-design result — but the year-long simulation loop runs *once*
-    over a ``(D, H)`` block (:mod:`repro.kernels.batch`) instead of once
-    per design.  The per-design path remains both the fallback and the
-    bitwise oracle:
 
-    * ``RENEWABLES_ONLY`` blocks always take it: the strategy has no
-      year loop to batch, and its per-design rows (two clips over
-      year-length arrays) stay cache-resident where a ``(D, H)`` clip
-      would not (DESIGN.md, "Tensorized evaluation");
-    * ``RENEWABLES_BATTERY`` blocks take it unless ``min_rows`` or
-      ``REPRO_BATCH_MIN_ROWS`` forces batching: every row's serial run is
-      seeded from the context's battery seed cache, whose per-row rail
-      fast-forward beats the lockstep batch on per-site sweep blocks;
-    * blocks smaller than the per-strategy :data:`_BATCH_MIN_ROWS` floor
-      (``min_rows`` or ``REPRO_BATCH_MIN_ROWS`` replace it) take it,
-      because the batched hour loop costs roughly the same for 1 row as
-      for 100;
-    * blocks violating a serial wrapper's preconditions take it so the
+def evaluate_block_sites(
+    blocks: Sequence[Tuple[SiteContext, Sequence[DesignPoint]]],
+    strategy: Strategy,
+) -> List[List[DesignEvaluation]]:
+    """Evaluate each site's design block, batching the design axis when it pays.
+
+    The one routing function of every sweep.  Semantically identical to
+    ``[[evaluate_design(context, d, strategy) for d in designs] for
+    context, designs in blocks]`` — every returned float is bitwise-equal
+    to the per-design result — but a block that reaches its strategy's
+    :data:`_BATCH_MIN_ROWS` floor (``REPRO_BATCH_MIN_ROWS`` replaces the
+    table) runs the year-long simulation loop *once* over a ``(D, H)``
+    block (:mod:`repro.kernels.batch`) instead of once per design.
+    Routing depends only on the strategy and the row counts:
+
+    * ``RENEWABLES_ONLY`` blocks always run per design, before any other
+      work: the strategy has no year loop to batch, and its per-design
+      rows (two clips over year-length arrays) stay cache-resident where
+      a ``(D, H)`` clip would not (DESIGN.md, "Tensorized evaluation");
+    * ``RENEWABLES_BATTERY`` and ``RENEWABLES_CAS`` blocks batch per site
+      from the floor.  Battery has no default floor: every row's serial
+      run is seeded from the context's battery seed cache, whose per-row
+      rail fast-forward beats the lockstep batch on per-site sweep blocks;
+    * ``RENEWABLES_BATTERY_CAS`` blocks of one hour count make one merged
+      kernel call once their rows together reach the floor: the kernel's
+      per-hour cost is numpy dispatch overhead, nearly independent of the
+      row count, so a fleet round pays it once, not once per site.  One
+      block passes its ``(H,)`` demand; several pass their ``(S, H)``
+      traces and a row→site index (the kernels are row-wise lockstep, so
+      a row never observes its neighbours).  A fleet mixing leap and
+      non-leap years merges each hour count separately;
+    * a block that violates a serial wrapper's preconditions, or whose
+      projected supply has a negative hour, runs per design, so the
       wrapper's validation error surfaces exactly as before.
 
     Observability differences from the per-design path are deliberate
-    and bounded: batched blocks emit one ``evaluate_block`` span instead
-    of D ``evaluate_design``/``simulate_*`` spans, and count rows into
-    ``designs_batched`` and the ``batch_rows_peak`` gauge.  All
-    simulation counters (``designs_evaluated``, ``battery_sims``,
-    ``schedules_run``, ``combined_sims``, MWh/hour totals, …) match the
-    per-design path exactly.
+    and bounded: each batched kernel call emits one ``evaluate_block``
+    span instead of D ``evaluate_design``/``simulate_*`` spans, and
+    counts rows into ``designs_batched`` and the ``batch_rows_peak``
+    gauge.  All simulation counters (``designs_evaluated``,
+    ``battery_sims``, ``schedules_run``, ``combined_sims``, MWh/hour
+    totals, …) match the per-design path exactly.
     """
-    designs = list(designs)
-    if not designs:
-        return []
-    floor_rows = _batch_min_rows(strategy, min_rows)
-    constrained = [design.constrained_to(strategy) for design in designs]
-    if (
-        floor_rows is None
-        or len(designs) < floor_rows
-        or not _batch_preconditions_hold(context, constrained)
-    ):
-        return [evaluate_design(context, design, strategy) for design in designs]
-    demand_power = context.demand.power
-    calendar = demand_power.calendar
-    peak = demand_power.max()
+    blocks = [(context, list(designs)) for context, designs in blocks]
+    batched: List[Optional[List[DesignEvaluation]]] = [None] * len(blocks)
+    floor_rows = _batch_min_rows(strategy)
+    if floor_rows is not None:
+        for members in _batch_groups(blocks, strategy):
+            if sum(len(blocks[i][1]) for i in members) < floor_rows:
+                continue
+            ready = []
+            for i in members:
+                segment = _batch_segment(*blocks[i], strategy)
+                if segment is not None:
+                    ready.append((i, segment))
+            if ready:
+                runs = _evaluate_batched([segment for _, segment in ready], strategy)
+                for (i, _), evaluations in zip(ready, runs):
+                    batched[i] = evaluations
+    return [
+        evaluations
+        if evaluations is not None
+        else [evaluate_design(context, design, strategy) for design in designs]
+        for (context, designs), evaluations in zip(blocks, batched)
+    ]
 
+
+#: One block ready for a batched kernel: its context, its designs
+#: constrained to the strategy, and each design's supply projection.
+_Segment = Tuple[SiteContext, List[DesignPoint], list]
+
+
+def _batch_groups(
+    blocks: Sequence[Tuple[SiteContext, List[DesignPoint]]], strategy: Strategy
+) -> List[List[int]]:
+    """Indices of the non-empty blocks that may share one kernel call.
+
+    Only the combined kernel takes several sites' rows, and only rows of
+    one hour count.  ``schedule_run_batch`` walks one greedy order taken
+    from a site's intensity trace and ``battery_run_batch`` one shared
+    demand, so CAS and battery blocks batch one site at a time.
+    """
+    members = [i for i, (_, designs) in enumerate(blocks) if designs]
+    if strategy is not Strategy.RENEWABLES_BATTERY_CAS:
+        return [[i] for i in members]
+    groups: Dict[int, List[int]] = {}
+    for i in members:
+        n_hours = blocks[i][0].demand.power.calendar.n_hours
+        groups.setdefault(n_hours, []).append(i)
+    return list(groups.values())
+
+
+def _batch_segment(
+    context: SiteContext, designs: Sequence[DesignPoint], strategy: Strategy
+) -> Optional[_Segment]:
+    """The block as a batch segment, or ``None`` if it must run per design."""
+    constrained = [design.constrained_to(strategy) for design in designs]
+    if not _batch_preconditions_hold(context, constrained):
+        return None
     projections = [
         context.supply_cache.project(d.investment.solar_mw, d.investment.wind_mw)
         for d in constrained
     ]
-    supply_block = np.stack([supply.values for _, _, supply in projections])
-    if float(supply_block.min()) < 0.0:
-        return [evaluate_design(context, design, strategy) for design in designs]
+    if min(float(supply.values.min()) for _, _, supply in projections) < 0.0:
+        return None
+    return context, constrained, projections
 
-    specs = [d.battery_spec() for d in constrained]
-    capacities = [peak * (1.0 + d.extra_capacity_fraction) for d in constrained]
-    n_rows = len(constrained)
+
+def _evaluate_batched(
+    segments: Sequence[_Segment], strategy: Strategy
+) -> List[List[DesignEvaluation]]:
+    """One batched kernel call over every row of ``segments``, per segment."""
+    designs = [d for _, constrained, _ in segments for d in constrained]
+    n_rows = len(designs)
+    supply_block = np.stack(
+        [supply.values for _, _, rows in segments for _, _, supply in rows]
+    )
+    specs = [d.battery_spec() for d in designs]
+    row_capacities: List[float] = []
+    for context, constrained, _ in segments:
+        peak = context.demand.power.max()
+        row_capacities.extend(
+            peak * (1.0 + d.extra_capacity_fraction) for d in constrained
+        )
+    capacities = np.array(row_capacities)
 
     with span(
         "evaluate_block",
         strategy=strategy.value,
-        site=context.site_state,
+        sites=[context.site_state for context, _, _ in segments],
         n_designs=n_rows,
     ):
         inc("designs_batched", n_rows)
         set_gauge("batch_rows_peak", max(gauge_value("batch_rows_peak"), n_rows))
-        evaluations: List[Optional[DesignEvaluation]] = [None] * n_rows
 
+        if strategy is Strategy.RENEWABLES_BATTERY_CAS:
+            demands = [context.demand.power.values for context, _, _ in segments]
+            sizes = [len(constrained) for _, constrained, _ in segments]
+            run = combined_run_batch(
+                demands[0] if len(segments) == 1 else np.stack(demands),
+                supply_block,
+                **_battery_columns(specs),
+                capacity_mw=capacities,
+                flexible_ratio=np.array([d.flexible_ratio for d in designs]),
+                deadline_hours=COMBINED_DEADLINE_HOURS,
+                row_sites=(
+                    None
+                    if len(segments) == 1
+                    else np.repeat(np.arange(len(segments)), sizes)
+                ),
+                planes=False,
+            )
+            offsets = np.cumsum([0] + sizes[:-1])
+            return [
+                _finish_combined_rows(*segment, run, int(offset))
+                for segment, offset in zip(segments, offsets)
+            ]
+
+        # Battery and CAS blocks batch one site at a time (_batch_groups).
+        ((context, constrained, projections),) = segments
+        demand_power = context.demand.power
         if strategy is Strategy.RENEWABLES_BATTERY:
             run = battery_run_batch(
                 demand_power.values,
@@ -710,56 +802,42 @@ def evaluate_block(
                 **_battery_columns(specs),
                 charge_plane=False,
             )
-            evaluations = _finish_battery_rows(context, constrained, projections, run)
+            return [_finish_battery_rows(context, constrained, projections, run)]
 
-        elif strategy is Strategy.RENEWABLES_CAS:
-            # schedule_run_batch shares one 24-hour FWR profile across the
-            # block, so rows are grouped by their exact flexible_ratio
-            # (sweep grids almost always hold it constant — one group).
-            groups: Dict[float, List[int]] = {}
-            for i, design in enumerate(constrained):
-                groups.setdefault(design.flexible_ratio, []).append(i)
-            for ratio, rows in groups.items():
-                shifted_rows = schedule_run_batch(
-                    demand_power.values,
-                    supply_block[rows] if len(rows) < n_rows else supply_block,
-                    context.grid_intensity.values,
-                    np.array([capacities[i] for i in rows]),
-                    np.full(HOURS_PER_DAY, float(ratio)),
-                )
-                for j, i in enumerate(rows):
-                    shifted = shifted_rows.shifted[j]
-                    supply = supply_block[i]
-                    inc("schedules_run")
-                    inc("schedule_days", calendar.n_days)
-                    inc("schedule_moved_mwh", float(shifted_rows.moved_mwh[j]))
-                    evaluations[i] = _finish_evaluation(
-                        context,
-                        constrained[i],
-                        strategy,
-                        projections[i][0],
-                        projections[i][1],
-                        np.clip(shifted - supply, 0.0, None),
-                        np.clip(supply - shifted, 0.0, None),
-                        float(shifted_rows.moved_mwh[j]),
-                        0.0,
-                    )
-
-        else:  # Strategy.RENEWABLES_BATTERY_CAS
-            run = combined_run_batch(
+        # Strategy.RENEWABLES_CAS: schedule_run_batch shares one 24-hour FWR
+        # profile across the block, so rows are grouped by their exact
+        # flexible_ratio (sweep grids almost always hold it constant — one
+        # group).
+        evaluations: List[Optional[DesignEvaluation]] = [None] * n_rows
+        groups: Dict[float, List[int]] = {}
+        for i, design in enumerate(constrained):
+            groups.setdefault(design.flexible_ratio, []).append(i)
+        for ratio, rows in groups.items():
+            shifted_rows = schedule_run_batch(
                 demand_power.values,
-                supply_block,
-                **_battery_columns(specs),
-                capacity_mw=np.array(capacities),
-                flexible_ratio=np.array([d.flexible_ratio for d in constrained]),
-                deadline_hours=COMBINED_DEADLINE_HOURS,
-                planes=False,
+                supply_block[rows] if len(rows) < n_rows else supply_block,
+                context.grid_intensity.values,
+                capacities[rows],
+                np.full(HOURS_PER_DAY, float(ratio)),
             )
-            evaluations = _finish_combined_rows(
-                context, constrained, projections, run, 0
-            )
-
-    return [evaluation for evaluation in evaluations if evaluation is not None]
+            for j, i in enumerate(rows):
+                shifted = shifted_rows.shifted[j]
+                supply = supply_block[i]
+                inc("schedules_run")
+                inc("schedule_days", demand_power.calendar.n_days)
+                inc("schedule_moved_mwh", float(shifted_rows.moved_mwh[j]))
+                evaluations[i] = _finish_evaluation(
+                    context,
+                    constrained[i],
+                    strategy,
+                    projections[i][0],
+                    projections[i][1],
+                    np.clip(shifted - supply, 0.0, None),
+                    np.clip(supply - shifted, 0.0, None),
+                    float(shifted_rows.moved_mwh[j]),
+                    0.0,
+                )
+        return [[evaluation for evaluation in evaluations if evaluation is not None]]
 
 
 def _battery_columns(specs) -> Dict[str, np.ndarray]:
@@ -846,110 +924,3 @@ def _finish_combined_rows(
             )
         )
     return out
-
-
-def evaluate_block_sites(
-    blocks: Sequence[Tuple[SiteContext, Sequence[DesignPoint]]],
-    strategy: Strategy,
-    *,
-    min_rows: Optional[int] = None,
-) -> List[List[DesignEvaluation]]:
-    """Evaluate several sites' design blocks through one merged kernel call.
-
-    The batched kernels' per-hour cost is numpy dispatch overhead, nearly
-    independent of the number of rows — so a sweep over many sites pays
-    that cost once per *site* even though the rows would happily share a
-    block.  This merges the site axis into the design axis: the kernel
-    gets each site's demand trace once plus a row→site index, and one
-    call covers every site.  Bitwise identical to calling
-    :func:`evaluate_block` per site (property: the kernels are pure
-    row-wise lockstep; a row never observes its neighbours).
-
-    Only ``RENEWABLES_BATTERY_CAS`` merges, once the merged block reaches
-    its :data:`_BATCH_MIN_ROWS` floor (the same table, and the same
-    overrides, as :func:`evaluate_block`), and only across blocks whose
-    years have the same hour count: a fleet mixing leap and non-leap
-    years merges each hour count's blocks separately.  Other strategies —
-    and any site block that fails the batch preconditions — fall back to
-    per-site :func:`evaluate_block`, which preserves its own routing
-    rules: battery blocks run the seeded serial kernel there, and CAS
-    blocks already batch per site from 8 rows.
-    """
-    blocks = [(context, list(designs)) for context, designs in blocks]
-
-    def per_site() -> List[List[DesignEvaluation]]:
-        return [
-            evaluate_block(context, designs, strategy, min_rows=min_rows)
-            for context, designs in blocks
-        ]
-
-    if strategy is not Strategy.RENEWABLES_BATTERY_CAS or len(blocks) < 2:
-        return per_site()
-    hours = [context.demand.power.calendar.n_hours for context, _ in blocks]
-    if len(set(hours)) > 1:
-        merged: List[List[DesignEvaluation]] = [[] for _ in blocks]
-        for n_hours in dict.fromkeys(hours):
-            members = [i for i, h in enumerate(hours) if h == n_hours]
-            evaluated = evaluate_block_sites(
-                [blocks[i] for i in members], strategy, min_rows=min_rows
-            )
-            for i, evaluations in zip(members, evaluated):
-                merged[i] = evaluations
-        return merged
-    total_rows = sum(len(designs) for _, designs in blocks)
-    if total_rows < _batch_min_rows(strategy, min_rows):
-        return per_site()
-
-    segments = []  # (context, constrained, projections)
-    capacities: List[float] = []
-    for context, designs in blocks:
-        constrained = [design.constrained_to(strategy) for design in designs]
-        if not _batch_preconditions_hold(context, constrained):
-            return per_site()
-        projections = [
-            context.supply_cache.project(d.investment.solar_mw, d.investment.wind_mw)
-            for d in constrained
-        ]
-        segments.append((context, constrained, projections))
-        peak = context.demand.power.max()
-        capacities.extend(peak * (1.0 + d.extra_capacity_fraction) for d in constrained)
-
-    supply_block = np.empty((total_rows, hours[0]))
-    offsets = []
-    row = 0
-    for _, _, projections in segments:
-        offsets.append(row)
-        for _, _, supply in projections:
-            supply_block[row] = supply.values
-            row += 1
-    if float(supply_block.min()) < 0.0:
-        return per_site()
-
-    designs = [d for _, constrained, _ in segments for d in constrained]
-    with span(
-        "evaluate_block_sites",
-        strategy=strategy.value,
-        n_sites=len(blocks),
-        n_designs=total_rows,
-    ):
-        inc("designs_batched", total_rows)
-        set_gauge("batch_rows_peak", max(gauge_value("batch_rows_peak"), total_rows))
-        run = combined_run_batch(
-            np.stack([context.demand.power.values for context, _, _ in segments]),
-            supply_block,
-            **_battery_columns([d.battery_spec() for d in designs]),
-            capacity_mw=np.array(capacities),
-            flexible_ratio=np.array([d.flexible_ratio for d in designs]),
-            deadline_hours=COMBINED_DEADLINE_HOURS,
-            row_sites=np.repeat(
-                np.arange(len(segments)),
-                [len(constrained) for _, constrained, _ in segments],
-            ),
-            planes=False,
-        )
-        return [
-            _finish_combined_rows(context, constrained, projections, run, offset)
-            for (context, constrained, projections), offset in zip(
-                segments, offsets
-            )
-        ]

@@ -15,8 +15,9 @@ one-site fleet whose finished :class:`SiteSweep` is unwrapped into the
 * **Site-interleaved dispatch** — per-site chunk queues are drained
   round-robin, so a site with slow chunks cannot starve the others and
   partial results accrue across the whole fleet at once.  A serial
-  batched sweep evaluates each lap of chunks in one call, which merges
-  combined-strategy rows across sites into one kernel block
+  sweep evaluates each lap of chunks in one call, which merges
+  combined-strategy rows across sites into one kernel block once the
+  lap reaches the batch floor
   (:func:`~repro.core.evaluate.evaluate_block_sites`); commits stay per
   chunk, in lap order.
 * **Cross-site work stealing** (``steal=True``, the default) — when a
@@ -495,6 +496,11 @@ def sweep_fleet(
       immediately (status ``failed``).
     * ``steal`` — cross-site work stealing (default on); capacity moves,
       chunks don't, so results are bitwise-identical either way.
+    * ``batch_size`` — widens each site's chunks to at least this many
+      grid points, and nothing else: every chunk and serial lap goes
+      through :func:`~repro.core.evaluate.evaluate_block_sites`, which
+      batches a block by its strategy and row count alone.  Results are
+      bitwise-identical at any value.
 
     Returns a :class:`FleetResult` with per-site statuses and partial
     frontiers; raises :class:`FleetInterrupted` on Ctrl-C.

@@ -109,15 +109,16 @@ def optimize(
       platform where segment creation fails, which logs a warning —
       falls back to pickling the full context.  Results are bitwise
       identical either way.
-    * ``batch_size`` routes every path — serial, parallel workers, the
-      quarantine's serial drain, and resumed sweeps — through
-      :func:`repro.core.evaluate.evaluate_block`, which tensorizes each
-      chunk's design axis into one ``(design, hour)`` kernel call
-      (:mod:`repro.kernels.batch`).  Chunks are widened to at least
-      ``batch_size`` grid points (still a pure function of the grid and
-      this argument, never of ``workers``), and every evaluation stays
-      bitwise-identical to the default per-design loop.  ``None`` (the
-      default) keeps the legacy per-design path and chunking exactly.
+    * ``batch_size`` only widens chunks, to at least ``batch_size`` grid
+      points (still a pure function of the grid and this argument, never
+      of ``workers``).  Every chunk — serial, in a worker, in the
+      quarantine's serial drain, resumed or not — goes through
+      :func:`repro.core.evaluate.evaluate_block`, which routes it by
+      strategy and row count alone: a block that reaches its batch floor
+      runs one ``(design, hour)`` kernel call (:mod:`repro.kernels.batch`),
+      a smaller one runs per design.  Every evaluation is
+      bitwise-identical either way.  ``None`` (the default) keeps the
+      grid's default chunking.
 
     Raises
     ------

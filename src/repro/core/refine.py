@@ -191,9 +191,9 @@ def refine_frontier(
         Frontier points on each side of the knee to anchor extra zoom
         windows on (0 = knee only).
     batch_size:
-        Forwarded to :func:`optimize` — frontier refinement composes with
-        the batched (design x hour) kernels, which is what makes many
-        small zoom sweeps cheap.
+        Forwarded to :func:`optimize`, where it only widens chunks: wider
+        chunks reach the batched (design x hour) kernels' row floors,
+        which is what makes many small zoom sweeps cheap.
     """
     if n_rounds < 0:
         raise ValueError(f"n_rounds must be non-negative, got {n_rounds}")

@@ -205,8 +205,8 @@ def battery_run_batch(
     ``(D,)`` column (scalars broadcast).  Zero-capacity rows reproduce
     :func:`~repro.kernels.battery.renewables_only_run` bitwise without
     leaving the block.  Sweeps reach it only when batching is forced
-    (``min_rows`` / ``REPRO_BATCH_MIN_ROWS``); by default battery blocks
-    run :func:`~repro.kernels.battery.battery_run_seeded` per row.
+    (``REPRO_BATCH_MIN_ROWS``); by default battery blocks run
+    :func:`~repro.kernels.battery.battery_run_seeded` per row.
 
     Preconditions (the wrappers validate them): finite non-negative
     demand/supply, efficiencies in ``(0, 1]``, ``floor <= initial <=

@@ -26,6 +26,7 @@ import pytest
 
 from repro.core import Strategy, SweepEngine, optimize, sweep_fleet
 from repro.core.design import DesignSpace
+from repro.core.evaluate import evaluate_design
 from repro.obs import SweepEvents
 from repro.resilience import FleetFaultPlan
 from repro.resilience.domains import SiteFaultPolicy
@@ -167,9 +168,12 @@ class TestCrossEntryPoint:
             Strategy.RENEWABLES_BATTERY_CAS,
             batch_size=batch_size,
         )
-        reference = optimize(ut_context, GOLDEN_SPACE, Strategy.RENEWABLES_BATTERY_CAS)
-        assert single.evaluations == reference.evaluations
-        assert fleet.site("UT").evaluations == reference.evaluations
+        reference = tuple(
+            evaluate_design(ut_context, design, Strategy.RENEWABLES_BATTERY_CAS)
+            for design in GOLDEN_SPACE.points(Strategy.RENEWABLES_BATTERY_CAS)
+        )
+        assert single.evaluations == reference
+        assert fleet.site("UT").evaluations == reference
 
     @pytest.mark.parametrize(
         "config",

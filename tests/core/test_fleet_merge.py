@@ -20,7 +20,6 @@ from repro.core import (
     SweepEngine,
     build_site_context,
     fleet_checkpoint_path,
-    optimize,
     sweep_fleet,
 )
 from repro.core import engine as engine_module
@@ -181,18 +180,21 @@ class TestMixedYears:
     @pytest.fixture(scope="class")
     def per_site(self, mixed_sites):
         return {
-            key: optimize(context, space, STRATEGY)
+            key: [evaluate_design(context, d, STRATEGY) for d in space.points(STRATEGY)]
             for key, context, space in mixed_sites
         }
 
-    def test_evaluate_block_sites_merges_per_hour_count(self, mixed_sites, counters):
+    def test_evaluate_block_sites_merges_per_hour_count(
+        self, mixed_sites, counters, monkeypatch
+    ):
         # Four designs per site; a 5-row floor lets the two 8760-hour
         # sites merge while the lone 8784-hour site runs per design.
+        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "5")
         blocks = [
             (context, list(space.points(STRATEGY))[:4])
             for _, context, space in mixed_sites
         ]
-        merged = evaluate_block_sites(blocks, STRATEGY, min_rows=5)
+        merged = evaluate_block_sites(blocks, STRATEGY)
         assert counters.counter_value("designs_batched") == 8
         for (context, designs), evaluations in zip(blocks, merged):
             assert evaluations == [
@@ -207,11 +209,11 @@ class TestMixedYears:
         assert fleet.complete
         for key, _, _ in mixed_sites:
             result = fleet.site(key).result
-            assert result.evaluations == per_site[key].evaluations, key
-            assert result.best == per_site[key].best, key
+            assert list(result.evaluations) == per_site[key], key
+            assert result.best == min(per_site[key], key=lambda e: e.total_tons), key
 
     def test_sweep_fleet_matches_per_site_optimize(self, mixed_sites, per_site):
         result = sweep_fleet(mixed_sites, STRATEGY, batch_size=512)
         assert result.complete
         for key, _, _ in mixed_sites:
-            assert result.site(key).result.evaluations == per_site[key].evaluations
+            assert list(result.site(key).result.evaluations) == per_site[key]

@@ -118,25 +118,3 @@ class TestBenchWorkers:
         monkeypatch.setenv("REPRO_BENCH_WORKERS", raw)
         with pytest.raises(ValueError, match="REPRO_BENCH_WORKERS"):
             bench_common.bench_workers()
-
-
-class TestBenchBatchSize:
-    def test_defaults_to_512(self, bench_common, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_BATCH_SIZE", raising=False)
-        assert bench_common.bench_batch_size() == 512
-
-    def test_reads_environment(self, bench_common, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_BATCH_SIZE", "64")
-        assert bench_common.bench_batch_size() == 64
-
-    def test_zero_means_per_design(self, bench_common, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_BATCH_SIZE", "0")
-        assert bench_common.bench_batch_size() is None
-
-    @pytest.mark.parametrize("raw", ["abc", "2.5", "-1", ""])
-    def test_rejects_malformed_values_naming_the_variable(
-        self, bench_common, monkeypatch, raw
-    ):
-        monkeypatch.setenv("REPRO_BENCH_BATCH_SIZE", raw)
-        with pytest.raises(ValueError, match="REPRO_BENCH_BATCH_SIZE"):
-            bench_common.bench_batch_size()
