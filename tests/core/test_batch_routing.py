@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SweepEngine, optimize
+from repro.core import engine as engine_module
 from repro.core import evaluate as evaluate_module
 from repro.core.design import DesignSpace, Strategy
 from repro.core.engine import sweep_chunk_size
@@ -177,3 +178,54 @@ class TestSweepsWithoutBatchSize:
         assert counters.counter_value("serial_fallbacks") == 0
         (state,) = engine.states
         assert state.results == oracle
+
+
+class TestRenewablesOnly:
+    def test_blocks_run_per_design_before_any_batch_work(
+        self, ut_context, counters, monkeypatch
+    ):
+        """Renewables-only rows never constrain, project or batch a block,
+        whatever the floor says."""
+        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1")
+
+        def no_segment(*args, **kwargs):
+            raise AssertionError("a renewables-only block reached _batch_segment")
+
+        monkeypatch.setattr(evaluate_module, "_batch_segment", no_segment)
+        designs = list(SPACE.points(Strategy.RENEWABLES_ONLY))
+        block = evaluate_block(ut_context, designs, Strategy.RENEWABLES_ONLY)
+        assert counters.counter_value("designs_batched") == 0
+        assert block == per_design(ut_context, designs, Strategy.RENEWABLES_ONLY)
+
+
+class TestPerDesignRoute:
+    """A floor above every block keeps the per-design route end to end."""
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            Strategy.RENEWABLES_BATTERY,
+            Strategy.RENEWABLES_CAS,
+            Strategy.RENEWABLES_BATTERY_CAS,
+        ],
+    )
+    def test_huge_floor_runs_every_chunk_per_design(
+        self, ut_context, counters, monkeypatch, strategy
+    ):
+        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1000000")
+        result = optimize(ut_context, SPACE, strategy, batch_size=512)
+        assert counters.counter_value("designs_batched") == 0
+        assert list(result.evaluations) == per_design(
+            ut_context, list(SPACE.points(strategy)), strategy
+        )
+
+
+def test_engine_has_no_routing_flag_and_keeps_the_patched_names(ut_context):
+    """``batch_size`` only sizes chunks; the evaluator names stay on the
+    engine module, where the perfbench layer timer patches them."""
+    engine = SweepEngine(
+        [("UT", ut_context, SPACE)], Strategy.RENEWABLES_CAS, batch_size=512
+    )
+    assert not hasattr(engine, "batched")
+    assert engine_module.evaluate_block is evaluate_block
+    assert engine_module.evaluate_design is evaluate_design

@@ -60,6 +60,15 @@ class TestBatchMinRows:
                 batch_size=2,
             )
 
+    def test_pooled_sweep_without_batch_size_fails_in_the_parent(
+        self, monkeypatch, ut_context
+    ):
+        # Every chunk goes through the block evaluator, so the floor is
+        # read at construction whether or not ``batch_size`` is given.
+        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "abc")
+        with pytest.raises(ValueError, match="REPRO_BATCH_MIN_ROWS"):
+            optimize(ut_context, SPACE, Strategy.RENEWABLES_CAS, workers=2)
+
 
 class TestStartMethod:
     def test_unknown_method_names_the_variable_and_the_choices(
