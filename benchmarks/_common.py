@@ -43,30 +43,23 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 _last_run: Optional[Dict[str, Any]] = None
 
 
-def _env_count(name: str, default: str, minimum: int) -> int:
-    """Environment variable ``name`` as an integer of at least ``minimum``.
-
-    Raises ``ValueError`` naming the variable for anything else (``abc``,
-    ``2.5``, a value below ``minimum``), so a typo fails where it is read
-    instead of reaching a sweep as a malformed knob.
-    """
-    raw = os.environ.get(name, default)
-    try:
-        value = int(raw)
-    except ValueError:
-        value = minimum - 1
-    if value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {raw!r}")
-    return value
-
-
 def bench_workers() -> int:
     """Worker processes for sweep-driving benches (``REPRO_BENCH_WORKERS``).
 
     Defaults to 1 (serial, the comparable-across-machines configuration);
     CI sets the variable to exercise the process-parallel sweep path.
+    Raises ``ValueError`` naming the variable for anything but an integer
+    of at least 1 (``abc``, ``2.5``, ``0``), so a typo fails where it is
+    read instead of reaching a sweep as a malformed knob.
     """
-    return _env_count("REPRO_BENCH_WORKERS", "1", minimum=1)
+    raw = os.environ.get("REPRO_BENCH_WORKERS", "1")
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"REPRO_BENCH_WORKERS must be an integer >= 1, got {raw!r}")
+    return value
 
 
 def emit(name: str, text: str) -> pathlib.Path:

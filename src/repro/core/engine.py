@@ -58,6 +58,7 @@ from typing import (
     Any,
     Deque,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -825,11 +826,10 @@ class SweepEngine:
     def _evaluate_round(
         self, chunks: List[Tuple[SiteRun, int, int, int]]
     ) -> List[List[DesignEvaluation]]:
-        """One block-evaluator call for a round's chunks (one per site).
+        """One block-evaluator call for a combined round's chunks (one per site).
 
-        :func:`evaluate_block_sites` owns the routing: combined chunks
-        merge into one kernel call once the round reaches the batch
-        floor, anything else runs per site.
+        :func:`evaluate_block_sites` owns the routing: the chunks merge
+        into one kernel call once the round reaches the combined floor.
         """
         with span(
             "evaluate_round",
@@ -850,10 +850,12 @@ class SweepEngine:
         # pooled path is tested against.
         #
         # A round is the next chunk of every schedulable site in site
-        # order — the round-robin sequence, one lap at a time.  A round
-        # of several chunks is evaluated in one call; commits stay
-        # per chunk in round order, so journals and events match a
-        # chunk-at-a-time dispatch.  The deadline is checked per round.
+        # order — the round-robin sequence, one lap at a time.  Only
+        # combined rows merge across sites, so a combined round of
+        # several chunks is evaluated in one call and any other round
+        # one chunk at a time; commits stay per chunk in round order,
+        # so journals and events match a chunk-at-a-time dispatch.  The
+        # deadline is checked per round.
         while True:
             sites = [
                 state
@@ -866,11 +868,16 @@ class SweepEngine:
                 self._close_deadline([s for s in self.states if s.active])
                 break
             chunks = [(state, *state.queue.popleft()) for state in sites]
-            if len(chunks) > 1:
-                evaluated = self._evaluate_round(chunks)
+            if len(chunks) > 1 and self.strategy is Strategy.RENEWABLES_BATTERY_CAS:
+                evaluated: Iterable[List[DesignEvaluation]] = self._evaluate_round(
+                    chunks
+                )
             else:
-                ((state, _, start, stop),) = chunks
-                evaluated = [self._evaluate_in_parent(state, start, stop)]
+                # Lazy, so each chunk commits before the next one runs.
+                evaluated = (
+                    self._evaluate_in_parent(state, start, stop)
+                    for state, _, start, stop in chunks
+                )
             for (state, ordinal, start, _), evaluations in zip(chunks, evaluated):
                 self._commit(state, ordinal, start, evaluations, None)
                 remaining = self._remaining_s()

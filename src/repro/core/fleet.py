@@ -15,11 +15,11 @@ one-site fleet whose finished :class:`SiteSweep` is unwrapped into the
 * **Site-interleaved dispatch** — per-site chunk queues are drained
   round-robin, so a site with slow chunks cannot starve the others and
   partial results accrue across the whole fleet at once.  A serial
-  sweep evaluates each lap of chunks in one call, which merges
-  combined-strategy rows across sites into one kernel block once the
+  combined-strategy sweep evaluates each lap of chunks in one call,
+  which merges the rows across sites into one kernel block once the
   lap reaches the batch floor
-  (:func:`~repro.core.evaluate.evaluate_block_sites`); commits stay per
-  chunk, in lap order.
+  (:func:`~repro.core.evaluate.evaluate_block_sites`); other strategies
+  evaluate one chunk at a time.  Commits stay per chunk, in lap order.
 * **Cross-site work stealing** (``steal=True``, the default) — when a
   site's queue drains, its share of the in-flight budget is re-granted
   to the site with the largest remaining grid, so one oversized site
@@ -497,8 +497,8 @@ def sweep_fleet(
     * ``steal`` — cross-site work stealing (default on); capacity moves,
       chunks don't, so results are bitwise-identical either way.
     * ``batch_size`` — widens each site's chunks to at least this many
-      grid points, and nothing else: every chunk and serial lap goes
-      through :func:`~repro.core.evaluate.evaluate_block_sites`, which
+      grid points, and nothing else: every chunk and combined serial
+      lap goes through :func:`~repro.core.evaluate.evaluate_block_sites`, which
       batches a block by its strategy and row count alone.  Results are
       bitwise-identical at any value.
 

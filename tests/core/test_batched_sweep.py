@@ -5,13 +5,16 @@ The contract under test mirrors :mod:`tests.core.test_parallel_sweep`:
 every combination of ``batch_size`` with workers, start methods,
 checkpoints/resume, and the fleet merge must produce a
 ``DesignEvaluation`` sequence *equal* (frozen-dataclass ``==``, i.e.
-bitwise on the float fields) to the legacy per-design serial sweep.
+bitwise on the float fields) to the per-design oracle: every grid point
+through ``evaluate_design``, with no engine and no block evaluator.
 
 The per-strategy batching floors would silently route these small test
 grids down the per-design fallback, so the suite pins
 ``REPRO_BATCH_MIN_ROWS=1`` (the env var reaches spawned workers) and then
 asserts via the ``designs_batched`` counter that the batched path really
 ran — without that counter check, every test here would pass vacuously.
+Under that floor a sweep without ``batch_size`` batches too, so no
+reference here is an engine sweep: the oracle is built beside it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import pytest
 
 from repro.core import Strategy, optimize, sweep_fleet
 from repro.core.design import DesignSpace
+from repro.core.evaluate import evaluate_design
 from repro.obs import (
     disable_metrics,
     enable_metrics,
@@ -40,6 +44,19 @@ BATCHED_STRATEGIES = [
 def force_batching(monkeypatch):
     """Drop the per-strategy batch floors so tiny test grids batch."""
     monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1")
+
+
+def per_design(context, space, strategy):
+    """The oracle: every grid point through ``evaluate_design``, in grid order."""
+    return tuple(
+        evaluate_design(context, design, strategy)
+        for design in space.points(strategy)
+    )
+
+
+def lowest(evaluations):
+    """The lowest-carbon evaluation, as a sweep picks its ``best``."""
+    return min(evaluations, key=lambda e: e.total_tons)
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +84,10 @@ class TestBatchedEqualsSerial:
     def test_every_strategy_matches_legacy_path(
         self, ut_context, small_space, strategy
     ):
-        legacy = optimize(ut_context, small_space, strategy)
+        legacy = per_design(ut_context, small_space, strategy)
         batched = optimize(ut_context, small_space, strategy, batch_size=4)
-        assert legacy.evaluations == batched.evaluations
-        assert legacy.best == batched.best
+        assert legacy == batched.evaluations
+        assert lowest(legacy) == batched.best
 
     def test_batched_path_actually_ran(
         self, ut_context, small_space, fresh_metrics
@@ -85,11 +102,11 @@ class TestBatchedEqualsSerial:
     def test_batch_size_one_matches(self, ut_context, small_space):
         """batch_size=1 is the degenerate D=1 block per design — the CI
         diff smoke's cheap oracle."""
-        legacy = optimize(ut_context, small_space, Strategy.RENEWABLES_BATTERY)
+        legacy = per_design(ut_context, small_space, Strategy.RENEWABLES_BATTERY)
         batched = optimize(
             ut_context, small_space, Strategy.RENEWABLES_BATTERY, batch_size=1
         )
-        assert legacy.evaluations == batched.evaluations
+        assert legacy == batched.evaluations
 
     @pytest.mark.parametrize("strategy", BATCHED_STRATEGIES)
     def test_ragged_last_chunk(self, ut_context, small_space, strategy):
@@ -98,14 +115,14 @@ class TestBatchedEqualsSerial:
         total = small_space.size(strategy)
         batch_size = 3
         assert total % batch_size != 0
-        legacy = optimize(ut_context, small_space, strategy)
+        legacy = per_design(ut_context, small_space, strategy)
         batched = optimize(
             ut_context, small_space, strategy, batch_size=batch_size
         )
-        assert legacy.evaluations == batched.evaluations
+        assert legacy == batched.evaluations
 
     def test_whole_grid_in_one_block(self, ut_context, small_space):
-        legacy = optimize(
+        legacy = per_design(
             ut_context, small_space, Strategy.RENEWABLES_BATTERY_CAS
         )
         batched = optimize(
@@ -114,7 +131,7 @@ class TestBatchedEqualsSerial:
             Strategy.RENEWABLES_BATTERY_CAS,
             batch_size=small_space.size(Strategy.RENEWABLES_BATTERY_CAS),
         )
-        assert legacy.evaluations == batched.evaluations
+        assert legacy == batched.evaluations
 
     def test_rejects_non_positive_batch_size(self, ut_context, small_space):
         with pytest.raises(ValueError, match="batch_size"):
@@ -128,7 +145,7 @@ class TestBatchedEqualsSerial:
 
 class TestBatchedParallelSweeps:
     def test_parallel_batched_equals_serial(self, ut_context, small_space):
-        serial = optimize(
+        serial = per_design(
             ut_context, small_space, Strategy.RENEWABLES_BATTERY_CAS
         )
         parallel = optimize(
@@ -138,8 +155,8 @@ class TestBatchedParallelSweeps:
             workers=2,
             batch_size=4,
         )
-        assert serial.evaluations == parallel.evaluations
-        assert serial.best == parallel.best
+        assert serial == parallel.evaluations
+        assert lowest(serial) == parallel.best
 
     def test_spawned_workers_batch_identically(
         self, ut_context, small_space, monkeypatch
@@ -147,7 +164,7 @@ class TestBatchedParallelSweeps:
         """Spawned pools re-import everything; the REPRO_BATCH_MIN_ROWS
         override and the batched chunk routing must survive the trip."""
         monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
-        serial = optimize(ut_context, small_space, Strategy.RENEWABLES_BATTERY)
+        serial = per_design(ut_context, small_space, Strategy.RENEWABLES_BATTERY)
         spawned = optimize(
             ut_context,
             small_space,
@@ -155,7 +172,7 @@ class TestBatchedParallelSweeps:
             workers=2,
             batch_size=4,
         )
-        assert serial.evaluations == spawned.evaluations
+        assert serial == spawned.evaluations
 
 
 class TestBatchedCheckpointResume:
@@ -163,7 +180,7 @@ class TestBatchedCheckpointResume:
         self, tmp_path, ut_context, small_space
     ):
         path = tmp_path / "sweep.ckpt"
-        serial = optimize(ut_context, small_space, Strategy.RENEWABLES_BATTERY)
+        serial = per_design(ut_context, small_space, Strategy.RENEWABLES_BATTERY)
         fresh = optimize(
             ut_context,
             small_space,
@@ -179,9 +196,9 @@ class TestBatchedCheckpointResume:
             checkpoint=path,
             resume=True,
         )
-        assert fresh.evaluations == serial.evaluations
-        assert resumed.evaluations == serial.evaluations
-        assert resumed.best == serial.best
+        assert fresh.evaluations == serial
+        assert resumed.evaluations == serial
+        assert resumed.best == lowest(serial)
 
     def test_interrupted_batched_sweep_resumes_batched(
         self, tmp_path, ut_context, small_space
@@ -189,7 +206,7 @@ class TestBatchedCheckpointResume:
         from repro.resilience import SweepInterrupted
 
         path = tmp_path / "sweep.ckpt"
-        serial = optimize(ut_context, small_space, Strategy.RENEWABLES_BATTERY)
+        serial = per_design(ut_context, small_space, Strategy.RENEWABLES_BATTERY)
         calls = 0
 
         def interrupt_midway(done, total, label):
@@ -215,21 +232,25 @@ class TestBatchedCheckpointResume:
             checkpoint=path,
             resume=True,
         )
-        assert resumed.evaluations == serial.evaluations
-        assert resumed.best == serial.best
+        assert resumed.evaluations == serial
+        assert resumed.best == lowest(serial)
 
     def test_legacy_journal_resumes_under_batching(
-        self, tmp_path, ut_context, small_space
+        self, tmp_path, ut_context, small_space, monkeypatch, fresh_metrics
     ):
         """A checkpoint written by the per-design path restores cleanly
         into a batched sweep (the fingerprint ignores batch_size)."""
         path = tmp_path / "sweep.ckpt"
+        # A floor no block reaches writes the journal per design.
+        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1000000")
         serial = optimize(
             ut_context,
             small_space,
             Strategy.RENEWABLES_BATTERY,
             checkpoint=path,
         )
+        assert fresh_metrics.counter_value("designs_batched") == 0
+        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1")
         resumed = optimize(
             ut_context,
             small_space,
@@ -256,12 +277,12 @@ class TestFleetMerge:
         fleet = sweep_fleet(sites, strategy, batch_size=3)
         assert fleet.complete
         singles = [
-            optimize(context, space, strategy) for _, context, space in sites
+            per_design(context, space, strategy) for _, context, space in sites
         ]
         assert len(fleet.sites) == len(singles)
         for merged, single in zip(fleet.sites, singles):
-            assert merged.result.evaluations == single.evaluations
-            assert merged.result.best == single.best
+            assert merged.result.evaluations == single
+            assert merged.result.best == lowest(single)
 
     def test_fleet_chunked_by_batch_size(
         self, ut_context, or_context, small_space

@@ -133,10 +133,12 @@ class TestFrontierRefinement:
     ):
         """batch_size forwards to every optimize() call without changing a
         single evaluation."""
-        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1")
+        # The reference runs per design: no block reaches this floor.
+        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1000000")
         plain = refine_frontier(
             context, coarse_space, Strategy.RENEWABLES_BATTERY, n_rounds=1
         )
+        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1")
         batched = refine_frontier(
             context,
             coarse_space,
