@@ -271,8 +271,9 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         help="widen sweep chunks to at least N designs; routing depends only "
         "on block size: CAS blocks of 8+ rows and combined rounds of 160+ "
         "rows run one (design x hour) kernel call, battery rows the seeded "
-        "per-design kernel (results are bitwise-identical at any N; try a "
-        "few hundred)",
+        "per-design kernel unless REPRO_BATCH_MIN_ROWS sets a floor, which "
+        "merges battery rounds into the combined kernel's lockstep call "
+        "(results are bitwise-identical at any N; try a few hundred)",
     )
 
 

@@ -110,6 +110,7 @@ from .evaluate import (
     evaluate_block,  # perfbench/layers.py patches this name: the evaluate layer
     evaluate_block_sites,
     evaluate_design,  # unused here, but perfbench/layers.py patches this name too
+    merges_sites,
 )
 from .shm import (
     SharedContextError,
@@ -826,10 +827,10 @@ class SweepEngine:
     def _evaluate_round(
         self, chunks: List[Tuple[SiteRun, int, int, int]]
     ) -> List[List[DesignEvaluation]]:
-        """One block-evaluator call for a combined round's chunks (one per site).
+        """One block-evaluator call for a round's chunks (one per site).
 
         :func:`evaluate_block_sites` owns the routing: the chunks merge
-        into one kernel call once the round reaches the combined floor.
+        into one kernel call once the round reaches the strategy's floor.
         """
         with span(
             "evaluate_round",
@@ -850,12 +851,13 @@ class SweepEngine:
         # pooled path is tested against.
         #
         # A round is the next chunk of every schedulable site in site
-        # order — the round-robin sequence, one lap at a time.  Only
-        # combined rows merge across sites, so a combined round of
-        # several chunks is evaluated in one call and any other round
-        # one chunk at a time; commits stay per chunk in round order,
-        # so journals and events match a chunk-at-a-time dispatch.  The
-        # deadline is checked per round.
+        # order — the round-robin sequence, one lap at a time.  A round
+        # of several chunks whose rows merge across sites
+        # (:func:`merges_sites`) is evaluated in one call, any other
+        # round one chunk at a time; commits stay per chunk in round
+        # order, so journals and events match a chunk-at-a-time
+        # dispatch.  The deadline is checked per round.
+        merge = merges_sites(self.strategy)
         while True:
             sites = [
                 state
@@ -868,7 +870,7 @@ class SweepEngine:
                 self._close_deadline([s for s in self.states if s.active])
                 break
             chunks = [(state, *state.queue.popleft()) for state in sites]
-            if len(chunks) > 1 and self.strategy is Strategy.RENEWABLES_BATTERY_CAS:
+            if merge and len(chunks) > 1:
                 evaluated: Iterable[List[DesignEvaluation]] = self._evaluate_round(
                     chunks
                 )

@@ -495,7 +495,7 @@ def evaluate_design(
 #: a strategy missing here never batches.  Measured against the serial
 #: kernels on a 2-vCPU Xeon VM (DESIGN.md, "Fallbacks"): the seeded
 #: serial battery kernel skips each row's rail stretches on its own and
-#: beats ``battery_run_batch`` on the 20-80-row blocks per-site sweeps
+#: beats the lockstep kernel on the 20-80-row blocks per-site sweeps
 #: produce; batched CAS wins 4-14x even at 8 rows; batched combined
 #: breaks even near 160 rows.  ``REPRO_BATCH_MIN_ROWS`` replaces the
 #: whole table (an env var reaches spawned workers, which a
@@ -538,6 +538,20 @@ def _batch_min_rows(strategy: Strategy) -> Optional[int]:
     if override is not None:
         return override
     return _BATCH_MIN_ROWS.get(strategy)
+
+
+def merges_sites(strategy: Strategy) -> bool:
+    """Whether :func:`evaluate_block_sites` merges sites' blocks right now.
+
+    True when the strategy's rows group across sites (:func:`_batch_groups`)
+    *and* it has a floor under the current ``REPRO_BATCH_MIN_ROWS``.  Only
+    then is a serial sweep round worth evaluating in one call; any other
+    round evaluates and commits one chunk at a time.
+    """
+    return (
+        strategy is not Strategy.RENEWABLES_CAS
+        and _batch_min_rows(strategy) is not None
+    )
 
 
 def _finish_evaluation(
@@ -653,18 +667,20 @@ def evaluate_block_sites(
       work: the strategy has no year loop to batch, and its per-design
       rows (two clips over year-length arrays) stay cache-resident where
       a ``(D, H)`` clip would not (DESIGN.md, "Tensorized evaluation");
-    * ``RENEWABLES_BATTERY`` and ``RENEWABLES_CAS`` blocks batch per site
-      from the floor.  Battery has no default floor: every row's serial
-      run is seeded from the context's battery seed cache, whose per-row
-      rail fast-forward beats the lockstep batch on per-site sweep blocks;
-    * ``RENEWABLES_BATTERY_CAS`` blocks of one hour count make one merged
-      kernel call once their rows together reach the floor: the kernel's
-      per-hour cost is numpy dispatch overhead, nearly independent of the
-      row count, so a fleet round pays it once, not once per site.  One
-      block passes its ``(H,)`` demand; several pass their ``(S, H)``
-      traces and a row→site index (the kernels are row-wise lockstep, so
-      a row never observes its neighbours).  A fleet mixing leap and
-      non-leap years merges each hour count separately;
+    * ``RENEWABLES_CAS`` blocks batch per site from the floor;
+    * ``RENEWABLES_BATTERY`` and ``RENEWABLES_BATTERY_CAS`` blocks of one
+      hour count make one merged call of the lockstep combined kernel
+      (battery rows at flexible ratio 0) once their rows together reach
+      the floor: the kernel's per-hour cost is numpy dispatch overhead,
+      nearly independent of the row count, so a fleet round pays it
+      once, not once per site.  One block passes its ``(H,)`` demand;
+      several pass their ``(S, H)`` traces and a row→site index (the
+      kernel is row-wise lockstep, so a row never observes its
+      neighbours).  A fleet mixing leap and non-leap years merges each
+      hour count separately.  Battery has no default floor: every row's
+      serial run is seeded from the context's battery seed cache, whose
+      per-row rail fast-forward beats the lockstep kernel on per-site
+      sweep blocks;
     * a block that violates a serial wrapper's preconditions, or whose
       projected supply has a negative hour, runs per design, so the
       wrapper's validation error surfaces exactly as before.
@@ -711,13 +727,13 @@ def _batch_groups(
 ) -> List[List[int]]:
     """Indices of the non-empty blocks that may share one kernel call.
 
-    Only the combined kernel takes several sites' rows, and only rows of
-    one hour count.  ``schedule_run_batch`` walks one greedy order taken
-    from a site's intensity trace and ``battery_run_batch`` one shared
-    demand, so CAS and battery blocks batch one site at a time.
+    Battery and combined rows run one lockstep kernel that takes several
+    sites' rows, so their blocks group by hour count.  CAS blocks batch
+    one site at a time: ``schedule_run_batch`` walks one greedy order
+    taken from a site's intensity trace.
     """
     members = [i for i, (_, designs) in enumerate(blocks) if designs]
-    if strategy is not Strategy.RENEWABLES_BATTERY_CAS:
+    if strategy is Strategy.RENEWABLES_CAS:
         return [[i] for i in members]
     groups: Dict[int, List[int]] = {}
     for i in members:
@@ -759,6 +775,15 @@ def _evaluate_batched(
             peak * (1.0 + d.extra_capacity_fraction) for d in constrained
         )
     capacities = np.array(row_capacities)
+    # One site passes its (H,) demand; several pass their (S, H) traces
+    # and the row -> site index.
+    sizes = [len(constrained) for _, constrained, _ in segments]
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
+    if len(segments) == 1:
+        demand, row_sites = segments[0][0].demand.power.values, None
+    else:
+        demand = np.stack([context.demand.power.values for context, _, _ in segments])
+        row_sites = np.repeat(np.arange(len(segments)), sizes)
 
     with span(
         "evaluate_block",
@@ -769,45 +794,41 @@ def _evaluate_batched(
         inc("designs_batched", n_rows)
         set_gauge("batch_rows_peak", max(gauge_value("batch_rows_peak"), n_rows))
 
-        if strategy is Strategy.RENEWABLES_BATTERY_CAS:
-            demands = [context.demand.power.values for context, _, _ in segments]
-            sizes = [len(constrained) for _, constrained, _ in segments]
-            run = combined_run_batch(
-                demands[0] if len(segments) == 1 else np.stack(demands),
-                supply_block,
-                **_battery_columns(specs),
-                capacity_mw=capacities,
-                flexible_ratio=np.array([d.flexible_ratio for d in designs]),
-                deadline_hours=COMBINED_DEADLINE_HOURS,
-                row_sites=(
-                    None
-                    if len(segments) == 1
-                    else np.repeat(np.arange(len(segments)), sizes)
-                ),
-                planes=False,
-            )
-            offsets = np.cumsum([0] + sizes[:-1])
+        if strategy is not Strategy.RENEWABLES_CAS:
+            # Battery and combined rows share one lockstep kernel (a
+            # battery block is a combined block at flexible ratio 0).
+            if strategy is Strategy.RENEWABLES_BATTERY:
+                run = battery_run_batch(
+                    demand,
+                    supply_block,
+                    **_battery_columns(specs),
+                    row_sites=row_sites,
+                    planes=False,
+                )
+                finish = _finish_battery_rows
+            else:
+                run = combined_run_batch(
+                    demand,
+                    supply_block,
+                    **_battery_columns(specs),
+                    capacity_mw=capacities,
+                    flexible_ratio=np.array([d.flexible_ratio for d in designs]),
+                    deadline_hours=COMBINED_DEADLINE_HOURS,
+                    row_sites=row_sites,
+                    planes=False,
+                )
+                finish = _finish_combined_rows
             return [
-                _finish_combined_rows(*segment, run, int(offset))
+                finish(*segment, run, offset)
                 for segment, offset in zip(segments, offsets)
             ]
 
-        # Battery and CAS blocks batch one site at a time (_batch_groups).
+        # CAS blocks batch one site at a time (_batch_groups), and
+        # schedule_run_batch shares one 24-hour FWR profile across the
+        # block, so rows are grouped by their exact flexible_ratio (sweep
+        # grids almost always hold it constant — one group).
         ((context, constrained, projections),) = segments
         demand_power = context.demand.power
-        if strategy is Strategy.RENEWABLES_BATTERY:
-            run = battery_run_batch(
-                demand_power.values,
-                supply_block,
-                **_battery_columns(specs),
-                charge_plane=False,
-            )
-            return [_finish_battery_rows(context, constrained, projections, run)]
-
-        # Strategy.RENEWABLES_CAS: schedule_run_batch shares one 24-hour FWR
-        # profile across the block, so rows are grouped by their exact
-        # flexible_ratio (sweep grids almost always hold it constant — one
-        # group).
         evaluations: List[Optional[DesignEvaluation]] = [None] * n_rows
         groups: Dict[float, List[int]] = {}
         for i, design in enumerate(constrained):
@@ -841,7 +862,7 @@ def _evaluate_batched(
 
 
 def _battery_columns(specs) -> Dict[str, np.ndarray]:
-    """Per-row battery parameter columns shared by both battery kernels.
+    """Per-row battery parameter columns of a battery or combined block.
 
     ``initial_energy_mwh`` replicates the serial wrappers' default
     ``initial_soc=1.0`` arithmetic (``floor + soc * (cap - floor)``)
@@ -869,12 +890,14 @@ def _finish_battery_rows(
     designs: Sequence[DesignPoint],
     projections,
     run,
+    offset: int,
 ) -> List[DesignEvaluation]:
-    """Carbon-account the rows of a batched battery run."""
+    """Carbon-account one site's rows of a batched battery run."""
     calendar = context.demand.power.calendar
     n_hours = calendar.n_hours
     out: List[DesignEvaluation] = []
-    for i, design in enumerate(designs):
+    for j, design in enumerate(designs):
+        i = offset + j
         inc("battery_sims")
         inc("battery_sim_hours", n_hours)
         out.append(
@@ -882,8 +905,8 @@ def _finish_battery_rows(
                 context,
                 design,
                 Strategy.RENEWABLES_BATTERY,
-                projections[i][0],
-                projections[i][1],
+                projections[j][0],
+                projections[j][1],
                 run.grid_import[i],
                 run.surplus[i],
                 0.0,

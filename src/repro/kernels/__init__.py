@@ -24,7 +24,6 @@ traces.
 """
 
 from .batch import (
-    BatteryRunBatch,
     CombinedRunBatch,
     ScheduleRunBatch,
     battery_run_batch,
@@ -60,7 +59,6 @@ __all__ = [
     "schedule_deficit_exceeds",
     "schedule_run",
     "schedule_run_seeded",
-    "BatteryRunBatch",
     "CombinedRunBatch",
     "ScheduleRunBatch",
     "battery_run_batch",

@@ -37,7 +37,9 @@ Degenerate rows (zero battery capacity, zero flexible ratio) stay in the
 block: their lanes reproduce the serial kernels' vectorized short-circuits
 bitwise (``-(a - b)`` equals ``b - a`` bitwise, and the masked lanes never
 observe a stray ``-0.0`` thanks to the normalizations above), so callers
-never need to split a block by configuration.
+never need to split a block by configuration.  The same holds one level
+up: a battery block is a combined block whose every row has a zero
+flexible ratio, so :func:`battery_run_batch` has no hour loop of its own.
 
 Kernel purity: inputs are read-only (gathers copy; every mutated array is
 freshly allocated here), there is no I/O, and the only imports are numpy
@@ -58,47 +60,6 @@ _EPSILON_MWH = 1e-9
 _MIN_MOVE_MW = 1e-9
 
 _HOURS_PER_DAY = 24
-
-#: Column width of the blocked (H, D) -> (D, H) transpose copies.
-_TRANSPOSE_BLOCK = 512
-
-
-class BatteryRunBatch:
-    """Row-stacked :class:`~repro.kernels.battery.BatteryRunArrays`.
-
-    Hourly fields are ``(D, H)``; meter totals are ``(D,)``.  The
-    ``charge_level`` plane materializes lazily from the kernel's
-    hour-major scratch on first access: sweep evaluation never reads it,
-    and each ``(H, D) -> (D, H)`` transpose copy is a full pass over the
-    block's memory footprint.
-    """
-
-    __slots__ = (
-        "grid_import", "surplus", "charged_mwh", "discharged_mwh",
-        "_charge_t", "_charge",
-    )
-
-    def __init__(self, grid_import, surplus, charge_t, charged_mwh,
-                 discharged_mwh):
-        self.grid_import = grid_import
-        self.surplus = surplus
-        self.charged_mwh = charged_mwh
-        self.discharged_mwh = discharged_mwh
-        self._charge_t = charge_t
-        self._charge = None
-
-    @property
-    def charge_level(self) -> np.ndarray:
-        """The ``(D, H)`` end-of-hour stored-energy plane."""
-        if self._charge is None:
-            if self._charge_t is None:
-                raise AttributeError(
-                    "charge_level was not recorded (charge_plane=False)"
-                )
-            self._charge = _transpose_copy(self._charge_t)
-            self._charge_t = None
-        return self._charge
-
 
 class ScheduleRunBatch(NamedTuple):
     """Row-stacked :func:`~repro.kernels.greedy.schedule_run` outcome."""
@@ -154,36 +115,6 @@ def _rows(value, n_rows: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), (n_rows,))
 
 
-def _transpose_copy(src: np.ndarray) -> np.ndarray:
-    """Blocked ``(H, D) -> (D, H)`` contiguous transpose copy.
-
-    The hour loops write hour-major scratch (``out[h] = row_state`` is one
-    contiguous store); results go back to the row-major layout callers
-    slice per design.  Copying in square tiles keeps both sides of the
-    transpose cache-resident even when the row axis outgrows the cache
-    (merged multi-site blocks reach a few thousand rows).
-    """
-    n_hours, n_rows = src.shape
-    out = np.empty((n_rows, n_hours))
-    _transpose_into(out, src)
-    return out
-
-
-def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
-    """Tiled ``(H, D) -> (D, H)`` transpose into an existing buffer.
-
-    Callers recycle a dead hour-major scratch plane (reshaped row-major)
-    as ``dst``: its pages are already faulted in, which roughly halves
-    the cost of materializing an output plane versus a fresh allocation.
-    """
-    n_hours, n_rows = src.shape
-    for r0 in range(0, n_rows, _TRANSPOSE_BLOCK):
-        r1 = r0 + _TRANSPOSE_BLOCK
-        for h0 in range(0, n_hours, _TRANSPOSE_BLOCK):
-            h1 = h0 + _TRANSPOSE_BLOCK
-            dst[r0:r1, h0:h1] = src[h0:h1, r0:r1].T
-
-
 def battery_run_batch(
     demand: np.ndarray,
     supply: np.ndarray,
@@ -195,99 +126,42 @@ def battery_run_batch(
     charge_efficiency,
     discharge_efficiency,
     initial_energy_mwh,
-    charge_plane: bool = True,
-) -> BatteryRunBatch:
+    row_sites=None,
+    planes: bool = True,
+) -> CombinedRunBatch:
     """:func:`~repro.kernels.battery.battery_run` over a design block.
 
-    ``demand`` is the shared ``(H,)`` trace — or a ``(D, H)`` block giving
-    each row its own trace, which lets one call span several sites;
-    ``supply`` is ``(D, H)`` with one row per design; every keyword is a
-    ``(D,)`` column (scalars broadcast).  Zero-capacity rows reproduce
-    :func:`~repro.kernels.battery.renewables_only_run` bitwise without
-    leaving the block.  Sweeps reach it only when batching is forced
-    (``REPRO_BATCH_MIN_ROWS``); by default battery blocks run
+    A design with no flexible work runs the battery policy alone, so this
+    is :func:`combined_run_batch` at ``flexible_ratio = 0`` with an
+    unbounded datacenter capacity: no row ever defers, the kernel skips
+    its deferral steps, and every row is bitwise identical to
+    :func:`~repro.kernels.combined.combined_run`'s delegation to
+    ``battery_run`` (zero-capacity rows to ``renewables_only_run``).
+    ``demand``, ``row_sites`` and ``planes`` mean what they mean there;
+    the deferral meters of the returned :class:`CombinedRunBatch` are
+    zero.  Sweeps reach it only when ``REPRO_BATCH_MIN_ROWS`` sets a
+    battery floor; by default battery blocks run
     :func:`~repro.kernels.battery.battery_run_seeded` per row.
 
     Preconditions (the wrappers validate them): finite non-negative
     demand/supply, efficiencies in ``(0, 1]``, ``floor <= initial <=
     capacity`` per row, and no ``-0.0`` in the inputs.
     """
-    n_rows, n_hours = supply.shape
-    cap = _rows(capacity_mwh, n_rows)
-    hasb = cap > 0.0
-    # The serial kernel's zero-capacity short-circuit ignores the floor and
-    # the initial energy entirely; pin those lanes to 0.0 so the lockstep
-    # recurrence holds the rail (charge/discharge power clips to +0.0) and
-    # charge_level reproduces the degenerate path's zeros.
-    floor = np.where(hasb, _rows(floor_mwh, n_rows), 0.0)
-    energy = np.where(hasb, _rows(initial_energy_mwh, n_rows), 0.0)
-    maxc = _rows(max_charge_mw, n_rows)
-    maxd = _rows(max_discharge_mw, n_rows)
-    eta_c = _rows(charge_efficiency, n_rows)
-    eta_d = _rows(discharge_efficiency, n_rows)
-
-    # Row pre-pass, shared by every hour: the signed gap and its negation.
-    # (Fresh allocations — never write through a view of the input block.)
-    dem_cols = demand.T if demand.ndim == 2 else demand[:, None]
-    gap_t = np.subtract(supply.T, dem_cols)
-    req_t = np.negative(gap_t)
-
-    surplus_t = np.empty((n_hours, n_rows))
-    grid_t = np.empty((n_hours, n_rows))
-    # Pure output; sweeps never read it, so they skip the plane entirely.
-    charge_t = np.empty((n_hours, n_rows)) if charge_plane else None
-    charged = np.zeros(n_rows)
-    discharged = np.zeros(n_rows)
-    power = np.empty(n_rows)
-    limit = np.empty(n_rows)
-    scratch = np.empty(n_rows)
-
-    for hour in range(n_hours):
-        gap = gap_t[hour]
-        # Charge on surplus: the exact serial clamp chain.  Deficit lanes
-        # fall through with power = max(min(gap, …), 0.0) = +0.0, making
-        # every update below a bitwise no-op there.
-        np.minimum(gap, maxc, out=power)
-        np.subtract(cap, energy, out=limit)
-        np.divide(limit, eta_c, out=limit)
-        np.minimum(power, limit, out=power)
-        np.maximum(power, 0.0, out=power)
-        np.multiply(power, eta_c, out=scratch)
-        np.add(energy, scratch, out=energy)
-        np.add(charged, power, out=charged)
-        np.subtract(gap, power, out=surplus_t[hour])
-        # Discharge on deficit: mirror image (surplus lanes clip to +0.0).
-        req = req_t[hour]
-        np.minimum(req, maxd, out=power)
-        np.subtract(energy, floor, out=limit)
-        np.multiply(limit, eta_d, out=limit)
-        np.minimum(power, limit, out=power)
-        np.maximum(power, 0.0, out=power)
-        np.divide(power, eta_d, out=scratch)
-        np.subtract(energy, scratch, out=energy)
-        np.add(discharged, power, out=discharged)
-        np.subtract(req, power, out=grid_t[hour])
-        if charge_t is not None:
-            charge_t[hour] = energy
-
-    # The serial loop only *writes* surplus on strict-surplus hours and
-    # grid import on strict-deficit hours; everything else stays +0.0.
-    # Masking on the hour-major planes (before transposing) spares a third
-    # full-plane transpose of the gap.
-    np.copyto(surplus_t, 0.0, where=~(gap_t > 0.0))
-    np.copyto(grid_t, 0.0, where=~(gap_t < 0.0))
-    # req_t and gap_t are dead past this point; their pages host the
-    # row-major outputs.
-    grid_block = req_t.reshape(n_rows, n_hours)
-    _transpose_into(grid_block, grid_t)
-    surplus_block = gap_t.reshape(n_rows, n_hours)
-    _transpose_into(surplus_block, surplus_t)
-    return BatteryRunBatch(
-        grid_block,
-        surplus_block,
-        charge_t,
-        charged,
-        discharged,
+    return combined_run_batch(
+        demand,
+        supply,
+        capacity_mwh=capacity_mwh,
+        floor_mwh=floor_mwh,
+        max_charge_mw=max_charge_mw,
+        max_discharge_mw=max_discharge_mw,
+        charge_efficiency=charge_efficiency,
+        discharge_efficiency=discharge_efficiency,
+        initial_energy_mwh=initial_energy_mwh,
+        capacity_mw=np.inf,
+        flexible_ratio=0.0,
+        deadline_hours=1,
+        row_sites=row_sites,
+        planes=planes,
     )
 
 
@@ -502,6 +376,9 @@ def combined_run_batch(
     cmw = _rows(capacity_mw, n_rows)
     fr = _rows(flexible_ratio, n_rows)
     fr_zero = fr == 0.0  # repro-lint: disable=RL005 — exact degenerate-case guard
+    # A zero ratio defers min(deficit, 0 * demand), never above the
+    # epsilon, so a block of such rows skips the deferral step outright.
+    can_defer = not bool(fr_zero.all())
     init = _rows(initial_energy_mwh, n_rows)
     any_battery = bool(hasb.any())
 
@@ -840,25 +717,26 @@ def combined_run_batch(
                 np.subtract(energy, scratch, out=energy)
                 np.add(discharged, power, out=discharged)
                 np.subtract(deficit, power, out=deficit)
-            np.multiply(fr, demand_h, out=deferred)
-            np.minimum(deficit, deferred, out=deferred)
-            np.greater(deferred, _EPSILON_MWH, out=defer_mask)
-            if defer_mask.any():
-                np.multiply(deferred, defer_mask, out=scratch)
-                np.add(scratch, 0.0, out=scratch)
-                np.subtract(load, scratch, out=load)
-                np.subtract(deficit, scratch, out=deficit)
-                np.add(queued_total, scratch, out=queued_total)
-                np.add(deferred_total, scratch, out=deferred_total)
-                np.add(events, defer_mask, out=events)
-                # This slot was the due slot last hour, so it is empty now
-                # (drained and zeroed); the copyto installs this hour's
-                # deferrals as its only entries.
-                slot = (hour + dl) % ring_n
-                np.copyto(ring_amt[slot], scratch)
-                ndefer = int(np.count_nonzero(defer_mask))
-                occ[slot] = ndefer
-                ring_rows += ndefer
+            if can_defer:
+                np.multiply(fr, demand_h, out=deferred)
+                np.minimum(deficit, deferred, out=deferred)
+                np.greater(deferred, _EPSILON_MWH, out=defer_mask)
+                if defer_mask.any():
+                    np.multiply(deferred, defer_mask, out=scratch)
+                    np.add(scratch, 0.0, out=scratch)
+                    np.subtract(load, scratch, out=load)
+                    np.subtract(deficit, scratch, out=deficit)
+                    np.add(queued_total, scratch, out=queued_total)
+                    np.add(deferred_total, scratch, out=deferred_total)
+                    np.add(events, defer_mask, out=events)
+                    # This slot was the due slot last hour, so it is empty now
+                    # (drained and zeroed); the copyto installs this hour's
+                    # deferrals as its only entries.
+                    slot = (hour + dl) % ring_n
+                    np.copyto(ring_amt[slot], scratch)
+                    ndefer = int(np.count_nonzero(defer_mask))
+                    occ[slot] = ndefer
+                    ring_rows += ndefer
             np.logical_not(sup, out=flag)
             np.copyto(grid[:, hour], deficit, where=flag)
 
@@ -869,9 +747,9 @@ def combined_run_batch(
     if fr_zero.any():
         # The serial kernel's flexible_ratio == 0 delegations write their
         # grid column with np.maximum (never -0.0); the combined loop's
-        # python max keeps -0.0.  Normalize those rows to the delegate.
-        rows_z = np.flatnonzero(fr_zero)
-        grid[rows_z] = np.add(grid[rows_z], 0.0)
+        # python max keeps -0.0.  Normalize those rows to the delegate, in
+        # place: a gathered copy would cost two more (Z, H) planes.
+        np.add(grid, 0.0, out=grid, where=fr_zero[:, None])
     return CombinedRunBatch(
         grid, surplus, deferred_total, late, queued_total, charged,
         discharged, events, shifted, charge,

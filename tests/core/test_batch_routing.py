@@ -2,9 +2,11 @@
 
 Under the default floors (no ``REPRO_BATCH_MIN_ROWS``) battery blocks
 never batch: every row runs the seeded serial kernel.
-Combined blocks batch from 160 rows.  Whichever way a block is routed,
-its evaluations must equal the per-design loop bit for bit; the counters
-prove which path ran.
+Combined blocks batch from 160 rows.  When ``REPRO_BATCH_MIN_ROWS`` sets
+a battery floor, battery blocks take the combined blocks' lockstep
+route: one kernel call per hour count across sites, and merged serial
+rounds.  Whichever way a block is routed, its evaluations must equal the
+per-design loop bit for bit; the counters prove which path ran.
 """
 
 from __future__ import annotations
@@ -17,11 +19,22 @@ from repro.core import evaluate as evaluate_module
 from repro.core.design import DesignSpace, Strategy
 from repro.core.engine import sweep_chunk_size
 from repro.core.evaluate import (
+    build_site_context,
     evaluate_block,
     evaluate_block_sites,
     evaluate_design,
 )
-from repro.obs import disable_metrics, enable_metrics, get_registry, reset_metrics
+from repro.obs import (
+    SweepEvents,
+    disable_metrics,
+    disable_tracing,
+    enable_metrics,
+    enable_tracing,
+    get_registry,
+    reset_metrics,
+    reset_tracing,
+    trace_roots,
+)
 
 #: 4 x 4 investments x 5 batteries: 80 battery rows, 160 combined rows.
 SPACE = DesignSpace(
@@ -91,6 +104,159 @@ class TestBatteryBlocks:
         assert counters.counter_value("designs_batched") == 10
         assert counters.counter_value("battery_runs_seeded") == 0
         assert block == per_design(ut_context, designs, Strategy.RENEWABLES_BATTERY)
+
+
+@pytest.fixture()
+def battery_kernel_calls(monkeypatch):
+    """Record ``(demand shape, supply shape, row_sites)`` per battery call."""
+    calls = []
+    kernel = evaluate_module.battery_run_batch
+
+    def spy(demand, supply, **kwargs):
+        row_sites = kwargs.get("row_sites")
+        if row_sites is not None:
+            row_sites = row_sites.tolist()
+        calls.append((demand.shape, supply.shape, row_sites))
+        return kernel(demand, supply, **kwargs)
+
+    monkeypatch.setattr(evaluate_module, "battery_run_batch", spy)
+    return calls
+
+
+class TestForcedBatteryMerge:
+    """Under a forced floor, battery blocks share one lockstep call per
+    hour count, exactly as combined blocks do."""
+
+    #: Ten rows spread over the grid: every battery size, zero included.
+    DESIGNS = list(SPACE.points(Strategy.RENEWABLES_BATTERY))[::8]
+
+    def test_two_sites_make_one_site_indexed_call(
+        self, ut_context, or_context, counters, battery_kernel_calls, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1")
+        blocks = [(ut_context, self.DESIGNS), (or_context, self.DESIGNS[:4])]
+        merged = evaluate_block_sites(blocks, Strategy.RENEWABLES_BATTERY)
+        n_hours = ut_context.demand.power.calendar.n_hours
+        assert battery_kernel_calls == [
+            ((2, n_hours), (14, n_hours), [0] * 10 + [1] * 4)
+        ]
+        assert counters.counter_value("designs_batched") == 14
+        assert counters.counter_value("battery_runs_seeded") == 0
+        for (context, designs), evaluations in zip(blocks, merged):
+            assert evaluations == per_design(
+                context, designs, Strategy.RENEWABLES_BATTERY
+            )
+
+    def test_one_site_passes_its_1d_demand(
+        self, ut_context, counters, battery_kernel_calls, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1")
+        (block,) = evaluate_block_sites(
+            [(ut_context, self.DESIGNS)], Strategy.RENEWABLES_BATTERY
+        )
+        n_hours = ut_context.demand.power.calendar.n_hours
+        assert battery_kernel_calls == [((n_hours,), (10, n_hours), None)]
+        assert block == per_design(
+            ut_context, self.DESIGNS, Strategy.RENEWABLES_BATTERY
+        )
+
+    def test_mixed_years_split_by_hour_count(
+        self, ut_context, or_context, counters, battery_kernel_calls, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1")
+        ut_2021 = build_site_context("UT", year=2021)
+        blocks = [
+            (ut_context, self.DESIGNS[:3]),
+            (ut_2021, self.DESIGNS[:5]),
+            (or_context, self.DESIGNS[:2]),
+        ]
+        merged = evaluate_block_sites(blocks, Strategy.RENEWABLES_BATTERY)
+        assert battery_kernel_calls == [
+            ((2, 8784), (5, 8784), [0, 0, 0, 1, 1]),
+            ((8760,), (5, 8760), None),
+        ]
+        assert counters.counter_value("designs_batched") == 10
+        for (context, designs), evaluations in zip(blocks, merged):
+            assert evaluations == per_design(
+                context, designs, Strategy.RENEWABLES_BATTERY
+            )
+
+
+class TestSerialBatteryRounds:
+    """Two sites x two 40-row chunks: two serial rounds of two chunks."""
+
+    @pytest.fixture()
+    def traced(self):
+        reset_tracing()
+        enable_tracing()
+        yield
+        disable_tracing()
+        reset_tracing()
+
+    @staticmethod
+    def run_rounds(ut_context, or_context, monkeypatch):
+        """Dispatch serially; return the evaluate/commit log and span names."""
+        assert sweep_chunk_size(80, 40) == 40
+        log = []
+
+        def spy(name, evaluator):
+            def traced_call(*args, **kwargs):
+                log.append(name)
+                return evaluator(*args, **kwargs)
+
+            return traced_call
+
+        for name in ("evaluate_block", "evaluate_block_sites"):
+            monkeypatch.setattr(
+                engine_module, name, spy(name, getattr(engine_module, name))
+            )
+        def on_event(event):
+            if event.kind == "chunk_completed":
+                log.append("commit")
+
+        bus = SweepEvents()
+        bus.subscribe(on_event)
+        engine = SweepEngine(
+            [("UT", ut_context, SPACE), ("OR", or_context, SPACE)],
+            Strategy.RENEWABLES_BATTERY,
+            batch_size=40,
+            events=bus,
+        )
+        try:
+            engine.setup()
+            engine.dispatch()
+        finally:
+            engine.cleanup()
+        names = []
+        stack = list(trace_roots())
+        while stack:
+            node = stack.pop()
+            names.append(node.name)
+            stack.extend(node.children)
+        for state in engine.states:
+            assert state.results == per_design(
+                state.context, state.designs, Strategy.RENEWABLES_BATTERY
+            )
+        return log, names
+
+    def test_no_floor_commits_one_chunk_at_a_time(
+        self, ut_context, or_context, counters, traced, monkeypatch
+    ):
+        log, names = self.run_rounds(ut_context, or_context, monkeypatch)
+        assert log == ["evaluate_block", "commit"] * 4
+        assert names.count("evaluate_chunk") == 4
+        assert "evaluate_round" not in names
+        assert counters.counter_value("designs_batched") == 0
+
+    def test_forced_floor_merges_each_round(
+        self, ut_context, or_context, counters, traced, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", "1")
+        log, names = self.run_rounds(ut_context, or_context, monkeypatch)
+        assert log == ["evaluate_block_sites", "commit", "commit"] * 2
+        assert names.count("evaluate_round") == 2
+        assert "evaluate_chunk" not in names
+        assert counters.counter_value("designs_batched") == 160
 
 
 class TestCombinedFloor:

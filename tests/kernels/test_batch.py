@@ -3,18 +3,23 @@
 The contract of :mod:`repro.kernels.batch` is *bitwise* equivalence: for
 any block of designs, slicing row ``i`` out of a batch result must equal
 running the serial kernel on row ``i`` alone — not approximately, to the
-last ulp.  Every comparison here is exact (``np.array_equal``, ``==``);
+last ulp.  Every comparison here is exact (``np.array_equal``, ``==``),
+and the sign-of-zero properties compare IEEE-754 bit patterns
+(:func:`assert_bits_equal`), which also tell ``-0.0`` from ``+0.0``;
 :mod:`tests.kernels.test_equivalence` ties the serial kernels to the
 original object loops, so these tests transitively pin the batch kernels
 to the pre-kernel semantics.
 
+``battery_run_batch`` is ``combined_run_batch`` at flexible ratio 0, so
+its cases pin the combined kernel's no-deferral lanes to ``battery_run``.
+
 Covered edges: ``D = 1`` blocks, zero-capacity rows mixed into live
 blocks, per-row ``(D, H)`` demand and ``(S, H)`` site traces with a
-row->site index (the fleet-merge layouts), full leap and non-leap years,
-a soak over a full deadline ring, the output-plane opt-outs
-(``charge_plane=False``, ``planes=False``), NaN-freedom, and the surplus-soak
-hazard replay helper against an independent reimplementation of the
-serial FIFO walk.
+row->site index (the fleet-merge layouts), hours where supply equals
+demand exactly (where ``-0.0`` arises), full leap and non-leap years,
+a soak over a full deadline ring, the ``planes=False`` output-plane
+opt-out, NaN-freedom, and the surplus-soak hazard replay helper against
+an independent reimplementation of the serial FIFO walk.
 """
 
 from __future__ import annotations
@@ -109,6 +114,36 @@ def assert_finite(*arrays):
         assert np.isfinite(array).all()
 
 
+def assert_bits_equal(actual, expected):
+    """Exact equality that also tells ``-0.0`` from ``+0.0``.
+
+    ``np.array_equal`` and ``==`` treat the two zeros as equal, so they
+    cannot see the module's sign-of-zero contract; the IEEE-754 bit
+    patterns can.
+    """
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def tied_traces(seed, n_sites, row_sites):
+    """``(S, H)`` site traces and a ``(D, H)`` supply block in which about
+    a third of each row's hours equal its site's demand exactly: a zero
+    gap is where the lockstep loops meet ``-0.0``."""
+    rng = np.random.default_rng(seed)
+    traces = rng.uniform(0.0, 20.0, (n_sites, N_HOURS))
+    supply = rng.uniform(0.0, 40.0, (len(row_sites), N_HOURS))
+    ties = rng.random(supply.shape) < 1.0 / 3.0
+    supply[ties] = traces[row_sites][ties]
+    return traces, supply
+
+
+#: A block of 1-4 rows behind a zero-capacity row (the renewables-only
+#: delegation, whose grid plane the kernel normalizes).
+ZERO_LED_ROWS = ROWS.map(lambda rows: [(BatterySpec(0.0), 1.0, 0.0, 1.5)] + rows)
+
+
 # ---------------------------------------------------------------------------
 # Battery kernel
 # ---------------------------------------------------------------------------
@@ -179,12 +214,43 @@ class TestBatteryBatch:
         demand, supply = make_traces(3, 2)
         kwargs = battery_kwargs(BatterySpec(5.0), 1.0)
         full = battery_run_batch(demand, supply, **kwargs)
-        slim = battery_run_batch(demand, supply, charge_plane=False, **kwargs)
+        slim = battery_run_batch(demand, supply, planes=False, **kwargs)
         assert np.array_equal(slim.grid_import, full.grid_import)
         assert np.array_equal(slim.surplus, full.surplus)
         assert np.array_equal(slim.charged_mwh, full.charged_mwh)
-        with pytest.raises(AttributeError, match="charge_plane"):
+        with pytest.raises(AttributeError, match="planes=False"):
             slim.charge_level
+
+
+    @settings(deadline=None, max_examples=40)
+    @given(rows=ZERO_LED_ROWS, seed=SEEDS, data=st.data())
+    def test_site_index_form_bitwise_equal_serial_kernel(self, rows, seed, data):
+        """(S, H) site traces + a row->site index, compared bit for bit
+        (sign of zero included) with the serial kernel per row."""
+        n_sites = data.draw(st.integers(min_value=1, max_value=3))
+        row_sites = np.array(
+            data.draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=n_sites - 1),
+                    min_size=len(rows),
+                    max_size=len(rows),
+                )
+            )
+        )
+        traces, supply = tied_traces(seed, n_sites, row_sites)
+        batch = battery_run_batch(
+            traces, supply, row_sites=row_sites, **battery_columns(rows)
+        )
+        for i, (spec, soc, _, _) in enumerate(rows):
+            ref = battery_run(
+                traces[row_sites[i]], supply[i], **battery_kwargs(spec, soc)
+            )
+            assert_bits_equal(batch.grid_import[i], ref.grid_import)
+            assert_bits_equal(batch.surplus[i], ref.surplus)
+            assert_bits_equal(batch.charge_level[i], ref.charge_level)
+            assert_bits_equal(batch.charged_mwh[i], ref.charged_mwh)
+            assert_bits_equal(batch.discharged_mwh[i], ref.discharged_mwh)
+        assert not batch.deferral_events.any()
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +478,40 @@ class TestCombinedBatch:
             assert indexed.unserved_mwh[i] == ref.unserved_mwh
             assert indexed.discharged_mwh[i] == ref.discharged_mwh
             assert indexed.deferral_events[i] == ref.deferral_events
+
+    @settings(deadline=None, max_examples=40)
+    @given(rows=ZERO_LED_ROWS, seed=SEEDS)
+    def test_all_zero_ratio_block_bitwise_equal_serial_kernel(self, rows, seed):
+        """A block with no flexible work (the deferral step never runs),
+        compared bit for bit (sign of zero included) with the serial
+        kernel's delegations to ``battery_run`` / ``renewables_only_run``."""
+        traces, supply = tied_traces(seed, 1, np.zeros(len(rows), dtype=int))
+        demand = traces[0]
+        capacity = np.array([float(demand.max()) * cap for *_, cap in rows])
+        batch = combined_run_batch(
+            demand,
+            supply,
+            capacity_mw=capacity,
+            flexible_ratio=0.0,
+            deadline_hours=24,
+            **battery_columns(rows),
+        )
+        for i, (spec, soc, _, _) in enumerate(rows):
+            ref = combined_run(
+                demand,
+                supply[i],
+                capacity_mw=float(capacity[i]),
+                flexible_ratio=0.0,
+                deadline_hours=24,
+                **battery_kwargs(spec, soc),
+            )
+            for field in (
+                "shifted_demand", "grid_import", "surplus", "charge_level",
+                "deferred_mwh", "late_mwh", "unserved_mwh", "charged_mwh",
+                "discharged_mwh",
+            ):
+                assert_bits_equal(getattr(batch, field)[i], getattr(ref, field))
+            assert batch.deferral_events[i] == ref.deferral_events
 
     def test_soak_with_a_full_ring(self):
         """23 deficit hours fill every not-yet-due ring slot before each
