@@ -45,8 +45,8 @@ addresses sites).
 domain, ``--deadline SECONDS`` bounds the fleet's wall clock (unfinished
 sites report ``deadline_exceeded`` with partial results), and
 ``--stream`` prints frontier/quarantine/deadline events live as JSON
-lines.  A Ctrl-C prints the partial rank table for the sites that
-finished before exiting 130.
+lines, from a subscriber of the sweep's event bus.  A Ctrl-C prints the
+partial rank table for the sites that finished before exiting 130.
 
 Every command prints a plain-text table and exits 0 on success; argument
 errors exit 2 (argparse) and domain errors exit 1 with a message on
@@ -62,7 +62,6 @@ import json
 import math
 import os
 import sys
-import threading
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from .battery import BatterySpec
@@ -72,7 +71,6 @@ from .core import (
     FleetInterrupted,
     SiteSweep,
     Strategy,
-    prepare_fleet,
     sweep_fleet,
 )
 from .core.optimizer import optimize_all_strategies, strategy_checkpoint_path
@@ -474,9 +472,10 @@ def cmd_optimize(args: argparse.Namespace) -> None:
     )
 
 
-#: Event kinds ``rank --stream`` narrates.  ``chunk_completed`` is left
-#: out deliberately — hundreds of lines of chunk bookkeeping would bury
-#: the frontier improvements the stream exists to surface.
+#: Event kinds ``rank --stream`` narrates: tens of lines per site.
+#: ``chunk_completed`` is left out deliberately — hundreds of lines of
+#: chunk bookkeeping would bury the frontier improvements the stream
+#: exists to surface.
 _STREAMED_KINDS = frozenset(
     {
         "sweep_started",
@@ -494,8 +493,11 @@ _STREAMED_KINDS = frozenset(
 def _stream_printer(event) -> None:
     """Print one bus event as a greppable, JSON-payload stream line.
 
-    The payload is emitted as JSON (full float precision), so a consumer
-    can reconstruct per-site frontiers from the ``frontier_updated``
+    A bus subscriber, like ``--events-out``'s JSONL sink: it runs
+    synchronously in the sweep's dispatch thread as each event fires, so
+    every stream line lands before the rank table prints.  The payload
+    is emitted as JSON (full float precision), so a consumer can
+    reconstruct per-site frontiers from the ``frontier_updated``
     lines and diff them against the final table — the fleet-chaos CI
     smoke does exactly that.
     """
@@ -579,56 +581,25 @@ def cmd_rank(args: argparse.Namespace) -> Optional[int]:
         fleet_sites.append((state, explorer.context, space))
 
     bus = args.events_bus
+    if args.stream:
+        if bus is None:
+            bus = SweepEvents()
+        bus.subscribe(_stream_printer)
     try:
-        if args.stream:
-            # Streaming consumes the engine's results() iterator on a
-            # printer thread (the push-subscriber path stays available to
-            # other consumers, e.g. --events-out).  The iterator ends by
-            # itself when the sweep finishes — including on interrupts —
-            # so the join below never hangs.
-            if bus is None:
-                bus = SweepEvents()
-            handle = prepare_fleet(
-                fleet_sites,
-                strategy,
-                workers=args.workers,
-                deadline_s=args.deadline,
-                max_retries=args.max_retries,
-                chunk_timeout=args.chunk_timeout,
-                checkpoint=args.checkpoint,
-                resume=args.resume,
-                faults=faults,
-                shm=not args.no_shm,
-                events=bus,
-                batch_size=args.batch_size,
-                steal=not args.no_steal,
-            )
-            printer = threading.Thread(
-                target=lambda: [_stream_printer(e) for e in handle.results()],
-                name="rank-stream-printer",
-            )
-            printer.start()
-            try:
-                fleet = handle.run()
-            finally:
-                # All stream lines land before the rank table prints.
-                printer.join()
-        else:
-            fleet = sweep_fleet(
-                fleet_sites,
-                strategy,
-                workers=args.workers,
-                deadline_s=args.deadline,
-                max_retries=args.max_retries,
-                chunk_timeout=args.chunk_timeout,
-                checkpoint=args.checkpoint,
-                resume=args.resume,
-                faults=faults,
-                shm=not args.no_shm,
-                events=bus,
-                batch_size=args.batch_size,
-                steal=not args.no_steal,
-            )
+        fleet = sweep_fleet(
+            fleet_sites,
+            strategy,
+            workers=args.workers,
+            deadline_s=args.deadline,
+            max_retries=args.max_retries,
+            chunk_timeout=args.chunk_timeout,
+            checkpoint=args.checkpoint,
+            resume=args.resume,
+            faults=faults,
+            shm=not args.no_shm,
+            events=bus,
+            batch_size=args.batch_size,
+        )
     except FleetInterrupted as interrupted:  # repro-lint: disable=RL006 — process boundary: partial table + exit code 130
         _print_rank_table(strategy, explorers, interrupted.completed, partial=True)
         hint = (
@@ -719,10 +690,15 @@ def cmd_stats(args: argparse.Namespace) -> None:
         ticker = ProgressTicker()
         resilience = _resilience_kwargs(args)
         resilience["checkpoint"] = args.checkpoint
-        results = optimize_all_strategies(
-            explorer.context, space, progress=ticker, workers=args.workers, **resilience
-        )
-        ticker.close()
+        if resilience["events"] is None:
+            resilience["events"] = SweepEvents()
+        resilience["events"].subscribe(ticker)
+        try:
+            results = optimize_all_strategies(
+                explorer.context, space, workers=args.workers, **resilience
+            )
+        finally:
+            ticker.close()
         rows = [
             (
                 strategy.value,
@@ -893,8 +869,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stream",
         action="store_true",
-        help="print frontier/quarantine/deadline events live as "
-        "'stream <kind> <json>' lines while the fleet sweeps",
+        help="print every sweep event except chunk_completed (frontier, "
+        "quarantine, steal, deadline, ...) live as 'stream <kind> <json>' "
+        "lines while the fleet sweeps",
     )
     p.add_argument(
         "--deadline",
@@ -903,13 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="global wall-clock budget for the whole fleet; unfinished "
         "sites are reported as deadline_exceeded with partial results",
-    )
-    p.add_argument(
-        "--no-steal",
-        action="store_true",
-        help="disable cross-site work stealing (a drained site's in-flight "
-        "capacity is then NOT re-granted to the largest remaining grid; "
-        "results are bitwise-identical either way)",
     )
     _add_workers_argument(p)
     _add_resilience_arguments(p)

@@ -29,12 +29,10 @@ from .explorer import CarbonExplorer
 from .fleet import (
     FleetInterrupted,
     FleetResult,
-    FleetSweep,
     OptimizationResult,
     SiteStatus,
     SiteSweep,
     fleet_checkpoint_path,
-    prepare_fleet,
     sweep_fleet,
 )
 from .optimizer import (
@@ -93,11 +91,9 @@ __all__ = [
     "sweep_chunk_size",
     "FleetInterrupted",
     "FleetResult",
-    "FleetSweep",
     "SiteStatus",
     "SiteSweep",
     "fleet_checkpoint_path",
-    "prepare_fleet",
     "sweep_fleet",
     "OptimizationResult",
     "optimize",

@@ -28,13 +28,11 @@ site, :func:`repro.core.fleet.sweep_fleet` for many -- runs through
   its capacity is re-granted to the site with the largest remaining
   grid, so one huge site cannot serialize behind its fair share once
   the small sites finish.
-* **Streaming results** — :meth:`SweepEngine.results` is a blocking
-  iterator over the engine's event bus that ends when the sweep does,
-  without closing the bus (buses are shared across sweeps).
 
-Progress is reported once per committed chunk, and the engine is the
-only place a sweep's ``sweep_started`` / ``sweep_finished`` events are
-emitted.
+Each committed chunk is reported once, as a ``chunk_completed`` event
+on the sweep's bus (progress tickers and streams are subscribers), and
+the engine is the only place a sweep's ``sweep_started`` /
+``sweep_finished`` events are emitted.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import threading
 import time
 from collections import deque
 from concurrent.futures import (
@@ -59,7 +56,6 @@ from typing import (
     Deque,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -70,7 +66,6 @@ from typing import (
 )
 
 from ..obs import (
-    ProgressCallback,
     SweepEvents,
     export_spans,
     get_logger,
@@ -85,7 +80,6 @@ from ..obs import (
     span,
     tracing_enabled,
 )
-from ..obs.events import SweepEvent
 from ..resilience import (
     AdaptiveChunkTimeout,
     CheckpointJournal,
@@ -435,15 +429,12 @@ class SweepEngine:
     policy over it, and :func:`~repro.core.optimize` is a one-site
     fleet.  Every sweep gets round-robin site interleaving, per-site
     fault domains with quarantine, EWMA-adaptive stall budgets, deadline
-    budgets, per-chunk progress, and per-site terminal events.
+    budgets, per-chunk events, and per-site terminal events.
 
     Lifecycle: construct, :meth:`setup` (journals, resume, chunk queues,
     shared segments), :meth:`dispatch` (serial or pooled, plus the
     serial drain), :meth:`cleanup` (always — pool shutdown, segment
-    unlink, journal close).  :meth:`results` streams the engine's event
-    bus and ends when :meth:`cleanup` runs, so a consumer on another
-    thread (or wrapped in ``asyncio.to_thread``) sees every event of
-    exactly this sweep.
+    unlink, journal close).
 
     Construction of :class:`~concurrent.futures.ProcessPoolExecutor`
     and shared-memory segments is legal *only* here and in
@@ -467,8 +458,6 @@ class SweepEngine:
         shm: bool = True,
         events: Optional[SweepEvents] = None,
         batch_size: Optional[int] = None,
-        progress: Optional[ProgressCallback] = None,
-        steal: bool = True,
     ) -> None:
         self.strategy = strategy
         self.workers = workers
@@ -487,8 +476,6 @@ class SweepEngine:
         batch_min_rows_override()
         if workers > 1:
             _mp_context()
-        self.progress = progress
-        self.steal = steal
         self.states: List[SiteRun] = [
             SiteRun(key, context, space, strategy) for key, context, space in sites
         ]
@@ -497,10 +484,8 @@ class SweepEngine:
         self._deadline_at = (
             None if deadline_s is None else time.monotonic() + deadline_s
         )
-        self._done_points = 0
         self._payloads: Dict[str, _ContextPayload] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._finished = threading.Event()
         self.use_pool = False
 
     # ------------------------------------------------------------------
@@ -508,25 +493,9 @@ class SweepEngine:
     # ------------------------------------------------------------------
 
     @property
-    def done_points(self) -> int:
-        """Committed grid points so far, resumed ones included."""
-        return self._done_points
-
-    @property
     def fleet_total(self) -> int:
         """Grid points across every site of the sweep."""
         return self._fleet_total
-
-    def results(self) -> Iterator[SweepEvent]:
-        """A blocking iterator over this sweep's events, ending with it.
-
-        Yields every event already on the bus, then new ones as they are
-        emitted; ends once :meth:`cleanup` has run and the backlog is
-        drained — without closing the bus, which may narrate further
-        sweeps.  Consume from another thread while :meth:`dispatch`
-        runs (``asyncio`` callers: ``asyncio.to_thread`` the iteration).
-        """
-        return self.events.stream(stop=self._finished)
 
     def setup(self) -> None:
         """Journals, resume splicing, chunk queues, shared segments."""
@@ -551,7 +520,6 @@ class SweepEngine:
                         skipped = sum(len(e) for e in restored.values())
                         inc("checkpoint_chunks_skipped", len(restored))
                         inc("checkpoint_designs_skipped", skipped)
-                        self._done_points += skipped
                 state.journal = CheckpointJournal(
                     path,
                     JournalHeader(
@@ -583,9 +551,6 @@ class SweepEngine:
             if state.n_chunks == 0:
                 # Fully restored from its journal: nothing left to sweep.
                 self._finalize(state, SiteStatus.COMPLETE)
-
-        if self.progress is not None and self._done_points:
-            self.progress(self._done_points, self._fleet_total, self.strategy.value)
 
         # A pool only pays off with more than one chunk to spread over it.
         self.use_pool = (
@@ -626,8 +591,7 @@ class SweepEngine:
 
         Runs on completion, exceptions, and interrupts alike: shuts the
         pool down without waiting (a wedged worker must not block the
-        caller), unlinks every shared segment, closes every journal, and
-        releases :meth:`results` iterators.
+        caller), unlinks every shared segment, and closes every journal.
         """
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
@@ -641,7 +605,6 @@ class SweepEngine:
             remaining = self._remaining_s()
             if remaining is not None:
                 set_gauge("fleet_deadline_remaining_s", remaining)
-        self._finished.set()
 
     # ------------------------------------------------------------------
     # Shared plumbing
@@ -667,7 +630,7 @@ class SweepEngine:
         telemetry: Optional[Dict[str, Any]],
         serial: bool = False,
     ) -> None:
-        """Write one completed chunk back: results, journal, events, progress.
+        """Write one completed chunk back: results, journal, events.
 
         Idempotent per ordinal — a stalled chunk that lands after its
         retry already committed is dropped, so the journal never holds a
@@ -687,7 +650,6 @@ class SweepEngine:
         if state.journal is not None:
             state.journal.append_chunk(start, evaluations)
             inc("checkpoint_chunks_written")
-        self._done_points += len(evaluations)
         self._emit(
             "chunk_completed",
             site=state.key,
@@ -706,8 +668,6 @@ class SweepEngine:
                 coverage=chunk_best.coverage,
                 design=chunk_best.design.describe(),
             )
-        if self.progress is not None:
-            self.progress(self._done_points, self._fleet_total, self.strategy.value)
         if len(state.committed) == state.n_chunks:
             self._finalize(
                 state,
@@ -1053,7 +1013,7 @@ class SweepEngine:
                 self._close_deadline([s for s in self.states if s.active])
                 break
 
-            if self.steal and len(self.states) > 1:
+            if len(self.states) > 1:
                 self._steal_capacity(grants, inflight)
 
             # Top up: interleave sites round-robin so none starves.

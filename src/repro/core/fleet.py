@@ -20,12 +20,12 @@ one-site fleet whose finished :class:`SiteSweep` is unwrapped into the
   lap reaches the batch floor
   (:func:`~repro.core.evaluate.evaluate_block_sites`); other strategies
   evaluate one chunk at a time.  Commits stay per chunk, in lap order.
-* **Cross-site work stealing** (``steal=True``, the default) — when a
+* **Cross-site work stealing** (always on in pooled sweeps) — when a
   site's queue drains, its share of the in-flight budget is re-granted
   to the site with the largest remaining grid, so one oversized site
   cannot serialize behind its fair share once the small sites finish.
   Stealing moves *capacity*, never chunks, so per-site results stay
-  bitwise-identical with it on or off.
+  bitwise-identical to the serial sweep.
 * **Per-site fault domains** — a failed chunk is requeued at the tail of
   its site's queue (the shared pool keeps serving other chunks in the
   meantime, so no backoff window is needed).  A site whose segment
@@ -46,10 +46,9 @@ one-site fleet whose finished :class:`SiteSweep` is unwrapped into the
   :class:`repro.obs.SweepEvents` bus (``sweep_started`` /
   ``chunk_completed`` / ``frontier_updated`` / ``capacity_stolen`` /
   ``site_quarantined`` / ``sweep_degraded`` / ``deadline_exceeded`` /
-  ``sweep_finished``).  :func:`prepare_fleet` returns a handle whose
-  ``results()`` iterator streams those events and ends with the sweep —
-  what ``repro rank --stream`` consumes — while push subscribers keep
-  working as before.
+  ``sweep_finished``), each event emitted once from the engine's commit
+  point.  Every consumer — a JSONL sink, the CLI's progress ticker,
+  ``repro rank --stream`` — is a subscriber of that bus.
 
 Chunk boundaries come from the pure
 :func:`~repro.core.engine.sweep_chunk_size` function, and per-site
@@ -63,13 +62,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from ..obs import ProgressCallback, SweepEvents, get_logger, span
-from ..obs.events import SweepEvent
+from ..obs import SweepEvents, get_logger, span
 from ..resilience import AdaptiveChunkTimeout, FleetFaultPlan
 from ..resilience.checkpoint import PathLike, sweep_journal_path
-from .design import DesignSpace, Strategy
+from .design import Strategy
 from .engine import EngineSite, SiteRun, SiteStatus, SweepEngine
 from .evaluate import DesignEvaluation
 from .pareto import pareto_frontier
@@ -188,8 +186,9 @@ class FleetInterrupted(KeyboardInterrupt):
     :class:`~repro.resilience.SweepInterrupted`) so generic ``except
     Exception`` handlers cannot swallow it.  ``completed`` carries every
     site that finished before the interrupt — the CLI prints the partial
-    rank table from it — and per-site journals (when checkpointing) hold
-    every committed chunk for ``--resume``.
+    rank table from it — ``done`` counts the grid points committed across
+    the fleet (resumed ones included), and per-site journals (when
+    checkpointing) hold every committed chunk for ``--resume``.
     """
 
     def __init__(
@@ -197,12 +196,14 @@ class FleetInterrupted(KeyboardInterrupt):
         completed: Tuple[SiteSweep, ...],
         pending: Tuple[str, ...],
         strategy: str,
+        done: int,
         checkpoint: Optional[str] = None,
     ) -> None:
         super().__init__()
         self.completed = completed
         self.pending = pending
         self.strategy = strategy
+        self.done = done
         self.checkpoint = checkpoint
 
     def __str__(self) -> str:
@@ -248,115 +249,7 @@ def _site_sweep(state: SiteRun, strategy: Strategy) -> SiteSweep:
     )
 
 
-class FleetSweep:
-    """A prepared fleet sweep: run it, and stream its results meanwhile.
-
-    Returned by :func:`prepare_fleet`.  :meth:`run` executes the sweep to
-    a :class:`FleetResult`; :meth:`results` is a blocking iterator over
-    the sweep's event bus that ends when the sweep does — consume it from
-    another thread (or via ``asyncio.to_thread``) while :meth:`run`
-    executes on this one, e.g.::
-
-        handle = prepare_fleet(sites, strategy, workers=4, events=bus)
-        thread = threading.Thread(
-            target=lambda: [print(e.kind) for e in handle.results()]
-        )
-        thread.start()
-        fleet = handle.run()
-        thread.join()
-
-    Push subscribers on the bus keep working unchanged; the iterator is
-    the callback-free way to consume frontiers as they improve.
-    """
-
-    def __init__(
-        self,
-        engine: SweepEngine,
-        strategy: Strategy,
-        deadline_s: Optional[float],
-        checkpoint: Optional[PathLike],
-    ) -> None:
-        self._engine = engine
-        self._strategy = strategy
-        self._deadline_s = deadline_s
-        self._checkpoint = checkpoint
-        self._started_s = time.monotonic()
-
-    @property
-    def events(self) -> SweepEvents:
-        """The bus this sweep narrates onto (engine-owned if none given)."""
-        return self._engine.events
-
-    @property
-    def done_points(self) -> int:
-        """Grid points committed so far across the fleet, resumed ones included."""
-        return self._engine.done_points
-
-    def results(self) -> Iterator[SweepEvent]:
-        """Stream the sweep's events; ends when the sweep finishes."""
-        return self._engine.results()
-
-    def run(self) -> FleetResult:
-        """Execute the sweep; always returns a (possibly partial) result.
-
-        Raises :class:`FleetInterrupted` on Ctrl-C, carrying every site
-        that finished before the interrupt.
-        """
-        engine = self._engine
-        strategy = self._strategy
-        interrupted = False
-        try:
-            engine.setup()
-            _log.info(
-                "fleet sweep start: sites=%d strategy=%s grid_points=%d "
-                "workers=%d deadline_s=%s",
-                len(engine.states),
-                strategy.value,
-                engine.fleet_total,
-                engine.workers,
-                self._deadline_s,
-            )
-            with span(
-                "sweep_fleet",
-                strategy=strategy.value,
-                n_sites=len(engine.states),
-                grid_points=engine.fleet_total,
-                workers=engine.workers,
-            ):
-                engine.dispatch()
-        except KeyboardInterrupt:
-            interrupted = True
-            raise FleetInterrupted(
-                completed=tuple(
-                    _site_sweep(state, strategy)
-                    for state in engine.states
-                    if state.status is not None
-                ),
-                pending=tuple(
-                    state.key for state in engine.states if state.status is None
-                ),
-                strategy=strategy.value,
-                checkpoint=(
-                    str(self._checkpoint) if self._checkpoint is not None else None
-                ),
-            ) from None
-        finally:
-            engine.cleanup(interrupted=interrupted)
-
-        elapsed_s = time.monotonic() - self._started_s
-        result = FleetResult(
-            strategy=strategy,
-            sites=tuple(_site_sweep(state, strategy) for state in engine.states),
-            deadline_s=self._deadline_s,
-            elapsed_s=elapsed_s,
-        )
-        _log.info(
-            "fleet sweep done in %.2fs: %s", elapsed_s, result.statuses()
-        )
-        return result
-
-
-def prepare_fleet(
+def sweep_fleet(
     sites: Sequence[FleetSite],
     strategy: Strategy,
     *,
@@ -364,8 +257,6 @@ def prepare_fleet(
     deadline_s: Optional[float] = None,
     max_retries: int = 2,
     chunk_timeout: Optional[float] = None,
-    timeout_multiplier: float = 8.0,
-    timeout_floor_s: float = 0.25,
     checkpoint: Optional[FleetCheckpoint] = None,
     resume: bool = False,
     faults: Optional[FleetFaultPlan] = None,
@@ -373,16 +264,47 @@ def prepare_fleet(
     shm: bool = True,
     events: Optional[SweepEvents] = None,
     batch_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    steal: bool = True,
-) -> FleetSweep:
-    """Validate a fleet sweep and build its engine, without running it.
+) -> FleetResult:
+    """Sweep every site of a fleet over one shared worker pool.
 
-    Returns a :class:`FleetSweep` handle: call :meth:`FleetSweep.run` to
-    execute (what :func:`sweep_fleet` does), and consume
-    :meth:`FleetSweep.results` from another thread to stream events
-    without registering callbacks.  All arguments match
-    :func:`sweep_fleet`.
+    Semantics (per-site fault domains, quarantine, deadline budgets,
+    adaptive stall detection, journals, events, work stealing) are
+    described in the module docstring; parameters mirror
+    :func:`~repro.core.optimizer.optimize` where they overlap:
+
+    * ``sites`` — ``(key, context, space)`` triples; keys must be unique.
+    * ``workers`` — pool size shared by the whole fleet; ``1`` sweeps
+      serially in-process (round-robin across sites, fault-free oracle).
+    * ``deadline_s`` — fleet-wide wall-clock budget; ``None`` is
+      unbounded.
+    * ``max_retries`` — re-submissions per failed chunk before its site
+      is quarantined.
+    * ``chunk_timeout`` — initial stall budget; an EWMA over observed
+      chunk durations (:class:`~repro.resilience.AdaptiveChunkTimeout`)
+      takes over as completions accrue.
+    * ``checkpoint`` — *base* journal path; each site journals to
+      ``<base>.<site lowercase>`` (same scheme as ``repro rank``).  A
+      mapping of site key → journal path names each journal exactly
+      (what :func:`~repro.core.optimizer.optimize` passes).
+    * ``faults`` — a :class:`~repro.resilience.FleetFaultPlan` (tests and
+      CI only); fires in pool workers only, and every site it names must
+      be a key of ``sites``.
+    * ``quarantine`` — ``"serial"`` finishes a quarantined site's chunks
+      serially in-parent (status ``degraded``); ``"fail"`` closes it out
+      immediately (status ``failed``).
+    * ``events`` — the :class:`~repro.obs.SweepEvents` bus the sweep
+      narrates onto; its subscribers (a JSONL sink, a progress ticker,
+      ``repro rank --stream``) run synchronously as each event fires.
+      ``None`` narrates onto a private bus.
+    * ``batch_size`` — widens each site's chunks to at least this many
+      grid points, and nothing else: every chunk and combined serial
+      lap goes through :func:`~repro.core.evaluate.evaluate_block_sites`, which
+      batches a block by its strategy and row count alone.  Results are
+      bitwise-identical at any value.
+
+    Returns a :class:`FleetResult` with per-site statuses and partial
+    frontiers; raises :class:`FleetInterrupted` on Ctrl-C, and
+    :class:`ValueError` on an invalid argument or an empty site grid.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -424,11 +346,7 @@ def prepare_fleet(
         workers=workers,
         deadline_s=deadline_s,
         max_retries=max_retries,
-        timeout=AdaptiveChunkTimeout(
-            initial_s=chunk_timeout,
-            multiplier=timeout_multiplier,
-            floor_s=timeout_floor_s,
-        ),
+        timeout=AdaptiveChunkTimeout(initial_s=chunk_timeout),
         checkpoints=checkpoints,
         resume=resume,
         faults=faults,
@@ -436,91 +354,58 @@ def prepare_fleet(
         shm=shm,
         events=events,
         batch_size=batch_size,
-        progress=progress,
-        steal=steal,
     )
     for state in engine.states:
         if state.total == 0:
             raise ValueError(
                 f"design space for site {state.key!r} produced no points"
             )
-    return FleetSweep(engine, strategy, deadline_s, base)
 
+    started_s = time.monotonic()
+    interrupted = False
+    try:
+        engine.setup()
+        _log.info(
+            "fleet sweep start: sites=%d strategy=%s grid_points=%d "
+            "workers=%d deadline_s=%s",
+            len(engine.states),
+            strategy.value,
+            engine.fleet_total,
+            workers,
+            deadline_s,
+        )
+        with span(
+            "sweep_fleet",
+            strategy=strategy.value,
+            n_sites=len(engine.states),
+            grid_points=engine.fleet_total,
+            workers=workers,
+        ):
+            engine.dispatch()
+    except KeyboardInterrupt:
+        interrupted = True
+        raise FleetInterrupted(
+            completed=tuple(
+                _site_sweep(state, strategy)
+                for state in engine.states
+                if state.status is not None
+            ),
+            pending=tuple(
+                state.key for state in engine.states if state.status is None
+            ),
+            strategy=strategy.value,
+            done=sum(state.done_points for state in engine.states),
+            checkpoint=str(base) if base is not None else None,
+        ) from None
+    finally:
+        engine.cleanup(interrupted=interrupted)
 
-def sweep_fleet(
-    sites: Sequence[FleetSite],
-    strategy: Strategy,
-    *,
-    workers: int = 1,
-    deadline_s: Optional[float] = None,
-    max_retries: int = 2,
-    chunk_timeout: Optional[float] = None,
-    timeout_multiplier: float = 8.0,
-    timeout_floor_s: float = 0.25,
-    checkpoint: Optional[FleetCheckpoint] = None,
-    resume: bool = False,
-    faults: Optional[FleetFaultPlan] = None,
-    quarantine: str = "serial",
-    shm: bool = True,
-    events: Optional[SweepEvents] = None,
-    batch_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    steal: bool = True,
-) -> FleetResult:
-    """Sweep every site of a fleet over one shared worker pool.
-
-    Semantics (per-site fault domains, quarantine, deadline budgets,
-    adaptive stall detection, journals, events, work stealing) are
-    described in the module docstring; parameters mirror
-    :func:`~repro.core.optimizer.optimize` where they overlap:
-
-    * ``sites`` — ``(key, context, space)`` triples; keys must be unique.
-    * ``workers`` — pool size shared by the whole fleet; ``1`` sweeps
-      serially in-process (round-robin across sites, fault-free oracle).
-    * ``deadline_s`` — fleet-wide wall-clock budget; ``None`` is
-      unbounded.
-    * ``max_retries`` — re-submissions per failed chunk before its site
-      is quarantined.
-    * ``chunk_timeout`` — initial stall budget; the EWMA over observed
-      chunk durations (scaled by ``timeout_multiplier``, floored at
-      ``timeout_floor_s``) takes over as completions accrue.
-    * ``checkpoint`` — *base* journal path; each site journals to
-      ``<base>.<site lowercase>`` (same scheme as ``repro rank``).  A
-      mapping of site key → journal path names each journal exactly
-      (what :func:`~repro.core.optimizer.optimize` passes).
-    * ``faults`` — a :class:`~repro.resilience.FleetFaultPlan` (tests and
-      CI only); fires in pool workers only, and every site it names must
-      be a key of ``sites``.
-    * ``quarantine`` — ``"serial"`` finishes a quarantined site's chunks
-      serially in-parent (status ``degraded``); ``"fail"`` closes it out
-      immediately (status ``failed``).
-    * ``steal`` — cross-site work stealing (default on); capacity moves,
-      chunks don't, so results are bitwise-identical either way.
-    * ``batch_size`` — widens each site's chunks to at least this many
-      grid points, and nothing else: every chunk and combined serial
-      lap goes through :func:`~repro.core.evaluate.evaluate_block_sites`, which
-      batches a block by its strategy and row count alone.  Results are
-      bitwise-identical at any value.
-
-    Returns a :class:`FleetResult` with per-site statuses and partial
-    frontiers; raises :class:`FleetInterrupted` on Ctrl-C.
-    """
-    return prepare_fleet(
-        sites,
-        strategy,
-        workers=workers,
+    elapsed_s = time.monotonic() - started_s
+    result = FleetResult(
+        strategy=strategy,
+        sites=tuple(_site_sweep(state, strategy) for state in engine.states),
         deadline_s=deadline_s,
-        max_retries=max_retries,
-        chunk_timeout=chunk_timeout,
-        timeout_multiplier=timeout_multiplier,
-        timeout_floor_s=timeout_floor_s,
-        checkpoint=checkpoint,
-        resume=resume,
-        faults=faults,
-        quarantine=quarantine,
-        shm=shm,
-        events=events,
-        batch_size=batch_size,
-        progress=progress,
-        steal=steal,
-    ).run()
+        elapsed_s=elapsed_s,
+    )
+    _log.info("fleet sweep done in %.2fs: %s", elapsed_s, result.statuses())
+    return result

@@ -21,8 +21,8 @@ skips the journaled grid indices after validating the journal's
 fingerprint against the exact sweep being run.
 
 This module is *policy*, not mechanism: :func:`optimize` runs a one-site
-:func:`repro.core.fleet.prepare_fleet` sweep and unwraps the finished
-site into an :class:`OptimizationResult`.  All pool, shared-memory,
+:func:`repro.core.fleet.sweep_fleet` and unwraps the finished site into
+an :class:`OptimizationResult`.  All pool, shared-memory,
 journal, and commit mechanics live in :mod:`repro.core.engine`.
 """
 
@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..obs import ProgressCallback, SweepEvents, get_logger, span
+from ..obs import SweepEvents, get_logger, span
 from ..resilience import FleetFaultPlan, SweepInterrupted
 from ..resilience.checkpoint import PathLike, sweep_journal_path
 from .design import DesignSpace, Strategy, default_design_space
 from .evaluate import SiteContext
-from .fleet import FleetInterrupted, OptimizationResult, prepare_fleet
+from .fleet import FleetInterrupted, OptimizationResult, sweep_fleet
 
 _log = get_logger("core.optimizer")
 
@@ -44,7 +44,6 @@ def optimize(
     context: SiteContext,
     space: DesignSpace,
     strategy: Strategy,
-    progress: Optional[ProgressCallback] = None,
     workers: int = 1,
     max_retries: int = 2,
     chunk_timeout: Optional[float] = None,
@@ -62,12 +61,6 @@ def optimize(
     there, and the finished site is returned as an
     :class:`OptimizationResult`.
 
-    ``progress``, when given, is called with ``(done, total,
-    strategy_name)`` once per committed chunk — ``done`` is a completed
-    *count*, not a grid position; see :class:`repro.obs.ProgressCallback`
-    for the exact semantics (resumed sweeps start at the checkpointed
-    count).
-
     ``events``, when given, receives the sweep's lifecycle on a
     :class:`repro.obs.SweepEvents` bus: ``sweep_started``, one
     ``chunk_completed`` per committed chunk (chunks restored from a
@@ -79,7 +72,9 @@ def optimize(
     and the site's status.  Grid chunking is a pure function of the grid
     size, so the ``chunk_completed`` count is identical serial vs.
     parallel; the bus is never closed here (callers may run several
-    sweeps over one bus).
+    sweeps over one bus).  Progress is a subscriber of that bus:
+    :class:`repro.obs.ProgressTicker` sums the ``chunk_completed``
+    counts, resumed ones included.
 
     Resilience (see :mod:`repro.resilience`):
 
@@ -132,20 +127,6 @@ def optimize(
         If the checkpoint belongs to a different site/seed/space/strategy.
     """
     site = context.site_state
-    handle = prepare_fleet(
-        [(site, context, space)],
-        strategy,
-        workers=workers,
-        max_retries=max_retries,
-        chunk_timeout=chunk_timeout,
-        checkpoint={site: checkpoint} if checkpoint is not None else None,
-        resume=resume,
-        faults=faults,
-        shm=shm,
-        events=events,
-        batch_size=batch_size,
-        progress=progress,
-    )
     total = space.size(strategy)
     _log.info(
         "sweep start: site=%s strategy=%s grid_points=%d workers=%d",
@@ -162,13 +143,25 @@ def optimize(
             grid_points=total,
             workers=workers,
         ):
-            fleet = handle.run()
-    except FleetInterrupted:
+            fleet = sweep_fleet(
+                [(site, context, space)],
+                strategy,
+                workers=workers,
+                max_retries=max_retries,
+                chunk_timeout=chunk_timeout,
+                checkpoint={site: checkpoint} if checkpoint is not None else None,
+                resume=resume,
+                faults=faults,
+                shm=shm,
+                events=events,
+                batch_size=batch_size,
+            )
+    except FleetInterrupted as interrupted:
         if checkpoint is None:
             raise KeyboardInterrupt from None
         raise SweepInterrupted(
             checkpoint=str(checkpoint),
-            done=handle.done_points,
+            done=interrupted.done,
             total=total,
             strategy=strategy.value,
         ) from None
@@ -187,7 +180,6 @@ def optimize(
 def optimize_all_strategies(
     context: SiteContext,
     space: Optional[DesignSpace] = None,
-    progress: Optional[ProgressCallback] = None,
     workers: int = 1,
     max_retries: int = 2,
     chunk_timeout: Optional[float] = None,
@@ -219,7 +211,6 @@ def optimize_all_strategies(
             context,
             space,
             strategy,
-            progress=progress,
             workers=workers,
             max_retries=max_retries,
             chunk_timeout=chunk_timeout,

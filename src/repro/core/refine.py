@@ -44,6 +44,23 @@ def _axis_neighbourhood(axis: Sequence[float], best: float, points: int) -> Tupl
     return tuple(low + step * i for i in range(points))
 
 
+def _zoom_space(space: DesignSpace, evaluation, points_per_axis: int) -> DesignSpace:
+    """``space`` shrunk to the grid neighbourhood of one evaluation."""
+    design = evaluation.design
+    return dataclasses.replace(
+        space,
+        solar_mw=_axis_neighbourhood(
+            space.solar_mw, design.investment.solar_mw, points_per_axis
+        ),
+        wind_mw=_axis_neighbourhood(
+            space.wind_mw, design.investment.wind_mw, points_per_axis
+        ),
+        battery_mwh=_axis_neighbourhood(
+            space.battery_mwh, design.battery_mwh, points_per_axis
+        ),
+    )
+
+
 @dataclass(frozen=True)
 class RefinementResult:
     """Outcome of coarse-to-fine optimization.
@@ -93,19 +110,7 @@ def refine_optimize(
     current_space = space
 
     for _ in range(n_rounds):
-        design = best.design
-        current_space = dataclasses.replace(
-            current_space,
-            solar_mw=_axis_neighbourhood(
-                current_space.solar_mw, design.investment.solar_mw, points_per_axis
-            ),
-            wind_mw=_axis_neighbourhood(
-                current_space.wind_mw, design.investment.wind_mw, points_per_axis
-            ),
-            battery_mwh=_axis_neighbourhood(
-                current_space.battery_mwh, design.battery_mwh, points_per_axis
-            ),
-        )
+        current_space = _zoom_space(current_space, best, points_per_axis)
         result = optimize(context, current_space, strategy)
         rounds.append(result)
         if result.best.total_tons < best.total_tons:
@@ -138,23 +143,6 @@ class FrontierRefinementResult:
     best: DesignEvaluation
     rounds: Tuple[OptimizationResult, ...]
     total_evaluations: int
-
-
-def _zoom_space(space: DesignSpace, evaluation, points_per_axis: int) -> DesignSpace:
-    """``space`` shrunk to the grid neighbourhood of one evaluation."""
-    design = evaluation.design
-    return dataclasses.replace(
-        space,
-        solar_mw=_axis_neighbourhood(
-            space.solar_mw, design.investment.solar_mw, points_per_axis
-        ),
-        wind_mw=_axis_neighbourhood(
-            space.wind_mw, design.investment.wind_mw, points_per_axis
-        ),
-        battery_mwh=_axis_neighbourhood(
-            space.battery_mwh, design.battery_mwh, points_per_axis
-        ),
-    )
 
 
 def refine_frontier(

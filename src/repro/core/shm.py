@@ -374,16 +374,6 @@ def attach_context(handle: SiteContextHandle) -> "SiteContext":
     return context
 
 
-def detach_all() -> None:
-    """Close every segment this process attached to (test hygiene)."""
-    while _attached:
-        _, segment = _attached.popitem()
-        try:
-            segment.close()  # type: ignore[attr-defined]
-        except Exception:  # pragma: no cover
-            pass
-
-
 def handle_pickle_bytes(payload: object) -> int:
     """Size of ``payload`` as the pool initializer would pickle it.
 

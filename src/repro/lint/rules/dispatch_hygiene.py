@@ -4,8 +4,8 @@
 feeds workers, collects results, advances deadlines, steals capacity.
 Liveness there is a *global* property — one unbounded ``.result()`` and
 a hung worker hangs the whole sweep instead of tripping the deadline
-logic; one stray ``print`` and worker-thread output interleaves with
-the progress surface.
+logic; one stray ``print`` and the loop's output interleaves with the
+event-bus subscribers' (the progress ticker, ``rank --stream``).
 
 This file rule finds every class named ``SweepEngine``, walks the
 intra-class call graph from ``dispatch`` through ``self.*`` calls, and

@@ -8,8 +8,8 @@ opts in.  Three independent facilities:
   exportable as a nested span tree or Chrome ``trace_event`` JSON;
 * :mod:`~repro.obs.metrics` — a process-wide registry of counters,
   gauges, and histograms with JSON snapshot and text rendering;
-* :mod:`~repro.obs.progress` — a progress-callback protocol plus the
-  CLI's stderr ticker;
+* :mod:`~repro.obs.progress` — the CLI's stderr progress ticker, a
+  subscriber of the sweep event bus;
 * :mod:`~repro.obs.log` — stdlib ``logging`` helpers for the ``repro.*``
   namespace (the library never installs handlers; applications call
   :func:`configure_logging`);
@@ -19,7 +19,7 @@ opts in.  Three independent facilities:
   (:class:`MetricsServer`), and the pure-python
   :func:`validate_exposition` checker;
 * :mod:`~repro.obs.events` — the :class:`SweepEvents` bus: typed,
-  ordered sweep lifecycle events with subscribe/stream APIs and a JSONL
+  ordered sweep lifecycle events with a subscribe API and a JSONL
   sink.
 
 See the "Observability" section of README.md for the CLI surface
@@ -71,7 +71,7 @@ from .metrics import (
     save_metrics,
     set_gauge,
 )
-from .progress import ProgressCallback, ProgressTicker, null_progress
+from .progress import ProgressTicker
 from .trace import (
     Span,
     TREE_FORMAT,
@@ -132,9 +132,7 @@ __all__ = [
     "reset_metrics",
     "save_metrics",
     "set_gauge",
-    "ProgressCallback",
     "ProgressTicker",
-    "null_progress",
     "Span",
     "TREE_FORMAT",
     "Tracer",

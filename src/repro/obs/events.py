@@ -25,7 +25,7 @@ Guarantees:
   grid size (see ``repro.core.optimizer``), so the ``chunk_completed``
   count for a given sweep is identical serial vs. parallel.
 
-Three consumption styles::
+Two consumption styles::
 
     bus = SweepEvents()
     unsubscribe = bus.subscribe(print)          # push: called per event
@@ -33,25 +33,24 @@ Three consumption styles::
     for event in bus.events():                  # batch: after the fact
         ...
 
+Every live consumer is a push subscriber, called synchronously in the
+thread that emits: the durable :class:`JsonlSink`, the CLI's
+:class:`~repro.obs.ProgressTicker`, and ``repro rank --stream``'s
+printer::
+
     with JsonlSink("events.jsonl") as sink:     # durable: JSONL file
         bus.subscribe(sink)
         optimize(..., events=bus)
-
-and a pull iterator for a consumer on another thread::
-
-    for event in bus.stream():                  # blocks; ends on close()
-        ...
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 from . import metric_names
 from .log import get_logger
@@ -108,7 +107,6 @@ class SweepEvents:
         self._seq = 0
         self._events: List[SweepEvent] = []
         self._subscribers: List[EventCallback] = []
-        self._streams: List["queue.Queue[Optional[SweepEvent]]"] = []
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -136,21 +134,15 @@ class SweepEvents:
             self._events.append(event)
             for callback in self._subscribers:
                 callback(event)
-            for stream in self._streams:
-                stream.put(event)
         return event
 
     def close(self) -> None:
-        """Mark the bus finished; wake and end every :meth:`stream` iterator.
+        """Mark the bus finished.
 
         Idempotent.  Further :meth:`emit` calls raise.
         """
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            for stream in self._streams:
-                stream.put(None)
 
     # ------------------------------------------------------------------
     # Consuming
@@ -178,59 +170,6 @@ class SweepEvents:
         for event in self.events():
             tally[event.kind] = tally.get(event.kind, 0) + 1
         return dict(sorted(tally.items()))
-
-    def stream(
-        self, stop: Optional[threading.Event] = None
-    ) -> Iterator[SweepEvent]:
-        """A blocking pull iterator over events as they are emitted.
-
-        Yields every event already on the bus, then blocks for new ones;
-        ends when :meth:`close` is called.  Each call gets an independent
-        cursor, so multiple consumers can stream concurrently.
-
-        ``stop`` bounds the iterator without closing the bus: once the
-        event is set, the iterator drains whatever was already emitted
-        and then ends.  This is how :meth:`repro.core.SweepEngine.results`
-        terminates per-sweep consumers on a long-lived, shared bus (which
-        must stay open for the next sweep).
-        """
-        stream: "queue.Queue[Optional[SweepEvent]]" = queue.Queue()
-        with self._lock:
-            backlog = list(self._events)
-            closed = self._closed
-            if not closed:
-                self._streams.append(stream)
-        for event in backlog:
-            yield event
-        if closed:
-            return
-        try:
-            while True:
-                if stop is None:
-                    event = stream.get()
-                else:
-                    try:
-                        event = stream.get(timeout=0.05)
-                    except queue.Empty:
-                        if not stop.is_set():
-                            continue
-                        # Stopped: drain events that raced the stop flag,
-                        # then end without waiting for close().
-                        while True:
-                            try:
-                                event = stream.get_nowait()
-                            except queue.Empty:
-                                return
-                            if event is None:
-                                return
-                            yield event
-                if event is None:
-                    return
-                yield event
-        finally:
-            with self._lock:
-                if stream in self._streams:
-                    self._streams.remove(stream)
 
     @property
     def closed(self) -> bool:

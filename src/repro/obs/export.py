@@ -74,13 +74,6 @@ def _escape_help(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the exposition format spec."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
 def _histogram_lines(name: str, stats: Dict[str, Any]) -> List[str]:
     """One histogram family: cumulative buckets, ``_sum``, ``_count``.
 

@@ -1,54 +1,35 @@
 """Progress reporting for long-running sweeps.
 
-The optimizer accepts any callable matching :class:`ProgressCallback`;
-the library itself never prints.  :class:`ProgressTicker` is the CLI's
-implementation: a single self-rewriting ``evaluated/total`` line on
-stderr, automatically silent when the stream is not an interactive
-terminal (so piped and logged runs stay clean), and rate-limited so the
-callback costs nothing measurable even for very fine sweeps.
+Progress is a subscriber of the sweep event bus, like every other live
+consumer: the library itself never prints.  :class:`ProgressTicker` is
+the CLI's subscriber: a single self-rewriting ``evaluated/total`` line
+on stderr, automatically silent when the stream is not an interactive
+terminal (so piped and logged runs stay clean), and rate-limited so it
+costs nothing measurable even for very fine sweeps.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Optional, TextIO
+from typing import Dict, Optional, TextIO
 
-try:  # Python 3.8+: typing.Protocol
-    from typing import Protocol
-except ImportError:  # pragma: no cover - ancient interpreters only
-    Protocol = object  # type: ignore[assignment]
-
-
-class ProgressCallback(Protocol):
-    """Protocol for sweep progress consumers.
-
-    Called after each completed unit of work with the number of units
-    ``done`` so far, the ``total`` expected, and a short human ``label``
-    for the phase (e.g. the strategy name being swept).
-
-    **Semantics of ``done``.**  ``done`` is a *completed count*, not a
-    grid position: parallel sweeps complete chunks out of grid order, so
-    ``done == k`` means "k evaluations finished somewhere in the grid",
-    never "the first k grid points are finished".  Within one sweep the
-    reported counts are non-decreasing, and a resumed sweep's first call
-    may jump straight to the number of checkpointed evaluations.
-    Consumers must treat ``(done, total)`` as a pair — rendering
-    ``done`` alone, or assuming unit increments, is wrong — and should
-    tolerate a misbehaving producer (``done > total`` or a decrease)
-    rather than crash mid-sweep; :class:`ProgressTicker` clamps both.
-    """
-
-    def __call__(self, done: int, total: int, label: str) -> None:  # pragma: no cover
-        ...
-
-
-def null_progress(done: int, total: int, label: str) -> None:
-    """A progress callback that does nothing (the library default)."""
+from .events import SweepEvent
 
 
 class ProgressTicker:
     """Render progress as a rewriting ``label: done/total`` stderr line.
+
+    An :data:`~repro.obs.events.EventCallback`: subscribe it to a
+    :class:`~repro.obs.SweepEvents` bus.  Per ``strategy`` label it sums
+    the ``total`` of every ``sweep_started`` and the ``count`` of every
+    ``chunk_completed``.  Chunks restored from a journal (``resumed:
+    true``) count too; they arrive before their site's ``sweep_started``,
+    so a resumed sweep's first paint is its checkpointed count.
+
+    ``done`` is a completed *count*, not a grid position: pooled sweeps
+    complete chunks out of grid order.  The painted count is clamped to
+    the total, and a new label is a new phase with its own count.
 
     Parameters
     ----------
@@ -72,26 +53,32 @@ class ProgressTicker:
         self._active = force or bool(
             getattr(self._stream, "isatty", lambda: False)()
         )
+        self._done: Dict[str, int] = {}
+        self._total: Dict[str, int] = {}
         self._last_paint = float("-inf")
         self._last_width = 0
-        self._max_done = 0
-        self._last_label: Optional[str] = None
 
-    def __call__(self, done: int, total: int, label: str) -> None:
+    def __call__(self, event: SweepEvent) -> None:
         if not self._active:
             return
-        # Robustness to producers that misreport: never paint a count
-        # above the total or below one already shown for this phase
-        # (chunked sweeps complete out of grid order; see
-        # ProgressCallback).  A new label is a new phase with its own
-        # count.
-        if label != self._last_label:
-            self._last_label = label
-            self._max_done = 0
+        payload = event.payload
+        label = payload.get("strategy", "")
+        if event.kind == "sweep_started":
+            self._total[label] = self._total.get(label, 0) + payload["total"]
+            if not self._done.get(label):
+                return
+        elif event.kind == "chunk_completed":
+            self._done[label] = self._done.get(label, 0) + payload["count"]
+            if payload.get("resumed"):
+                # Painted once the site's sweep_started brings its total.
+                return
+        else:
+            return
+        self._paint(label, self._done[label], self._total.get(label, 0))
+
+    def _paint(self, label: str, done: int, total: int) -> None:
         if total > 0:
             done = min(done, total)
-        done = max(done, self._max_done)
-        self._max_done = done
         now = time.monotonic()
         if done < total and now - self._last_paint < self._min_interval_s:
             return

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.evaluate import SiteContext, build_site_context
 from repro.grid import GridDataset, generate_grid_dataset
+from repro.obs import SweepEvents
 from repro.timeseries import DEFAULT_CALENDAR, HourlySeries, YearCalendar
 
 
@@ -66,3 +67,31 @@ def rng() -> np.random.Generator:
 def flat_demand(calendar) -> HourlySeries:
     """A constant 10 MW demand trace — the simplest workload."""
     return HourlySeries.constant(10.0, calendar, name="flat demand")
+
+
+@pytest.fixture()
+def interrupting_bus():
+    """Factory: an event bus that interrupts the sweep narrating onto it.
+
+    ``interrupting_bus(k)`` returns a :class:`SweepEvents` bus whose
+    subscriber raises :class:`KeyboardInterrupt` on the sweep's k-th live
+    ``chunk_completed`` event (chunks restored from a journal, tagged
+    ``resumed``, do not count) — a Ctrl-C landing right after that chunk
+    is committed and journaled.
+    """
+
+    def make(k: int) -> SweepEvents:
+        bus = SweepEvents()
+        live = 0
+
+        def interrupt(event) -> None:
+            nonlocal live
+            if event.kind == "chunk_completed" and not event.payload.get("resumed"):
+                live += 1
+                if live == k:
+                    raise KeyboardInterrupt
+
+        bus.subscribe(interrupt)
+        return bus
+
+    return make

@@ -201,27 +201,19 @@ class TestBatchedCheckpointResume:
         assert resumed.best == lowest(serial)
 
     def test_interrupted_batched_sweep_resumes_batched(
-        self, tmp_path, ut_context, small_space
+        self, tmp_path, ut_context, small_space, interrupting_bus
     ):
         from repro.resilience import SweepInterrupted
 
         path = tmp_path / "sweep.ckpt"
         serial = per_design(ut_context, small_space, Strategy.RENEWABLES_BATTERY)
-        calls = 0
-
-        def interrupt_midway(done, total, label):
-            nonlocal calls
-            calls += 1
-            if calls == 2:
-                raise KeyboardInterrupt
-
         with pytest.raises(SweepInterrupted):
             optimize(
                 ut_context,
                 small_space,
                 Strategy.RENEWABLES_BATTERY,
                 batch_size=2,
-                progress=interrupt_midway,
+                events=interrupting_bus(2),
                 checkpoint=path,
             )
         resumed = optimize(

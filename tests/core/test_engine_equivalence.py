@@ -14,8 +14,8 @@ three independent oracles, all *bitwise* (frozen-dataclass ``==`` on
    ``SweepEngine``, and a one-site ``sweep_fleet()`` must agree, across
    strategies, worker counts, start methods, and batch sizes.
 3. **Chaos** — a skewed fleet (one grid ~6× the others) under kill
-   faults, with work stealing on and off, stays bitwise per site;
-   stealing moves pool *capacity*, never results.
+   faults, with work stealing (always on in pooled sweeps), stays
+   bitwise per site; stealing moves pool *capacity*, never results.
 """
 
 from __future__ import annotations
@@ -54,16 +54,16 @@ def golden_path(strategy: Strategy) -> str:
     return f"{FIXTURES}/ut.{strategy.name.lower()}.ckpt"
 
 
-def narrate(entry_point, **kwargs):
-    """Run one sweep; return its ``(kind, payload)`` events and progress calls."""
+def narrate(entry_point, total, **kwargs):
+    """Run one sweep; return its ``(kind, payload)`` events.
+
+    The ``chunk_completed`` counts must sum to the grid size ``total``.
+    """
     bus = SweepEvents()
-    calls = []
-    entry_point(
-        events=bus,
-        progress=lambda done, total, label: calls.append((done, total, label)),
-        **kwargs,
-    )
-    return [(event.kind, event.payload) for event in bus.events()], calls
+    entry_point(events=bus, **kwargs)
+    events = [(event.kind, event.payload) for event in bus.events()]
+    assert sum(p["count"] for kind, p in events if kind == "chunk_completed") == total
+    return events
 
 
 def run_engine_single_site(context, space, strategy, **kwargs):
@@ -183,21 +183,21 @@ class TestCrossEntryPoint:
     def test_optimize_narrates_exactly_like_a_one_site_fleet(
         self, ut_context, config
     ):
-        """optimize() is a one-site fleet: same events, same progress calls."""
+        """optimize() is a one-site fleet: same events."""
         strategy = Strategy.RENEWABLES_BATTERY
-        single = narrate(
+        total = GOLDEN_SPACE.size(strategy)
+        single_events = narrate(
             lambda **kw: optimize(ut_context, GOLDEN_SPACE, strategy, **kw),
+            total,
             **config,
         )
-        fleet = narrate(
+        fleet_events = narrate(
             lambda **kw: sweep_fleet(
                 [("UT", ut_context, GOLDEN_SPACE)], strategy, **kw
             ),
+            total,
             **config,
         )
-        (single_events, single_calls), (fleet_events, fleet_calls) = single, fleet
-        assert single_calls == fleet_calls
-        assert single_calls[-1][0] == GOLDEN_SPACE.size(strategy)
         if "workers" not in config:
             assert single_events == fleet_events
             return
@@ -242,13 +242,12 @@ class TestWorkStealingChaos:
             "OR": optimize(or_context, GOLDEN_SPACE, Strategy.RENEWABLES_BATTERY),
         }
 
-    @pytest.mark.parametrize("steal", [True, False])
     def test_skewed_fleet_with_kill_faults_stays_bitwise(
-        self, ut_context, or_context, references, steal
+        self, ut_context, or_context, references
     ):
         """One ~6× grid plus kill faults on it: the small site drains
-        first and (with stealing on) re-grants its slots to the big one;
-        either way every site's results equal its serial sweep."""
+        first and re-grants its slots to the big one; every site's
+        results equal its serial sweep."""
         faults = FleetFaultPlan(
             sites={"UT": SiteFaultPolicy(kill_rate=0.5)}, seed=7
         )
@@ -257,7 +256,6 @@ class TestWorkStealingChaos:
             Strategy.RENEWABLES_BATTERY,
             workers=2,
             faults=faults,
-            steal=steal,
         )
         # Collateral pool-break failures can exhaust a chunk's retries and
         # quarantine the faulted site (DEGRADED, drained serially); either

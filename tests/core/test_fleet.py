@@ -24,7 +24,6 @@ from repro.core import (
     build_site_context,
     fleet_checkpoint_path,
     optimize,
-    prepare_fleet,
     shared_memory_available,
     sweep_fleet,
 )
@@ -146,7 +145,7 @@ class TestSerialFleet:
         rejected before the sweep starts, naming both key sets."""
         faults = FleetFaultPlan.from_spec(spec)
         with pytest.raises(ValueError, match="not in this sweep") as error:
-            prepare_fleet(trio_sites, STRATEGY, faults=faults)
+            sweep_fleet(trio_sites, STRATEGY, faults=faults)
         message = str(error.value)
         assert repr(spec.partition(":")[0]) in message
         assert all(repr(key) in message for key, _, _ in trio_sites)
@@ -321,16 +320,15 @@ class TestInterruptAndResume:
         base = tmp_path / "fleet.ckpt"
         bus = SweepEvents()
         finished = []
-        bus.subscribe(
-            lambda e: finished.append(e.payload["site"])
-            if e.kind == "sweep_finished"
-            else None
-        )
 
-        def interrupt_after_first_site(done, total, label):
-            if finished:
+        def interrupt_after_first_site(event):
+            # The first live chunk committed after a site finished.
+            if event.kind == "sweep_finished":
+                finished.append(event.payload["site"])
+            elif event.kind == "chunk_completed" and finished:
                 raise KeyboardInterrupt
 
+        bus.subscribe(interrupt_after_first_site)
         with pytest.raises(FleetInterrupted) as excinfo:
             sweep_fleet(
                 trio_sites,
@@ -338,13 +336,15 @@ class TestInterruptAndResume:
                 workers=1,
                 checkpoint=base,
                 events=bus,
-                progress=interrupt_after_first_site,
             )
         interrupted = excinfo.value
         assert [s.site for s in interrupted.completed] == finished
         assert interrupted.pending
         assert set(interrupted.pending).isdisjoint(s.site for s in interrupted.completed)
         assert interrupted.checkpoint == str(base)
+        # The interrupting chunk was committed too: done counts past the
+        # finished sites into the one that was cut.
+        assert interrupted.done > sum(sweep.total for sweep in interrupted.completed)
         for sweep in interrupted.completed:
             assert sweep.result.evaluations == oracle[sweep.site].evaluations
 

@@ -8,7 +8,9 @@ site-context caches must never change what an evaluation returns.
 
 from __future__ import annotations
 
+import io
 import pickle
+import re
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.cli import main
 from repro.core import Strategy, build_site_context, optimize, optimize_all_strategies
 from repro.core.design import DesignSpace
 from repro.core.evaluate import SupplyProjectionCache, evaluate_design
+from repro.obs import ProgressTicker, SweepEvents
 
 
 @pytest.fixture(scope="module")
@@ -48,20 +51,25 @@ class TestParallelSweep:
     def test_parallel_progress_is_cumulative_and_complete(
         self, ut_context, small_space
     ):
-        calls = []
+        stream = io.StringIO()
+        bus = SweepEvents()
+        bus.subscribe(ProgressTicker(stream=stream, force=True, min_interval_s=0.0))
         optimize(
             ut_context,
             small_space,
             Strategy.RENEWABLES_BATTERY,
-            progress=lambda done, total, label: calls.append((done, total, label)),
+            events=bus,
             workers=2,
         )
         total = small_space.size(Strategy.RENEWABLES_BATTERY)
-        dones = [done for done, _, _ in calls]
+        paints = re.findall(r"([^\r]+): (\d+)/(\d+)", stream.getvalue())
+        dones = [int(done) for _, done, _ in paints]
+        live_chunks = bus.counts()["chunk_completed"]
+        assert len(paints) == live_chunks  # one paint per committed chunk
         assert dones == sorted(dones)
         assert dones[-1] == total
-        assert all(t == total for _, t, _ in calls)
-        assert all(label == Strategy.RENEWABLES_BATTERY.value for _, _, label in calls)
+        assert all(int(t) == total for _, _, t in paints)
+        assert all(label == Strategy.RENEWABLES_BATTERY.value for label, _, _ in paints)
 
     def test_optimize_all_strategies_forwards_workers(self, ut_context, small_space):
         serial = optimize_all_strategies(ut_context, small_space)

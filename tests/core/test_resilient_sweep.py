@@ -8,11 +8,16 @@ sweep, and every recovery action must be visible in the metrics.
 
 from __future__ import annotations
 
+import io
+import re
+
 import pytest
 
 from repro.core import Strategy, optimize, optimize_all_strategies, strategy_checkpoint_path
 from repro.core.design import DesignSpace
 from repro.obs import (
+    ProgressTicker,
+    SweepEvents,
     disable_metrics,
     enable_metrics,
     get_registry,
@@ -190,23 +195,15 @@ class TestCheckpointResume:
         assert fresh_metrics.counter_value("designs_evaluated") == 0
 
     def test_interrupt_flushes_journal_and_resume_completes(
-        self, tmp_path, ut_context, small_space, serial_result
+        self, tmp_path, ut_context, small_space, serial_result, interrupting_bus
     ):
         path = tmp_path / "sweep.ckpt"
-        calls = 0
-
-        def interrupt_midway(done, total, label):
-            nonlocal calls
-            calls += 1
-            if calls == 5:
-                raise KeyboardInterrupt
-
         with pytest.raises(SweepInterrupted) as excinfo:
             optimize(
                 ut_context,
                 small_space,
                 STRATEGY,
-                progress=interrupt_midway,
+                events=interrupting_bus(5),
                 checkpoint=path,
             )
         assert excinfo.value.checkpoint == str(path)
@@ -220,48 +217,66 @@ class TestCheckpointResume:
         assert resumed.best == serial_result.best
 
     def test_interrupt_without_checkpoint_stays_keyboard_interrupt(
-        self, ut_context, small_space
+        self, ut_context, small_space, interrupting_bus
     ):
-        def interrupt_immediately(done, total, label):
-            raise KeyboardInterrupt
-
         with pytest.raises(KeyboardInterrupt) as excinfo:
-            optimize(
-                ut_context, small_space, STRATEGY, progress=interrupt_immediately
-            )
+            optimize(ut_context, small_space, STRATEGY, events=interrupting_bus(1))
         assert not isinstance(excinfo.value, SweepInterrupted)
 
     def test_resumed_progress_starts_at_the_checkpointed_count(
-        self, tmp_path, ut_context, small_space
+        self, tmp_path, ut_context, small_space, interrupting_bus
     ):
         path = tmp_path / "sweep.ckpt"
-        calls = 0
-
-        def interrupt_midway(done, total, label):
-            nonlocal calls
-            calls += 1
-            if calls == 5:
-                raise KeyboardInterrupt
-
-        with pytest.raises(SweepInterrupted):
+        with pytest.raises(SweepInterrupted) as excinfo:
             optimize(
                 ut_context,
                 small_space,
                 STRATEGY,
-                progress=interrupt_midway,
+                events=interrupting_bus(5),
                 checkpoint=path,
             )
-        reported = []
+        stream = io.StringIO()
+        bus = SweepEvents()
+        bus.subscribe(ProgressTicker(stream=stream, force=True, min_interval_s=0.0))
         optimize(
             ut_context,
             small_space,
             STRATEGY,
-            progress=lambda done, total, label: reported.append(done),
+            events=bus,
             checkpoint=path,
             resume=True,
         )
-        assert reported[0] > 0  # jumps straight to the journaled count
-        assert reported[-1] == small_space.size(STRATEGY)
+        painted = [int(done) for done in re.findall(r"(\d+)/\d+", stream.getvalue())]
+        total = small_space.size(STRATEGY)
+        # The first paint jumps straight to the journaled count.
+        assert painted[0] == excinfo.value.done > 0
+        assert painted[-1] == total
+
+    def test_interrupt_after_resume_counts_journaled_points(
+        self, tmp_path, ut_context, small_space, interrupting_bus
+    ):
+        """``done`` counts every committed point, resumed ones included."""
+        path = tmp_path / "sweep.ckpt"
+        with pytest.raises(SweepInterrupted) as first:
+            optimize(
+                ut_context,
+                small_space,
+                STRATEGY,
+                events=interrupting_bus(3),
+                checkpoint=path,
+            )
+        with pytest.raises(SweepInterrupted) as second:
+            optimize(
+                ut_context,
+                small_space,
+                STRATEGY,
+                events=interrupting_bus(2),
+                checkpoint=path,
+                resume=True,
+            )
+        # One design per chunk on this grid: 3 journaled + 2 live.
+        assert (first.value.done, second.value.done) == (3, 5)
+        assert second.value.total == small_space.size(STRATEGY)
 
     def test_fresh_checkpoint_run_truncates_an_old_journal(
         self, tmp_path, ut_context, small_space, serial_result

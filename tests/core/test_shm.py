@@ -167,21 +167,16 @@ class TestShmSweeps:
         assert result.evaluations == serial.evaluations
         assert _live_segments() == []
 
-    def test_interrupt_unlinks_segment(self, ut_context, small_space, tmp_path):
-        calls = {"n": 0}
-
-        def interrupting_progress(done, total, label):
-            calls["n"] += 1
-            if calls["n"] >= 2:
-                raise KeyboardInterrupt
-
+    def test_interrupt_unlinks_segment(
+        self, ut_context, small_space, tmp_path, interrupting_bus
+    ):
         with pytest.raises(SweepInterrupted):
             optimize(
                 ut_context,
                 small_space,
                 Strategy.RENEWABLES_BATTERY,
                 workers=2,
-                progress=interrupting_progress,
+                events=interrupting_bus(2),
                 checkpoint=tmp_path / "sweep.ckpt",
             )
         assert _live_segments() == []
@@ -224,24 +219,17 @@ class TestShmSweeps:
         assert fresh_metrics.counter_value("shm_bytes_shared") == 0
 
     def test_resumed_sweep_with_shm_matches_uninterrupted(
-        self, ut_context, small_space, tmp_path
+        self, ut_context, small_space, tmp_path, interrupting_bus
     ):
         checkpoint = tmp_path / "resume.ckpt"
         serial = optimize(ut_context, small_space, Strategy.RENEWABLES_BATTERY)
-        calls = {"n": 0}
-
-        def interrupting_progress(done, total, label):
-            calls["n"] += 1
-            if calls["n"] >= 2:
-                raise KeyboardInterrupt
-
         with pytest.raises(SweepInterrupted):
             optimize(
                 ut_context,
                 small_space,
                 Strategy.RENEWABLES_BATTERY,
                 workers=2,
-                progress=interrupting_progress,
+                events=interrupting_bus(2),
                 checkpoint=checkpoint,
             )
         resumed = optimize(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -71,33 +70,6 @@ class TestSweepEventsBus:
         bus.emit("chunk_completed", start=0)
         bus.emit("chunk_completed", start=4)
         assert bus.counts() == {"sweep_started": 1, "chunk_completed": 2}
-
-    def test_stream_yields_backlog_then_live_then_ends(self):
-        bus = SweepEvents()
-        bus.emit("sweep_started")
-        received = []
-        ready = threading.Event()
-
-        def consume():
-            ready.set()
-            for event in bus.stream():
-                received.append(event.kind)
-
-        thread = threading.Thread(target=consume)
-        thread.start()
-        ready.wait()
-        bus.emit("chunk_completed", start=0)
-        bus.emit("sweep_finished")
-        bus.close()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert received == ["sweep_started", "chunk_completed", "sweep_finished"]
-
-    def test_stream_on_closed_bus_yields_backlog_only(self):
-        bus = SweepEvents()
-        bus.emit("sweep_started")
-        bus.close()
-        assert [e.kind for e in bus.stream()] == ["sweep_started"]
 
     def test_event_as_json_round_trips(self):
         event = SweepEvent(seq=3, kind="chunk_retried", time_s=12.5, payload={"a": 1})

@@ -5,6 +5,7 @@ import pytest
 from repro.core.design import DesignSpace, Strategy
 from repro.core.optimizer import optimize
 from repro.obs import (
+    SweepEvents,
     enable_metrics,
     enable_tracing,
     get_tracer,
@@ -64,19 +65,20 @@ class TestPipelineInstrumentation:
             assert histograms[name]["count"] >= 1
             assert histograms[name]["sum"] >= 0.0
 
-    def test_progress_callback_sees_every_grid_point(self, ut_context, tiny_space):
-        calls = []
-
-        def record(done, total, label):
-            calls.append((done, total, label))
-
+    def test_chunk_events_see_every_grid_point(self, ut_context, tiny_space):
+        bus = SweepEvents()
         reset_tracing()
         reset_metrics()
-        result = optimize(
-            ut_context, tiny_space, Strategy.RENEWABLES_BATTERY, progress=record
+        result = optimize(ut_context, tiny_space, Strategy.RENEWABLES_BATTERY, events=bus)
+        chunks = [e.payload for e in bus.events() if e.kind == "chunk_completed"]
+        done = 0
+        cumulative = []
+        for chunk in chunks:
+            done += chunk["count"]
+            cumulative.append(done)
+        assert cumulative == list(range(1, result.n_evaluated + 1))
+        started = [e.payload for e in bus.events() if e.kind == "sweep_started"]
+        assert [p["total"] for p in started] == [result.n_evaluated]
+        assert all(
+            p["strategy"] == Strategy.RENEWABLES_BATTERY.value for p in chunks + started
         )
-        assert [done for done, _, _ in calls] == list(
-            range(1, result.n_evaluated + 1)
-        )
-        assert all(total == result.n_evaluated for _, total, _ in calls)
-        assert all(label == Strategy.RENEWABLES_BATTERY.value for _, _, label in calls)

@@ -130,6 +130,16 @@ class TestRankStream:
         # the table carries the same verdicts
         assert "degraded" in out and "complete" in out
 
+    def test_stream_lines_precede_the_rank_table(self, capsys):
+        """The printer is a bus subscriber running in the sweep's thread,
+        so every stream line is out before the table prints."""
+        assert main(_RANK_UT + ["--stream"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        table = next(i for i, line in enumerate(lines) if "Site ranking" in line)
+        streamed = [i for i, line in enumerate(lines) if line.startswith("stream ")]
+        assert streamed and max(streamed) < table
+        assert lines[streamed[-1]].startswith("stream sweep_finished ")
+
 
 class TestRankDeadline:
     def test_tiny_deadline_reports_cutoff(self, capsys):
@@ -167,6 +177,7 @@ class TestRankInterrupt:
                 completed=(completed,),
                 pending=("OR", "TX"),
                 strategy="all",
+                done=160,
                 checkpoint=checkpoint,
             )
 

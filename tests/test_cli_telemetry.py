@@ -5,12 +5,16 @@ same session plumbing and are covered here where they interact with the
 new flags; their basics live in test_cli.py.
 """
 
+import io
+import re
 import socket
 
 import pytest
 
 from repro.cli import main
+from repro.core import Strategy
 from repro.obs import (
+    ProgressTicker,
     disable_metrics,
     disable_tracing,
     read_events_jsonl,
@@ -130,3 +134,35 @@ class TestMalformedOutputPaths:
         bad = blocker / "metrics.json"
         assert main(["stats", "UT", "--metrics-out", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestStatsProgress:
+    """``repro stats`` paints its ticker from the sweep event bus."""
+
+    @pytest.mark.parametrize("events_out", [False, True], ids=["own-bus", "events-out"])
+    def test_ticker_paints_every_strategy_to_completion(
+        self, tmp_path, monkeypatch, capsys, events_out
+    ):
+        painted = io.StringIO()
+        monkeypatch.setattr(
+            "repro.cli.ProgressTicker",
+            lambda: ProgressTicker(stream=painted, force=True, min_interval_s=0.0),
+        )
+        path = tmp_path / "events.jsonl"
+        argv = ["stats", "UT"] + (["--events-out", str(path)] if events_out else [])
+        assert main(argv) == 0
+        last = {}
+        for label, done, total in re.findall(
+            r"([^\r]+?): (\d+)/(\d+)", painted.getvalue()
+        ):
+            last[label] = (int(done), int(total))
+        assert set(last) == {strategy.value for strategy in Strategy}
+        assert all(done == total > 0 for done, total in last.values())
+        if events_out:
+            # The ticker rode the --events-out bus: its totals are the log's.
+            counts = {}
+            for event in read_events_jsonl(path):
+                if event["kind"] == "chunk_completed":
+                    label = event["payload"]["strategy"]
+                    counts[label] = counts.get(label, 0) + event["payload"]["count"]
+            assert counts == {label: done for label, (done, _) in last.items()}
