@@ -29,10 +29,14 @@ site, :func:`repro.core.fleet.sweep_fleet` for many -- runs through
   grid, so one huge site cannot serialize behind its fair share once
   the small sites finish.
 
-Each committed chunk is reported once, as a ``chunk_completed`` event
-on the sweep's bus (progress tickers and streams are subscribers), and
-the engine is the only place a sweep's ``sweep_started`` /
-``sweep_finished`` events are emitted.
+Each sweep fact is stated once, as an event on the sweep's bus: a
+committed chunk is one ``chunk_completed`` (progress tickers and streams
+are subscribers), and the engine is the only place a sweep's
+``sweep_started`` / ``sweep_finished`` events are emitted.  The bus
+derives the sweep counters, gauges and log lines from those events, so
+the engine keeps only the facts no event carries (chunk failures, serial
+fallbacks, the context pickle size, the live deadline gauge, and the
+failure and stall warnings).
 """
 
 from __future__ import annotations
@@ -153,7 +157,6 @@ class SiteStatus(Enum):
 
     COMPLETE = "complete"
     DEGRADED = "degraded"
-    FAILED = "failed"
     DEADLINE_EXCEEDED = "deadline_exceeded"
 
 
@@ -454,7 +457,6 @@ class SweepEngine:
         checkpoints: Optional[Mapping[str, Optional[PathLike]]] = None,
         resume: bool = False,
         faults: Optional[FleetFaultPlan] = None,
-        quarantine: str = "serial",
         shm: bool = True,
         events: Optional[SweepEvents] = None,
         batch_size: Optional[int] = None,
@@ -467,7 +469,6 @@ class SweepEngine:
         self.checkpoints = dict(checkpoints) if checkpoints else {}
         self.resume = resume
         self.faults = faults
-        self.quarantine_mode = quarantine
         self.shm = shm
         self.events = events if events is not None else SweepEvents()
         self.batch_size = batch_size
@@ -516,10 +517,6 @@ class SweepEngine:
                     )
                     for start, evaluations in restored.items():
                         state.results[start : start + len(evaluations)] = evaluations
-                    if restored:
-                        skipped = sum(len(e) for e in restored.values())
-                        inc("checkpoint_chunks_skipped", len(restored))
-                        inc("checkpoint_designs_skipped", skipped)
                 state.journal = CheckpointJournal(
                     path,
                     JournalHeader(
@@ -541,7 +538,7 @@ class SweepEngine:
             state.chunks = _chunk_missing_indices(filled, chunk_size)
             state.queue = deque(state.chunks)
             state.n_chunks = len(state.chunks)
-            self._emit(
+            self.events.emit(
                 "sweep_started",
                 site=state.key,
                 strategy=self.strategy.value,
@@ -610,9 +607,6 @@ class SweepEngine:
     # Shared plumbing
     # ------------------------------------------------------------------
 
-    def _emit(self, kind: str, **payload: Any) -> None:
-        self.events.emit(kind, **payload)
-
     def _remaining_s(self) -> Optional[float]:
         if self._deadline_at is None:
             return None
@@ -649,8 +643,7 @@ class SweepEngine:
                 get_tracer().ingest_spans(worker_spans, pid=telemetry.get("pid", 0))
         if state.journal is not None:
             state.journal.append_chunk(start, evaluations)
-            inc("checkpoint_chunks_written")
-        self._emit(
+        self.events.emit(
             "chunk_completed",
             site=state.key,
             strategy=self.strategy.value,
@@ -660,7 +653,7 @@ class SweepEngine:
         chunk_best = min(evaluations, key=lambda e: e.total_tons)
         if chunk_best.total_tons < state.best_tons:
             state.best_tons = chunk_best.total_tons
-            self._emit(
+            self.events.emit(
                 "frontier_updated",
                 site=state.key,
                 strategy=self.strategy.value,
@@ -677,25 +670,27 @@ class SweepEngine:
             )
 
     def _finalize(self, state: SiteRun, status: SiteStatus) -> None:
-        """Close a site out; its terminal event fires once."""
+        """Close a site out; its terminal event fires once.
+
+        A site closed by the deadline has no event of its own: the
+        ``deadline_exceeded`` event names it.
+        """
         if state.status is not None:
             return
         state.status = status
-        if status in (SiteStatus.COMPLETE, SiteStatus.DEGRADED):
+        if status is not SiteStatus.DEADLINE_EXCEEDED:
             evaluations = state.results
             assert all(e is not None for e in evaluations)
             best = min(evaluations, key=lambda e: e.total_tons)  # type: ignore[union-attr]
-            inc("sweeps_completed")
-            set_gauge("sweep_grid_points", state.total)
             if status is SiteStatus.DEGRADED:
-                self._emit(
+                self.events.emit(
                     "sweep_degraded",
                     site=state.key,
                     strategy=self.strategy.value,
                     serial_chunks=state.serial_chunks,
                     reason=state.error or "quarantined",
                 )
-            self._emit(
+            self.events.emit(
                 "sweep_finished",
                 site=state.key,
                 strategy=self.strategy.value,
@@ -704,21 +699,6 @@ class SweepEngine:
                 best_coverage=best.coverage,
                 status=status.value,
             )
-            _log.info(
-                "fleet site done: site=%s status=%s best_total_tons=%.1f",
-                state.key,
-                status.value,
-                best.total_tons,
-            )
-        else:
-            _log.warning(
-                "fleet site closed: site=%s status=%s committed=%d/%d (%s)",
-                state.key,
-                status.value,
-                state.done_points,
-                state.total,
-                state.error or "",
-            )
 
     def _quarantine(self, state: SiteRun, reason: str) -> None:
         """Isolate one site's fault domain without killing the sweep."""
@@ -726,45 +706,26 @@ class SweepEngine:
             return
         state.quarantined = True
         state.error = reason
-        inc("sites_quarantined")
-        _log.warning(
-            "quarantining site %s (%s): %d/%d chunks committed; mode=%s",
-            state.key,
-            reason,
-            len(state.committed),
-            state.n_chunks,
-            self.quarantine_mode,
-        )
-        self._emit(
+        self.events.emit(
             "site_quarantined",
             site=state.key,
             strategy=self.strategy.value,
             reason=reason,
-            mode=self.quarantine_mode,
+            mode="serial",
             committed_chunks=len(state.committed),
             total_chunks=state.n_chunks,
         )
-        if self.quarantine_mode == "fail":
-            self._finalize(state, SiteStatus.FAILED)
 
     def _close_deadline(self, active: List[SiteRun]) -> None:
         dropped_chunks = sum(
             state.n_chunks - len(state.committed) for state in active
         )
-        inc("chunks_deadline_dropped", dropped_chunks)
-        set_gauge("fleet_deadline_remaining_s", 0.0)
-        self._emit(
+        self.events.emit(
             "deadline_exceeded",
             strategy=self.strategy.value,
             budget_s=self.deadline_s,
             dropped_chunks=dropped_chunks,
             sites=[state.key for state in active],
-        )
-        _log.warning(
-            "fleet deadline (%.3fs) exceeded: dropping %d chunks across %d sites",
-            self.deadline_s or 0.0,
-            dropped_chunks,
-            len(active),
         )
         for state in active:
             state.error = state.error or f"deadline of {self.deadline_s}s exceeded"
@@ -909,20 +870,12 @@ class SweepEngine:
                 continue
             grants[target.key] += cap
             grants[state.key] = 0
-            inc("capacity_steals")
-            self._emit(
+            self.events.emit(
                 "capacity_stolen",
                 strategy=self.strategy.value,
                 from_site=state.key,
                 to_site=target.key,
                 slots=cap,
-            )
-            _log.info(
-                "work stealing: %d slot(s) re-granted %s -> %s (%d points remain)",
-                cap,
-                state.key,
-                target.key,
-                target_remaining,
             )
 
     def _next_pooled_site(
@@ -970,8 +923,7 @@ class SweepEngine:
                 state, f"chunk {flight.ordinal} exhausted {self.max_retries} retries"
             )
             return
-        inc("chunk_retries")
-        self._emit(
+        self.events.emit(
             "chunk_retried",
             site=flight.site,
             strategy=self.strategy.value,

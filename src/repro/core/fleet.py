@@ -31,10 +31,10 @@ one-site fleet whose finished :class:`SiteSweep` is unwrapped into the
   meantime, so no backoff window is needed).  A site whose segment
   cannot be attached, or whose chunk exhausts ``max_retries``, is
   *quarantined*: its remaining chunks degrade to serial in-parent
-  evaluation (status ``degraded``), or the site is marked failed with
-  ``quarantine="fail"``, while every other site keeps sweeping.  Chunk
-  evaluation is deterministic, so a quarantined-but-completed site is
-  still bitwise-identical to a fault-free serial sweep.
+  evaluation (status ``degraded``) while every other site keeps
+  sweeping.  Chunk evaluation is deterministic, so a
+  quarantined-but-completed site is still bitwise-identical to a
+  fault-free serial sweep.
 * **Deadline budgets** — ``deadline_s`` bounds the fleet's wall clock;
   when it trips, unfinished sites are closed out as
   ``deadline_exceeded`` with their partial frontiers instead of hanging
@@ -48,7 +48,8 @@ one-site fleet whose finished :class:`SiteSweep` is unwrapped into the
   ``site_quarantined`` / ``sweep_degraded`` / ``deadline_exceeded`` /
   ``sweep_finished``), each event emitted once from the engine's commit
   point.  Every consumer — a JSONL sink, the CLI's progress ticker,
-  ``repro rank --stream`` — is a subscriber of that bus.
+  ``repro rank --stream`` — is a subscriber of that bus, and the bus
+  itself derives the sweep counters and log lines from the events.
 
 Chunk boundaries come from the pure
 :func:`~repro.core.engine.sweep_chunk_size` function, and per-site
@@ -117,7 +118,7 @@ class SiteSweep:
 
     ``evaluations`` holds every *committed* evaluation in grid order —
     the full grid for ``complete``/``degraded`` sites, a partial prefix
-    pattern for ``failed``/``deadline_exceeded`` ones.  ``result`` is the
+    pattern for ``deadline_exceeded`` ones.  ``result`` is the
     site's :class:`OptimizationResult` when the sweep finished
     (bitwise-identical to a standalone fault-free serial
     :func:`~repro.core.optimizer.optimize`), else ``None``.
@@ -260,7 +261,6 @@ def sweep_fleet(
     checkpoint: Optional[FleetCheckpoint] = None,
     resume: bool = False,
     faults: Optional[FleetFaultPlan] = None,
-    quarantine: str = "serial",
     shm: bool = True,
     events: Optional[SweepEvents] = None,
     batch_size: Optional[int] = None,
@@ -278,7 +278,8 @@ def sweep_fleet(
     * ``deadline_s`` — fleet-wide wall-clock budget; ``None`` is
       unbounded.
     * ``max_retries`` — re-submissions per failed chunk before its site
-      is quarantined.
+      is quarantined: its remaining chunks finish serially in-parent
+      (status ``degraded``).
     * ``chunk_timeout`` — initial stall budget; an EWMA over observed
       chunk durations (:class:`~repro.resilience.AdaptiveChunkTimeout`)
       takes over as completions accrue.
@@ -289,9 +290,6 @@ def sweep_fleet(
     * ``faults`` — a :class:`~repro.resilience.FleetFaultPlan` (tests and
       CI only); fires in pool workers only, and every site it names must
       be a key of ``sites``.
-    * ``quarantine`` — ``"serial"`` finishes a quarantined site's chunks
-      serially in-parent (status ``degraded``); ``"fail"`` closes it out
-      immediately (status ``failed``).
     * ``events`` — the :class:`~repro.obs.SweepEvents` bus the sweep
       narrates onto; its subscribers (a JSONL sink, a progress ticker,
       ``repro rank --stream``) run synchronously as each event fires.
@@ -318,8 +316,6 @@ def sweep_fleet(
         )
     if batch_size is not None and batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if quarantine not in ("serial", "fail"):
-        raise ValueError(f"quarantine must be 'serial' or 'fail', got {quarantine!r}")
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
     if not sites:
@@ -350,7 +346,6 @@ def sweep_fleet(
         checkpoints=checkpoints,
         resume=resume,
         faults=faults,
-        quarantine=quarantine,
         shm=shm,
         events=events,
         batch_size=batch_size,

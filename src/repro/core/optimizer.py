@@ -30,14 +30,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..obs import SweepEvents, get_logger, span
+from ..obs import SweepEvents, span
 from ..resilience import FleetFaultPlan, SweepInterrupted
 from ..resilience.checkpoint import PathLike, sweep_journal_path
 from .design import DesignSpace, Strategy, default_design_space
 from .evaluate import SiteContext
 from .fleet import FleetInterrupted, OptimizationResult, sweep_fleet
-
-_log = get_logger("core.optimizer")
 
 
 def optimize(
@@ -128,13 +126,6 @@ def optimize(
     """
     site = context.site_state
     total = space.size(strategy)
-    _log.info(
-        "sweep start: site=%s strategy=%s grid_points=%d workers=%d",
-        site,
-        strategy.value,
-        total,
-        workers,
-    )
     try:
         with span(
             "optimize",
@@ -167,13 +158,6 @@ def optimize(
         ) from None
     result = fleet.sites[0].result
     assert result is not None, "a one-site sweep without a deadline always finishes"
-    _log.info(
-        "sweep done: site=%s strategy=%s best_total_tons=%.1f coverage=%.3f",
-        site,
-        strategy.value,
-        result.best.total_tons,
-        result.best.coverage,
-    )
     return result
 
 

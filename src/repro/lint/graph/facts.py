@@ -592,12 +592,6 @@ class _Extractor:
             kind = _API_KINDS[dotted.split(".")[-1]]
         elif _is_bus_emit(node):
             kind = "event"
-        elif dotted is not None and dotted.split(".")[-1] == "_emit":
-            # Private emission wrappers (SweepEngine._emit) forward their
-            # literal kind to the bus; RL007's receiver gate skips them,
-            # but the census must count them as uses or every event they
-            # emit would read as dead.
-            kind = "event"
         if kind is not None:
             self.uses.append(
                 {

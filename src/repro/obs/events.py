@@ -14,7 +14,12 @@ Guarantees:
 
 * **Typed** — event kinds are declared in
   :data:`repro.obs.metric_names.EVENTS` (one source of truth, enforced
-  statically by lint rule RL007 and at runtime by a validating bus).
+  statically by lint rule RL007 and at runtime by every emit).
+* **One emission site per fact** — the sweep counters and gauges
+  (``sweeps_completed``, ``chunk_retries``, ``capacity_steals``, …) and
+  the sweep log lines derive from the events, in one accounting step
+  that :meth:`SweepEvents.emit` runs before the subscribers; the sweep
+  code states each fact once, as the event.
 * **Ordered** — every event is stamped with a per-bus monotonically
   increasing ``seq`` under one lock, and subscribers are invoked while
   that lock is held, so every subscriber observes the same total order.
@@ -46,6 +51,7 @@ printer::
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 import time
@@ -54,6 +60,7 @@ from typing import Any, Callable, Dict, List, Tuple, Union
 
 from . import metric_names
 from .log import get_logger
+from .metrics import inc, set_gauge
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -86,13 +93,54 @@ class SweepEvent:
 EventCallback = Callable[[SweepEvent], None]
 
 
+#: The kinds the bus logs, at the level each is logged at; the other
+#: kinds are too frequent (``chunk_completed``) or restate these.
+_LOGGED_KINDS = {
+    "sweep_finished": logging.INFO,
+    "capacity_stolen": logging.INFO,
+    "site_quarantined": logging.WARNING,
+    "deadline_exceeded": logging.WARNING,
+}
+
+
+def _account(kind: str, payload: Dict[str, Any]) -> None:
+    """Turn one sweep event into its counters, gauges and log line.
+
+    The only place a sweep fact becomes a metric or a log line.  A
+    payload field the event lacks counts as zero, so a bare emit is
+    legal.
+    """
+    if kind == "chunk_completed":
+        if payload.get("resumed"):
+            inc("checkpoint_chunks_skipped")
+            inc("checkpoint_designs_skipped", payload.get("count", 0))
+    elif kind == "sweep_finished":
+        inc("sweeps_completed")
+        set_gauge("sweep_grid_points", payload.get("total", 0))
+    elif kind == "site_quarantined":
+        inc("sites_quarantined")
+    elif kind == "deadline_exceeded":
+        inc("chunks_deadline_dropped", payload.get("dropped_chunks", 0))
+        set_gauge("fleet_deadline_remaining_s", 0.0)
+    elif kind == "capacity_stolen":
+        inc("capacity_steals")
+    elif kind == "chunk_retried":
+        inc("chunk_retries")
+    level = _LOGGED_KINDS.get(kind)
+    if level is not None and _log.isEnabledFor(level):
+        fields = " ".join(f"{key}={value}" for key, value in payload.items())
+        _log.log(level, "%s %s", kind, fields)
+
+
 class SweepEvents:
     """A thread-safe, ordered, in-process event bus for sweep telemetry.
 
-    ``validate=True`` (the default) checks every emitted kind against
-    :data:`repro.obs.metric_names.EVENTS` and raises
-    :class:`~repro.obs.metric_names.UnknownMetricError` on an undeclared
-    one — the runtime backstop behind the static RL007 lint rule.
+    Every emitted kind is checked against
+    :data:`repro.obs.metric_names.EVENTS`; an undeclared one raises
+    :class:`~repro.obs.metric_names.UnknownMetricError` — the runtime
+    backstop behind the static RL007 lint rule.  Each accepted event
+    then updates the sweep counters and log (see :func:`_account`)
+    before any subscriber sees it.
 
     Subscribers run synchronously under the bus lock, which is what makes
     the observed order identical for every subscriber; keep callbacks
@@ -101,8 +149,7 @@ class SweepEvents:
     dropping telemetry is how event streams lie.
     """
 
-    def __init__(self, validate: bool = True) -> None:
-        self.validate = validate
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._seq = 0
         self._events: List[SweepEvent] = []
@@ -117,11 +164,10 @@ class SweepEvents:
 
         Returns the stamped :class:`SweepEvent`.  Raises
         :class:`~repro.obs.metric_names.UnknownMetricError` for an
-        undeclared kind on a validating bus, and :class:`RuntimeError`
-        when the bus is already closed.
+        undeclared kind, and :class:`RuntimeError` when the bus is
+        already closed.
         """
-        if self.validate:
-            metric_names.check_metric("event", kind)
+        metric_names.check_metric("event", kind)
         with self._lock:
             if self._closed:
                 raise RuntimeError(
@@ -132,6 +178,7 @@ class SweepEvents:
             )
             self._seq += 1
             self._events.append(event)
+            _account(kind, payload)
             for callback in self._subscribers:
                 callback(event)
         return event

@@ -17,7 +17,7 @@ Three export surfaces over one renderer:
 :func:`validate_exposition` is a pure-python checker for the exposition
 format (HELP/TYPE ordering, family contiguity, label escaping, monotone
 cumulative buckets, ``_count``/``+Inf`` agreement) used by the test suite
-and by CI (``python -m repro.obs.export FILE``) to gate what this module
+and by CI (``python -m repro.obs FILE``) to gate what this module
 renders — the golden file can rot, the validator's rules cannot.
 
 Metric names are mapped into the Prometheus namespace by prefixing
@@ -512,33 +512,3 @@ def start_metrics_server(port: int, host: str = "127.0.0.1") -> MetricsServer:
     that instead of silently running without the endpoint.
     """
     return MetricsServer(port=port, host=host).start()
-
-
-def _main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.obs.export FILE`` — validate an exposition file.
-
-    ``-`` reads stdin.  Exits 0 when valid, 1 with one problem per line
-    on stderr otherwise.  This is the CI-facing entry point of
-    :func:`validate_exposition`.
-    """
-    import sys
-
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python -m repro.obs.export FILE", file=sys.stderr)
-        return 2
-    if args[0] == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args[0], "r", encoding="utf-8") as handle:
-            text = handle.read()
-    problems = validate_exposition(text)
-    for problem in problems:
-        print(problem, file=sys.stderr)
-    return 1 if problems else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(_main())

@@ -26,7 +26,7 @@ from typing import IO, Any, Dict, List, Optional, Tuple, Union
 
 from ..core.design import DesignSpace, Strategy
 from ..core.evaluate import DesignEvaluation, SiteContext
-from ..obs import get_logger
+from ..obs import get_logger, inc
 from ..obs.events import SweepEvents
 from .serialize import evaluation_from_json, evaluation_to_json
 
@@ -361,8 +361,6 @@ class CheckpointJournal:
         self._header = header
         self._truncate = truncate
         self._handle: Optional[IO[str]] = None
-        self.chunks_written = 0
-        self.evaluations_written = 0
 
     @property
     def path(self) -> str:
@@ -386,7 +384,11 @@ class CheckpointJournal:
         return self._handle
 
     def append_chunk(self, start: int, evaluations: List[DesignEvaluation]) -> None:
-        """Journal one completed chunk (flushed before returning)."""
+        """Journal one completed chunk (flushed before returning).
+
+        Counts it in ``checkpoint_chunks_written``: the journal is the one
+        owner of that fact.
+        """
         record = {
             "kind": "chunk",
             "start": start,
@@ -395,8 +397,7 @@ class CheckpointJournal:
         handle = self._ensure_open()
         handle.write(json.dumps(record) + "\n")
         handle.flush()
-        self.chunks_written += 1
-        self.evaluations_written += len(evaluations)
+        inc("checkpoint_chunks_written")
 
     def close(self) -> None:
         """Flush and close the journal (idempotent)."""

@@ -130,8 +130,6 @@ class TestSerialFleet:
             sweep_fleet(trio_sites, STRATEGY, workers=0)
         with pytest.raises(ValueError, match="deadline_s"):
             sweep_fleet(trio_sites, STRATEGY, deadline_s=0.0)
-        with pytest.raises(ValueError, match="quarantine"):
-            sweep_fleet(trio_sites, STRATEGY, quarantine="ignore")
         with pytest.raises(ValueError, match="resume"):
             sweep_fleet(trio_sites, STRATEGY, resume=True)
         with pytest.raises(ValueError, match="max_retries"):
@@ -223,24 +221,6 @@ class TestChaosSoak:
         )
         result = sweep_fleet(trio_sites, STRATEGY, workers=2, faults=plan)
         _assert_bitwise(result, oracle, [k for k, _, _ in trio_sites])
-
-    def test_quarantine_fail_mode_keeps_partial_results(
-        self, trio_sites, oracle
-    ):
-        key = trio_sites[2][0]
-        plan = FleetFaultPlan(sites={key: SiteFaultPolicy(shm_fault=True)})
-        result = sweep_fleet(
-            trio_sites, STRATEGY, workers=2, faults=plan, quarantine="fail"
-        )
-        failed = result.site(key)
-        assert failed.status is SiteStatus.FAILED
-        assert failed.result is None
-        assert failed.completed < failed.total
-        healthy = [k for k, _, _ in trio_sites if k != key]
-        for k in healthy:
-            assert result.site(k).status is SiteStatus.COMPLETE
-        _assert_bitwise(result, oracle, healthy)
-        assert _live_segments() == []
 
     def test_spawn_start_method(self, trio_sites, oracle, monkeypatch):
         monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")

@@ -11,7 +11,10 @@ from repro.obs import (
     JsonlSink,
     SweepEvent,
     SweepEvents,
+    enable_metrics,
+    metrics_snapshot,
     read_events_jsonl,
+    reset_metrics,
 )
 from repro.obs.metric_names import EVENTS, UnknownMetricError
 
@@ -33,11 +36,6 @@ class TestSweepEventsBus:
         with pytest.raises(UnknownMetricError):
             bus.emit("chunk_complete")  # typo'd kind  # repro-lint: disable=RL007,RL009 — deliberately unregistered; exercises the runtime registry guard
         assert bus.events() == ()
-
-    def test_validation_can_be_disabled(self):
-        bus = SweepEvents(validate=False)
-        event = bus.emit("anything_goes", x=1)  # repro-lint: disable=RL007,RL009 — deliberately unregistered; exercises the runtime registry guard
-        assert event.kind == "anything_goes"
 
     def test_every_declared_kind_is_emittable(self):
         bus = SweepEvents()
@@ -80,6 +78,69 @@ class TestSweepEventsBus:
             "time_s": 12.5,
             "payload": {"a": 1},
         }
+
+
+#: (kind, payload, counters moved, gauges set): the bus's accounting table.
+ACCOUNTING = [
+    ("chunk_completed", {"start": 0, "count": 4}, {}, {}),
+    (
+        "chunk_completed",
+        {"start": 4, "count": 3, "resumed": True},
+        {"checkpoint_chunks_skipped": 1, "checkpoint_designs_skipped": 3},
+        {},
+    ),
+    (
+        "sweep_finished",
+        {"site": "UT", "total": 12, "status": "complete"},
+        {"sweeps_completed": 1},
+        {"sweep_grid_points": 12},
+    ),
+    ("site_quarantined", {"site": "OR", "mode": "serial"}, {"sites_quarantined": 1}, {}),
+    (
+        "deadline_exceeded",
+        {"dropped_chunks": 5, "sites": ["TX"]},
+        {"chunks_deadline_dropped": 5},
+        {"fleet_deadline_remaining_s": 0.0},
+    ),
+    ("capacity_stolen", {"from_site": "OR", "to_site": "UT"}, {"capacity_steals": 1}, {}),
+    ("chunk_retried", {"site": "UT", "ordinal": 2}, {"chunk_retries": 1}, {}),
+    ("sweep_started", {"site": "UT", "total": 12}, {}, {}),
+]
+
+
+class TestAccounting:
+    @pytest.mark.parametrize(
+        "kind, payload, counters, gauges",
+        ACCOUNTING,
+        ids=[
+            f"{kind}{'-resumed' if payload.get('resumed') else ''}"
+            for kind, payload, _, _ in ACCOUNTING
+        ],
+    )
+    def test_event_moves_exactly_its_metrics(self, kind, payload, counters, gauges):
+        reset_metrics()
+        enable_metrics()
+        SweepEvents().emit(kind, **payload)
+        snapshot = metrics_snapshot()
+        assert snapshot["counters"] == counters
+        assert snapshot["gauges"] == gauges
+
+    def test_logs_only_the_terminal_and_fault_kinds(self, caplog):
+        bus = SweepEvents()
+        with caplog.at_level("INFO", logger="repro"):
+            for kind, payload, _, _ in ACCOUNTING:
+                bus.emit(kind, **payload)
+        logged = [
+            (r.levelname, r.getMessage().split()[0])
+            for r in caplog.records
+            if r.name == "repro.obs.events"
+        ]
+        assert logged == [
+            ("INFO", "sweep_finished"),
+            ("WARNING", "site_quarantined"),
+            ("WARNING", "deadline_exceeded"),
+            ("INFO", "capacity_stolen"),
+        ]
 
 
 class TestJsonlSink:

@@ -19,10 +19,10 @@ from repro.obs import (
     start_metrics_server,
     validate_exposition,
 )
+from repro.obs.__main__ import _main
 from repro.obs.export import (
     CONTENT_TYPE,
     MetricsServer,
-    _main,
     prometheus_name,
 )
 
@@ -234,6 +234,26 @@ class TestValidatorCli:
         path.write_text("repro_a 1\nrepro_a 1\n")
         assert _main([str(path)]) == 1
         assert "duplicate sample" in capsys.readouterr().err
+
+    def test_module_entry_point_leaves_stderr_empty(self, tmp_path):
+        """``python -m repro.obs FILE`` runs without runpy's re-import warning."""
+        import subprocess
+        import sys
+
+        import repro
+
+        path = tmp_path / "ok.prom"
+        save_prometheus(path, fixed_snapshot())
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.obs", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_usage_error_exits_two(self, capsys):
         assert _main([]) == 2

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import Strategy, evaluate_design
 from repro.core.design import DesignSpace
+from repro.obs import disable_metrics, enable_metrics, metrics_snapshot, reset_metrics
 from repro.resilience import (
     JOURNAL_VERSION,
     CheckpointError,
@@ -210,12 +211,18 @@ class TestJournal:
         assert set(chunks) == {0, 4}
 
     def test_counts_written_work(self, tmp_path, evaluations):
-        journal = CheckpointJournal(tmp_path / "counts.ckpt", _header("fp"))
-        journal.append_chunk(0, evaluations[:2])
-        journal.append_chunk(2, evaluations[2:])
-        journal.close()
-        assert journal.chunks_written == 2
-        assert journal.evaluations_written == 4
+        reset_metrics()
+        enable_metrics()
+        try:
+            journal = CheckpointJournal(tmp_path / "counts.ckpt", _header("fp"))
+            journal.append_chunk(0, evaluations[:2])
+            journal.append_chunk(2, evaluations[2:])
+            journal.close()
+            counters = metrics_snapshot()["counters"]
+        finally:
+            disable_metrics()
+            reset_metrics()
+        assert counters["checkpoint_chunks_written"] == 2
 
     def test_close_is_idempotent(self, tmp_path):
         journal = CheckpointJournal(tmp_path / "idem.ckpt", _header("fp"))

@@ -206,11 +206,14 @@ class TestObservabilityFlags:
             ]
         )
         assert code == 0
-        # configure_logging writes to stderr by default; the optimizer
-        # logs sweep start/end at INFO regardless of cache state.
+        # configure_logging writes to stderr by default; the fleet logs
+        # sweep start/end and the event bus each site's sweep_finished at
+        # INFO regardless of cache state.
         err = capsys.readouterr().err
-        assert "repro.core.optimizer" in err
-        assert "sweep start" in err
+        assert "repro.core.fleet" in err
+        assert "fleet sweep start" in err
+        assert "repro.obs.events" in err
+        assert "sweep_finished site=UT" in err
 
 
 class TestStats:
