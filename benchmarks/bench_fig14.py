@@ -1,8 +1,6 @@
 """Figure 14: operational-vs-embodied Pareto frontiers for the four
 strategies in Oregon, North Carolina, and Utah (FWR = 40%)."""
 
-import json
-
 from _common import bench_workers, emit, run_once
 
 from repro import CarbonExplorer, Strategy, sweep_fleet
@@ -117,13 +115,7 @@ def build_fig14() -> str:
 
 def test_fig14(benchmark):
     text = run_once(benchmark, build_fig14)
-    out = emit("fig14", text)
-    payload = json.loads(out.with_suffix(".json").read_text())
-    if bench_workers() > 1:
-        # Parallel sweeps ship a tiny shm handle per worker, not the
-        # megabyte-scale pickled context.
-        assert 0 < payload["trace_plane"]["context_pickle_bytes"] < 1024
-        assert payload["trace_plane"]["shm_bytes_shared"] > 0
+    emit("fig14", text)
     # Zero-operational solutions must involve batteries (paper's frontier
     # observation) — verified here for Utah.
     explorer = CarbonExplorer("UT")

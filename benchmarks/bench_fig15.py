@@ -2,8 +2,6 @@
 carbon-optimal setting of each solution, per MW of datacenter capacity, for
 all thirteen regions — with coverage annotations (stars = 100%)."""
 
-import json
-
 from _common import bench_workers, emit, run_once
 
 from repro import CarbonExplorer, SITE_ORDER, Strategy, sweep_fleet
@@ -73,10 +71,6 @@ def annotate_per_mw(evaluation, avg_power_mw: float) -> str:
 
 def test_fig15(benchmark):
     text = run_once(benchmark, build_fig15)
-    out = emit("fig15", text)
-    payload = json.loads(out.with_suffix(".json").read_text())
-    if bench_workers() > 1:
-        assert 0 < payload["trace_plane"]["context_pickle_bytes"] < 1024
-        assert payload["trace_plane"]["shm_bytes_shared"] > 0
+    emit("fig15", text)
     lines = [l for l in text.splitlines() if l and l[:2] in SITE_ORDER]
     assert len(lines) == 13

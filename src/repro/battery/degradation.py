@@ -70,25 +70,6 @@ class DegradationModel:
         calendar cap even with zero cycling)."""
         return self.total_fade / CALENDAR_LIFE_CAP_YEARS
 
-    def remaining_fraction(self, cycles: float, years: float) -> float:
-        """Capacity fraction left after ``cycles`` and ``years`` of service.
-
-        Cycle and calendar aging accumulate independently; the result is
-        floored at zero (a fully dead pack).
-        """
-        if cycles < 0 or years < 0:
-            raise ValueError("cycles and years must be non-negative")
-        fade = cycles * self.fade_per_cycle + years * self.fade_per_year
-        return max(1.0 - fade, 0.0)
-
-    def remaining_capacity_mwh(self, cycles: float, years: float) -> float:
-        """Usable nameplate (MWh) left after the given service."""
-        return self.spec.capacity_mwh * self.remaining_fraction(cycles, years)
-
-    def is_end_of_life(self, cycles: float, years: float) -> bool:
-        """Whether the pack should be replaced."""
-        return self.remaining_fraction(cycles, years) <= self.end_of_life_fraction
-
     def service_years(self, cycles_per_year: float) -> float:
         """Years until end of life at a steady duty cycle.
 

@@ -95,10 +95,6 @@ class DualUseOutcome:
         """Annual energy still drawn from the grid."""
         return self.result.grid_import.total()
 
-    def reserve_always_held(self) -> bool:
-        """Whether the stored energy never dipped below the reserve."""
-        return bool(self.result.charge_level.min() >= self.reserve_mwh - 1e-9)
-
 
 def simulate_dual_use(
     demand: HourlySeries,

@@ -53,10 +53,6 @@ class PeakShavingResult:
     discharged_mwh: float
     charged_mwh: float
 
-    def peak_grid_draw_mw(self) -> float:
-        """Realized maximum grid draw over the year."""
-        return self.grid_import.max()
-
     def shaved_successfully(self) -> bool:
         """Whether the cap held in every hour."""
         return is_exact_zero(self.unshaved_mwh)

@@ -41,16 +41,6 @@ class RecBalance:
     consumed_mwh: float
 
     @property
-    def balance_mwh(self) -> float:
-        """Credits left after matching (negative = shortfall)."""
-        return self.generated_mwh - self.consumed_mwh
-
-    @property
-    def is_net_zero(self) -> bool:
-        """``True`` when credits cover consumption (the Net Zero claim)."""
-        return self.generated_mwh >= self.consumed_mwh
-
-    @property
     def matched_fraction(self) -> float:
         """Fraction of consumption covered by credits, capped at 1."""
         if is_exact_zero(self.consumed_mwh):

@@ -66,10 +66,6 @@ class HorizonPlan:
         """Operational + embodied over the horizon."""
         return self.operational_tons + self.embodied_tons
 
-    def annualized_tons(self) -> float:
-        """Average tCO2eq per year over the horizon."""
-        return self.total_tons / self.horizon_years
-
 
 def horizon_totals(
     annual_operational_tons: float,

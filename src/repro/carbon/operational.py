@@ -135,18 +135,3 @@ def scenario_intensity(
             demand, residual_import.minimum(demand), grid_intensity
         ).with_name("24/7 intensity")
     raise AssertionError(f"unhandled scenario {scenario}")  # pragma: no cover
-
-
-def annual_scenario_carbon_tons(
-    scenario: SupplyScenario,
-    demand: HourlySeries,
-    renewable_supply: HourlySeries,
-    grid_intensity: HourlySeries,
-    residual_import: Optional[HourlySeries] = None,
-) -> float:
-    """Annual operational carbon (tons) under one Figure 6 scenario."""
-    blend = scenario_intensity(
-        scenario, demand, renewable_supply, grid_intensity, residual_import
-    )
-    grams = float((demand.values * _KWH_PER_MWH * blend.values).sum())
-    return grams / _G_PER_TON

@@ -4,7 +4,6 @@ from .coverage import (
     coverage_from_grid_import,
     coverage_percent,
     hourly_coverage_fraction,
-    is_full_coverage,
     renewable_coverage,
 )
 from .allocation import AllocationResult, AllocationStep, allocate_budget
@@ -20,9 +19,7 @@ from .evaluate import (
     SiteContext,
     SupplyProjectionCache,
     build_site_context,
-    context_cache_size,
     evaluate_design,
-    set_context_cache_limit,
 )
 from .engine import SiteRun, SweepEngine, sweep_chunk_size
 from .explorer import CarbonExplorer
@@ -48,13 +45,8 @@ from .shm import (
     share_context,
     shared_memory_available,
 )
-from .pareto import dominates, frontier_tail_ratio, knee_point, pareto_frontier
-from .refine import (
-    FrontierRefinementResult,
-    RefinementResult,
-    refine_frontier,
-    refine_optimize,
-)
+from .pareto import frontier_tail_ratio, knee_point, pareto_frontier
+from .refine import RefinementResult, refine_optimize
 from .report import ReportOptions, site_report
 from .robustness import RobustnessReport, evaluate_across_years
 from .sensitivity import (
@@ -71,7 +63,6 @@ __all__ = [
     "coverage_from_grid_import",
     "coverage_percent",
     "hourly_coverage_fraction",
-    "is_full_coverage",
     "renewable_coverage",
     "DesignPoint",
     "DesignSpace",
@@ -82,9 +73,7 @@ __all__ = [
     "SiteContext",
     "SupplyProjectionCache",
     "build_site_context",
-    "context_cache_size",
     "evaluate_design",
-    "set_context_cache_limit",
     "CarbonExplorer",
     "SiteRun",
     "SweepEngine",
@@ -105,9 +94,7 @@ __all__ = [
     "attach_context",
     "share_context",
     "shared_memory_available",
-    "FrontierRefinementResult",
     "RefinementResult",
-    "refine_frontier",
     "refine_optimize",
     "ReportOptions",
     "site_report",
@@ -117,7 +104,6 @@ __all__ = [
     "SensitivityRecord",
     "SensitivityReport",
     "sensitivity_analysis",
-    "dominates",
     "frontier_tail_ratio",
     "knee_point",
     "pareto_frontier",

@@ -94,8 +94,3 @@ def coverage_percent(coverage_fraction: float) -> float:
     if not 0.0 <= coverage_fraction <= 1.0:
         raise ValueError(f"coverage fraction must be in [0, 1], got {coverage_fraction}")
     return coverage_fraction * 100.0
-
-
-def is_full_coverage(coverage_fraction: float, tolerance: float = 1e-6) -> bool:
-    """``True`` when a design achieves 100% 24/7 coverage (a Fig. 15 star)."""
-    return coverage_fraction >= 1.0 - tolerance

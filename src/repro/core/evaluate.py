@@ -248,32 +248,6 @@ class SiteContext:
 _MAX_CONTEXT_ENTRIES = 16
 _context_cache: "OrderedDict[tuple, SiteContext]" = OrderedDict()
 _context_cache_lock = threading.Lock()
-_context_cache_limit = _MAX_CONTEXT_ENTRIES
-
-
-def set_context_cache_limit(max_entries: int) -> int:
-    """Set the LRU bound of the site-context cache; returns the old limit.
-
-    Long-lived processes sweeping many ``(site, year, seed)`` combinations
-    can lower (or raise) the default of %d entries.  Shrinking evicts
-    oldest-first immediately; each eviction increments the
-    ``site_context_cache_evictions`` counter.
-    """ % _MAX_CONTEXT_ENTRIES
-    global _context_cache_limit
-    if max_entries < 1:
-        raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-    with _context_cache_lock:
-        old, _context_cache_limit = _context_cache_limit, max_entries
-        while len(_context_cache) > _context_cache_limit:
-            _context_cache.popitem(last=False)
-            inc("site_context_cache_evictions")
-    return old
-
-
-def context_cache_size() -> int:
-    """Number of contexts currently memoized (for tests and diagnostics)."""
-    with _context_cache_lock:
-        return len(_context_cache)
 
 
 def build_site_context(
@@ -317,7 +291,7 @@ def build_site_context(
     if key is not None:
         with _context_cache_lock:
             _context_cache[key] = context
-            while len(_context_cache) > _context_cache_limit:
+            while len(_context_cache) > _MAX_CONTEXT_ENTRIES:
                 _context_cache.popitem(last=False)
                 inc("site_context_cache_evictions")
     return context

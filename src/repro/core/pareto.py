@@ -41,19 +41,6 @@ def pareto_frontier(
     return tuple(frontier)
 
 
-def dominates(
-    a: DesignEvaluation,
-    b: DesignEvaluation,
-    x: Callable[[DesignEvaluation], float] = lambda e: e.embodied_tons,
-    y: Callable[[DesignEvaluation], float] = lambda e: e.operational_tons,
-) -> bool:
-    """``True`` if ``a`` is at least as good as ``b`` on both axes and
-    strictly better on at least one."""
-    ax, ay = x(a), y(a)
-    bx, by = x(b), y(b)
-    return ax <= bx and ay <= by and (ax < bx or ay < by)
-
-
 def knee_point(frontier: Sequence[DesignEvaluation]) -> DesignEvaluation:
     """The frontier point minimizing total carbon (operational + embodied).
 

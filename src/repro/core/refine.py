@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .design import DesignSpace, Strategy
-from .evaluate import DesignEvaluation, SiteContext
+from .evaluate import SiteContext
 from .optimizer import OptimizationResult, optimize
-from .pareto import knee_point, pareto_frontier
 from ..timeseries.stats import bitwise_equal
 
 
@@ -118,104 +117,6 @@ def refine_optimize(
 
     return RefinementResult(
         best=best,
-        rounds=tuple(rounds),
-        total_evaluations=sum(r.n_evaluated for r in rounds),
-    )
-
-
-@dataclass(frozen=True)
-class FrontierRefinementResult:
-    """Outcome of Pareto-frontier refinement.
-
-    Attributes
-    ----------
-    frontier:
-        The Pareto frontier of every design evaluated across all rounds.
-    best:
-        The knee (minimum total carbon) of that merged frontier.
-    rounds:
-        Per-zoom :class:`OptimizationResult` objects, first = coarse pass.
-    total_evaluations:
-        Sum of designs evaluated across rounds.
-    """
-
-    frontier: Tuple[DesignEvaluation, ...]
-    best: DesignEvaluation
-    rounds: Tuple[OptimizationResult, ...]
-    total_evaluations: int
-
-
-def refine_frontier(
-    context: SiteContext,
-    space: DesignSpace,
-    strategy: Strategy,
-    n_rounds: int = 1,
-    points_per_axis: int = 5,
-    neighbourhood: int = 1,
-    batch_size: "int | None" = None,
-) -> FrontierRefinementResult:
-    """Coarse-to-fine refinement of the whole Pareto frontier.
-
-    :func:`refine_optimize` zooms on the single incumbent, which sharpens
-    the knee but leaves the rest of the frontier at coarse resolution.
-    This variant zooms on the knee *neighbourhood* — the knee and its
-    ``neighbourhood`` flanking frontier points on each side — re-optimizes
-    each zoomed window, and merges every evaluation before re-deriving the
-    frontier, so the curve's bend (the paper's headline region) is refined
-    rather than a single point.  The merged frontier is never worse than
-    the coarse one: the coarse evaluations stay in the merge.
-
-    Parameters
-    ----------
-    context, space, strategy:
-        As for :func:`repro.core.optimizer.optimize`; ``space`` is the
-        initial coarse grid.
-    n_rounds:
-        Zoom iterations after the coarse pass; each re-derives the knee
-        neighbourhood from the current merged frontier.
-    points_per_axis:
-        Resolution of each zoomed axis.
-    neighbourhood:
-        Frontier points on each side of the knee to anchor extra zoom
-        windows on (0 = knee only).
-    batch_size:
-        Forwarded to :func:`optimize`, where it only widens chunks: wider
-        chunks reach the batched (design x hour) kernels' row floors,
-        which is what makes many small zoom sweeps cheap.
-    """
-    if n_rounds < 0:
-        raise ValueError(f"n_rounds must be non-negative, got {n_rounds}")
-    if points_per_axis < 2:
-        raise ValueError(f"points_per_axis must be >= 2, got {points_per_axis}")
-    if neighbourhood < 0:
-        raise ValueError(f"neighbourhood must be non-negative, got {neighbourhood}")
-
-    coarse = optimize(context, space, strategy, batch_size=batch_size)
-    rounds = [coarse]
-    evaluations = list(coarse.evaluations)
-
-    for _ in range(n_rounds):
-        frontier = pareto_frontier(evaluations)
-        knee = knee_point(frontier)
-        knee_index = frontier.index(knee)
-        lo = max(knee_index - neighbourhood, 0)
-        hi = min(knee_index + neighbourhood, len(frontier) - 1)
-        anchors = frontier[lo : hi + 1]
-        seen = set()
-        for anchor in anchors:
-            zoomed = _zoom_space(space, anchor, points_per_axis)
-            key = (zoomed.solar_mw, zoomed.wind_mw, zoomed.battery_mwh)
-            if key in seen:
-                continue
-            seen.add(key)
-            result = optimize(context, zoomed, strategy, batch_size=batch_size)
-            rounds.append(result)
-            evaluations.extend(result.evaluations)
-
-    frontier = pareto_frontier(evaluations)
-    return FrontierRefinementResult(
-        frontier=frontier,
-        best=knee_point(frontier),
         rounds=tuple(rounds),
         total_evaluations=sum(r.n_evaluated for r in rounds),
     )

@@ -60,11 +60,6 @@ class RobustnessReport:
         """Coverage in the worst weather year — the number to plan against."""
         return float(self._coverages().min())
 
-    def coverage_spread(self) -> float:
-        """Best-year minus worst-year coverage (weather exposure)."""
-        coverages = self._coverages()
-        return float(coverages.max() - coverages.min())
-
     def mean_total_tons(self) -> float:
         """Average total carbon across weather years."""
         return float(self._totals().mean())

@@ -35,7 +35,6 @@ from .workloads import (
     FlexibilityModel,
     WorkloadTier,
     flexible_fraction_within,
-    tier_shares_sum,
 )
 
 __all__ = [
@@ -65,5 +64,4 @@ __all__ = [
     "FlexibilityModel",
     "WorkloadTier",
     "flexible_fraction_within",
-    "tier_shares_sum",
 ]

@@ -137,19 +137,6 @@ class DatacenterDemand:
         """Average facility power over the year."""
         return self.power.mean()
 
-    @property
-    def peak_power_mw(self) -> float:
-        """Maximum hourly facility power over the year."""
-        return self.power.max()
-
-    def power_swing(self) -> float:
-        """Relative facility power swing ``(max - min) / mean`` over the year."""
-        return (self.power.max() - self.power.min()) / self.power.mean()
-
-    def utilization_swing_points(self) -> float:
-        """Max-minus-min utilization over the year, in points."""
-        return self.utilization.max() - self.utilization.min()
-
     def diurnal_power_swing(self) -> float:
         """Average *within-day* relative power swing — the Fig. 3 ~4% number.
 

@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..timeseries import HourlySeries
-from ..timeseries.stats import is_exact_zero
 
 #: The paper's proxy server: HPE ProLiant DL360 Gen10, single-socket, 48 GB
 #: DRAM, 85 W TDP.  Wall power at full load exceeds CPU TDP; 250 W is a
@@ -65,16 +62,6 @@ class ServerModel:
         if not 0.0 <= utilization <= 1.0:
             raise ValueError(f"utilization must be in [0, 1], got {utilization}")
         return self.idle_w + self.dynamic_range_w * utilization
-
-    def utilization_for_power(self, power_w: float) -> float:
-        """Inverse of :meth:`power_w`; raises if power is outside [idle, peak]."""
-        if not self.idle_w <= power_w <= self.peak_w:
-            raise ValueError(
-                f"power {power_w} W outside server range [{self.idle_w}, {self.peak_w}]"
-            )
-        if is_exact_zero(self.dynamic_range_w):
-            return 0.0
-        return (power_w - self.idle_w) / self.dynamic_range_w
 
 
 @dataclass(frozen=True)
@@ -120,25 +107,6 @@ class DatacenterPowerModel:
         """Facility power at 100% utilization — the provisioning limit."""
         return self.facility_power_mw(1.0)
 
-    @property
-    def idle_power_mw(self) -> float:
-        """Facility power at 0% utilization."""
-        return self.facility_power_mw(0.0)
-
-    # ------------------------------------------------------------------
-    # Inverse map: facility power -> utilization
-    # ------------------------------------------------------------------
-    def utilization_for_power(self, power_mw: float) -> float:
-        """Fleet utilization implied by a facility power level."""
-        if not self.idle_power_mw <= power_mw <= self.peak_power_mw:
-            raise ValueError(
-                f"power {power_mw} MW outside facility range "
-                f"[{self.idle_power_mw:.3f}, {self.peak_power_mw:.3f}]"
-            )
-        it_mw = (power_mw - self.non_it_mw) / self.pue
-        server_w = it_mw * 1e6 / self.n_servers
-        return self.server.utilization_for_power(server_w)
-
     def power_trace(self, utilization: HourlySeries) -> HourlySeries:
         """Map an hourly utilization trace to facility power (MW)."""
         values = utilization.values
@@ -147,23 +115,6 @@ class DatacenterPowerModel:
         it_w = self.server.idle_w + self.server.dynamic_range_w * values
         power = self.pue * self.n_servers * it_w / 1e6 + self.non_it_mw
         return HourlySeries(power, utilization.calendar, name="facility power")
-
-    # ------------------------------------------------------------------
-    # Sizing helpers
-    # ------------------------------------------------------------------
-    def with_extra_capacity(self, extra_fraction: float) -> "DatacenterPowerModel":
-        """A fleet grown by ``extra_fraction`` (e.g. 0.25 → 25% more servers).
-
-        Carbon-aware scheduling may need extra servers for deferred work
-        (§4.3); this returns the grown model with identical per-server and
-        facility parameters.
-        """
-        if extra_fraction < 0:
-            raise ValueError(f"extra_fraction must be non-negative, got {extra_fraction}")
-        grown = int(np.ceil(self.n_servers * (1.0 + extra_fraction)))
-        return DatacenterPowerModel(
-            n_servers=grown, server=self.server, pue=self.pue, non_it_mw=self.non_it_mw
-        )
 
 
 def fleet_for_average_power(

@@ -70,11 +70,6 @@ WORKLOAD_TIERS: Tuple[WorkloadTier, ...] = (
 )
 
 
-def tier_shares_sum() -> float:
-    """Sum of tier shares — should be 1.0 (the figure's bars cover 100%)."""
-    return sum(t.share for t in WORKLOAD_TIERS)
-
-
 def flexible_fraction_within(window_hours: int) -> float:
     """Fraction of data-processing work shiftable by at least ``window_hours``.
 

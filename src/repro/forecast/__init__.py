@@ -1,10 +1,8 @@
 """Day-ahead forecasting and forecast-driven (online) scheduling."""
 
 from .metrics import (
-    forecast_skill,
     mean_absolute_error,
     normalized_mae,
-    root_mean_squared_error,
 )
 from .models import (
     BlendedForecaster,
@@ -15,10 +13,8 @@ from .models import (
 from .online import OnlineScheduleResult, schedule_with_forecast
 
 __all__ = [
-    "forecast_skill",
     "mean_absolute_error",
     "normalized_mae",
-    "root_mean_squared_error",
     "BlendedForecaster",
     "ClimatologyForecaster",
     "PersistenceForecaster",

@@ -22,12 +22,6 @@ def mean_absolute_error(actual, forecast) -> float:
     return float(np.abs(a - f).mean())
 
 
-def root_mean_squared_error(actual, forecast) -> float:
-    """Root of mean squared error."""
-    a, f = _pair(actual, forecast)
-    return float(np.sqrt(((a - f) ** 2).mean()))
-
-
 def normalized_mae(actual, forecast) -> float:
     """MAE divided by the mean actual — comparable across trace scales.
 
@@ -38,15 +32,3 @@ def normalized_mae(actual, forecast) -> float:
     if is_exact_zero(mean):
         raise ValueError("normalized MAE undefined for a zero-mean actual")
     return float(np.abs(a - f).mean() / mean)
-
-
-def forecast_skill(actual, forecast, reference) -> float:
-    """Skill score vs a reference forecast: ``1 - MAE/MAE_ref``.
-
-    Positive = better than the reference; 1.0 = perfect; negative = worse.
-    """
-    mae = mean_absolute_error(actual, forecast)
-    mae_ref = mean_absolute_error(actual, reference)
-    if is_exact_zero(mae_ref):
-        raise ValueError("reference forecast is perfect; skill undefined")
-    return 1.0 - mae / mae_ref

@@ -8,7 +8,6 @@ from .authorities import (
     RenewableClass,
     SolarProfile,
     WindProfile,
-    authorities_by_class,
     get_authority,
 )
 from .calibration import (
@@ -20,33 +19,23 @@ from .curtailment import (
     CISO_BUILDOUT_BY_YEAR,
     CurtailmentRecord,
     curtailment_trendline,
-    oversupply_hours,
     simulate_historical_curtailment,
 )
 from .dataset import GridDataset, dispatch, generate_grid_dataset
 from .marginal import marginal_intensity_g_per_kwh, signal_divergence_hours
 from .pricing import (
     PriceModel,
-    energy_cost_dollars,
     hourly_prices,
     price_carbon_alignment,
 )
 from .scaling import (
     RenewableInvestment,
-    grid_fleet_capacity,
     projected_supply,
     scale_trace_to_capacity,
 )
 from .sources import (
-    CARBON_FREE_SOURCES,
     CARBON_INTENSITY_G_PER_KWH,
-    DISPATCHABLE_FOSSIL,
-    VARIABLE_RENEWABLES,
     EnergySource,
-    carbon_intensity,
-    is_carbon_free,
-    is_variable_renewable,
-    mix_intensity_g_per_kwh,
 )
 from .synthetic import (
     hydro_generation,
@@ -64,7 +53,6 @@ __all__ = [
     "RenewableClass",
     "SolarProfile",
     "WindProfile",
-    "authorities_by_class",
     "get_authority",
     "CalibrationFingerprint",
     "fingerprint",
@@ -72,7 +60,6 @@ __all__ = [
     "CISO_BUILDOUT_BY_YEAR",
     "CurtailmentRecord",
     "curtailment_trendline",
-    "oversupply_hours",
     "simulate_historical_curtailment",
     "GridDataset",
     "dispatch",
@@ -80,22 +67,13 @@ __all__ = [
     "marginal_intensity_g_per_kwh",
     "signal_divergence_hours",
     "PriceModel",
-    "energy_cost_dollars",
     "hourly_prices",
     "price_carbon_alignment",
     "RenewableInvestment",
-    "grid_fleet_capacity",
     "projected_supply",
     "scale_trace_to_capacity",
-    "CARBON_FREE_SOURCES",
     "CARBON_INTENSITY_G_PER_KWH",
-    "DISPATCHABLE_FOSSIL",
-    "VARIABLE_RENEWABLES",
     "EnergySource",
-    "carbon_intensity",
-    "is_carbon_free",
-    "is_variable_renewable",
-    "mix_intensity_g_per_kwh",
     "hydro_generation",
     "seed_for",
     "solar_generation",

@@ -123,11 +123,6 @@ class BalancingAuthority:
         if self.wind.capacity_mw < 0 or self.solar.capacity_mw < 0:
             raise ValueError(f"{self.code}: capacities must be non-negative")
 
-    @property
-    def renewable_capacity_mw(self) -> float:
-        """Combined wind + solar nameplate capacity on this grid."""
-        return self.wind.capacity_mw + self.solar.capacity_mw
-
 
 #: Registry of the paper's ten Table-1 balancing authorities plus CISO.
 #: Demand scales are loosely modelled on each BA's real size; renewable
@@ -352,12 +347,3 @@ def get_authority(code: str) -> BalancingAuthority:
     except KeyError:
         known = ", ".join(sorted(BALANCING_AUTHORITIES))
         raise KeyError(f"unknown balancing authority {code!r}; known: {known}") from None
-
-
-def authorities_by_class(renewable_class: RenewableClass) -> Tuple[BalancingAuthority, ...]:
-    """All Table-1 authorities in a renewable class, in registry order."""
-    return tuple(
-        BALANCING_AUTHORITIES[code]
-        for code in TABLE1_AUTHORITY_CODES
-        if BALANCING_AUTHORITIES[code].renewable_class is renewable_class
-    )

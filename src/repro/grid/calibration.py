@@ -20,7 +20,6 @@ from typing import Tuple
 
 from ..timeseries import best_days_ratio, coefficient_of_variation, worst_days_ratio
 from .dataset import GridDataset, generate_grid_dataset
-from ..timeseries.stats import is_exact_zero
 
 #: Daily wind output (fraction of nameplate energy) below which a day counts
 #: as a near-zero "valley" day.
@@ -45,12 +44,6 @@ class CalibrationFingerprint:
     worst10_ratio: float
     near_zero_wind_days: int
     solar_night_leak_mwh: float
-
-    def wind_cf_error(self) -> float:
-        """Relative calibration error of the wind capacity factor."""
-        if is_exact_zero(self.wind_cf_target):
-            return 0.0
-        return abs(self.wind_capacity_factor - self.wind_cf_target) / self.wind_cf_target
 
 
 def fingerprint(grid: GridDataset) -> CalibrationFingerprint:

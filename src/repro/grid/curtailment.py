@@ -139,11 +139,6 @@ def simulate_historical_curtailment(
     return tuple(records)
 
 
-def oversupply_hours(grid: GridDataset) -> int:
-    """Number of hours in which any renewable energy was curtailed."""
-    return int(np.count_nonzero(grid.curtailed.values > 1e-9))
-
-
 def curtailment_trendline(
     records: Tuple[CurtailmentRecord, ...]
 ) -> Tuple[float, float]:

@@ -108,12 +108,3 @@ def price_carbon_alignment(grid: GridDataset, model: PriceModel = PriceModel()) 
     if is_exact_zero(denom):
         raise ValueError("alignment undefined: a constant signal has no ranking")
     return float((rp * ri).sum() / denom)
-
-
-def energy_cost_dollars(consumption: HourlySeries, prices: HourlySeries) -> float:
-    """Annual energy bill for an hourly consumption trace (MW x $/MWh)."""
-    if consumption.calendar != prices.calendar:
-        raise ValueError("consumption and prices must share a calendar")
-    if consumption.min() < 0:
-        raise ValueError("consumption must be non-negative")
-    return float((consumption.values * prices.values).sum())

@@ -99,15 +99,3 @@ def projected_supply(grid: GridDataset, investment: RenewableInvestment) -> Hour
     if investment.wind_mw > 0.0:
         supply = supply + scale_trace_to_capacity(grid.wind, investment.wind_mw)
     return supply.with_name("renewable supply")
-
-
-def grid_fleet_capacity(grid: GridDataset) -> RenewableInvestment:
-    """The grid's own fleet size under the paper's max-equals-capacity rule.
-
-    Useful for sanity-checking that a requested investment is plausible
-    relative to the hosting grid.
-    """
-    return RenewableInvestment(
-        solar_mw=grid.solar.max(),
-        wind_mw=grid.wind.max(),
-    )

@@ -11,8 +11,7 @@ the lifecycle figure *is* the amortized manufacturing cost per kWh.
 from __future__ import annotations
 
 from enum import Enum, unique
-from typing import Dict, Tuple
-from ..timeseries.stats import is_exact_zero
+from typing import Dict
 
 
 @unique
@@ -43,68 +42,3 @@ CARBON_INTENSITY_G_PER_KWH: Dict[EnergySource, float] = {
     EnergySource.OIL: 650.0,
     EnergySource.OTHER: 230.0,
 }
-
-#: Sources counted as variable renewable energy (the paper's "renewables").
-VARIABLE_RENEWABLES: Tuple[EnergySource, ...] = (
-    EnergySource.WIND,
-    EnergySource.SOLAR,
-)
-
-#: Sources counted as carbon-free for coverage purposes.  The paper's 24/7
-#: analysis matches datacenter load against wind + solar supply only; nuclear
-#: and hydro stay part of the grid mix but are not credited to the datacenter.
-CARBON_FREE_SOURCES: Tuple[EnergySource, ...] = (
-    EnergySource.WIND,
-    EnergySource.SOLAR,
-    EnergySource.WATER,
-    EnergySource.NUCLEAR,
-)
-
-#: Fossil sources dispatched to fill residual demand, in merit order (the
-#: order a utility's dispatch stack brings them online).
-DISPATCHABLE_FOSSIL: Tuple[EnergySource, ...] = (
-    EnergySource.NATURAL_GAS,
-    EnergySource.COAL,
-    EnergySource.OIL,
-)
-
-
-def carbon_intensity(source: EnergySource) -> float:
-    """Lifecycle carbon intensity of ``source`` in gCO2eq/kWh (Table 2)."""
-    return CARBON_INTENSITY_G_PER_KWH[source]
-
-
-def is_variable_renewable(source: EnergySource) -> bool:
-    """``True`` for wind and solar — the intermittent sources the paper sizes."""
-    return source in VARIABLE_RENEWABLES
-
-
-def is_carbon_free(source: EnergySource) -> bool:
-    """``True`` for sources with near-zero operational emissions."""
-    return source in CARBON_FREE_SOURCES
-
-
-def mix_intensity_g_per_kwh(generation_mwh: Dict[EnergySource, float]) -> float:
-    """Carbon intensity of a generation mix, in gCO2eq/kWh.
-
-    Parameters
-    ----------
-    generation_mwh:
-        Energy produced per source over some interval.  Units cancel, so any
-        consistent energy unit works.
-
-    Raises
-    ------
-    ValueError
-        If total generation is zero or any entry is negative.
-    """
-    total = 0.0
-    weighted = 0.0
-    for source, energy in generation_mwh.items():
-        if energy < 0:
-            raise ValueError(f"negative generation for {source}: {energy}")
-        total += energy
-        weighted += energy * CARBON_INTENSITY_G_PER_KWH[source]
-    if is_exact_zero(total):
-        raise ValueError("cannot compute intensity of an empty generation mix")
-    return weighted / total

@@ -2,8 +2,8 @@
 
 Counters, gauges, and histograms are created lazily on first write, so a
 typo'd name (``inc("design_evaluated")``) never errors — it just forks a
-second metric that benchmarks, dashboards, and ``benchmarks/out/*.json``
-assertions silently miss.  The single source of truth is
+second metric that tests, dashboards, and ``--metrics-out`` readers
+silently miss.  The single source of truth is
 :mod:`repro.obs.metric_names`; this rule statically checks every call to
 the metrics API (``inc``, ``set_gauge``, ``observe``, ``counter_value``,
 whether module-level or as a registry method) whose name argument is a

@@ -61,7 +61,6 @@ from .metrics import (
     gauge_value,
     get_registry,
     inc,
-    merge_counters,
     merge_snapshot,
     metrics_enabled,
     metrics_snapshot,
@@ -80,13 +79,11 @@ from .trace import (
     enable_tracing,
     export_spans,
     get_tracer,
-    ingest_spans,
     render_trace,
     reset_tracing,
     save_trace,
     span,
     trace_roots,
-    trace_tree,
     tracing_enabled,
 )
 
@@ -107,7 +104,6 @@ __all__ = [
     "BUCKET_BOUNDS",
     "merge_snapshot",
     "export_spans",
-    "ingest_spans",
     "COUNTERS",
     "EVENTS",
     "GAUGES",
@@ -124,7 +120,6 @@ __all__ = [
     "gauge_value",
     "get_registry",
     "inc",
-    "merge_counters",
     "metrics_enabled",
     "metrics_snapshot",
     "observe",
@@ -144,6 +139,5 @@ __all__ = [
     "save_trace",
     "span",
     "trace_roots",
-    "trace_tree",
     "tracing_enabled",
 ]

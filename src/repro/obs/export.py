@@ -102,8 +102,8 @@ def render_prometheus(snapshot: Optional[Dict[str, Any]] = None) -> str:
 
     ``snapshot`` defaults to the live default registry
     (:func:`repro.obs.metrics.metrics_snapshot`); any snapshot-shaped
-    dict — e.g. one loaded back from a ``--metrics-out`` JSON file or a
-    ``benchmarks/out/*.json`` artifact — renders identically.  Families
+    dict — e.g. one loaded back from a ``--metrics-out`` JSON file —
+    renders identically.  Families
     are emitted counters → gauges → histograms, each kind sorted by name,
     so the output is deterministic for a given snapshot.
     """

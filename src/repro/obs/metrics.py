@@ -29,7 +29,7 @@ import json
 import math
 import os
 import threading
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 from . import metric_names
 
@@ -436,15 +436,6 @@ def observe(name: str, value: float) -> None:
     if not _REGISTRY.enabled:
         return
     _REGISTRY.observe(name, value)
-
-
-def merge_counters(snapshot: Dict[str, Any]) -> None:
-    """Fold a :func:`metrics_snapshot`-shaped dict's counters into the
-    default registry (no-op when disabled; see
-    :meth:`MetricsRegistry.merge_counters`)."""
-    if not _REGISTRY.enabled:
-        return
-    _REGISTRY.merge_counters(snapshot.get("counters", {}))
 
 
 def merge_snapshot(snapshot: Dict[str, Any]) -> None:

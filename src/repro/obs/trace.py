@@ -474,17 +474,6 @@ def export_spans() -> List[Dict[str, Any]]:
     return _TRACER.export_spans()
 
 
-def ingest_spans(records: List[Dict[str, Any]], pid: int) -> None:
-    """Adopt another process' exported spans into the default tracer
-    (no-op when tracing is disabled; see :meth:`Tracer.ingest_spans`)."""
-    _TRACER.ingest_spans(records, pid)
-
-
-def trace_tree() -> Dict[str, Any]:
-    """Nested span-tree document of the default tracer."""
-    return _TRACER.to_tree()
-
-
 def render_trace(max_depth: Optional[int] = None) -> str:
     """ASCII rendering of the default tracer's span trees."""
     return _TRACER.render_text(max_depth=max_depth)

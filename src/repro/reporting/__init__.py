@@ -1,9 +1,8 @@
 """Text reporting helpers shared by the benchmark harness and examples."""
 
-from .tables import format_series, format_table, histogram_rows, percent, spark_bar
+from .tables import format_table, histogram_rows, percent, spark_bar
 
 __all__ = [
-    "format_series",
     "format_table",
     "histogram_rows",
     "percent",

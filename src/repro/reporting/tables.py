@@ -47,21 +47,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(
-    labels: Sequence[object],
-    values: Sequence[float],
-    label_header: str,
-    value_header: str,
-    title: str = "",
-    precision: int = 3,
-) -> str:
-    """Render an (x, y) series as a two-column table."""
-    if len(labels) != len(values):
-        raise ValueError(f"length mismatch: {len(labels)} labels, {len(values)} values")
-    rows = [(label, f"{value:.{precision}f}") for label, value in zip(labels, values)]
-    return format_table([label_header, value_header], rows, title=title)
-
-
 def percent(fraction: float, precision: int = 1) -> str:
     """Format a fraction as a percentage string (``0.51 -> '51.0%'``)."""
     return f"{fraction * 100:.{precision}f}%"

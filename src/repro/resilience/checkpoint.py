@@ -300,11 +300,6 @@ class JournalInfo:
         """Whether every grid index of the sweep is journaled."""
         return self.error is None and self.total > 0 and self.evaluations_done >= self.total
 
-    @property
-    def resumable(self) -> bool:
-        """Whether ``--resume`` against this journal would skip work."""
-        return self.error is None and 0 < self.evaluations_done < self.total
-
     def verdict(self) -> str:
         """One-word-ish resumability verdict for the CLI table."""
         if self.error is not None:

@@ -338,11 +338,6 @@ class AdaptiveChunkTimeout:
             self._ewma = self._alpha * duration_s + (1 - self._alpha) * self._ewma
         self.observations += 1
 
-    @property
-    def ewma_s(self) -> Optional[float]:
-        """Current average chunk duration, or ``None`` before any data."""
-        return self._ewma
-
     def budget_s(self) -> Optional[float]:
         """Current stall budget for an outstanding chunk, or ``None``.
 

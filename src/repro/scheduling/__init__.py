@@ -3,9 +3,7 @@
 from .capacity import (
     MAX_CAPACITY_MULTIPLE,
     additional_capacity_for_full_coverage,
-    capacity_sweep,
     deficit_after_scheduling,
-    servers_for_extra_capacity,
 )
 from .combined import CombinedResult, simulate_combined
 from .geographic import (
@@ -17,7 +15,6 @@ from .geographic import (
 from .greedy import ScheduleResult, schedule_carbon_aware
 from .optimal import (
     OptimalScheduleResult,
-    greedy_optimality_gap,
     schedule_optimal,
 )
 from .tiered import (
@@ -31,9 +28,7 @@ from .tiered import (
 __all__ = [
     "MAX_CAPACITY_MULTIPLE",
     "additional_capacity_for_full_coverage",
-    "capacity_sweep",
     "deficit_after_scheduling",
-    "servers_for_extra_capacity",
     "CombinedResult",
     "FleetSite",
     "MigrationResult",
@@ -43,7 +38,6 @@ __all__ = [
     "ScheduleResult",
     "schedule_carbon_aware",
     "OptimalScheduleResult",
-    "greedy_optimality_gap",
     "schedule_optimal",
     "NO_SLO_DEADLINE_HOURS",
     "TierPolicy",

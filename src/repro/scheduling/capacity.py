@@ -102,47 +102,3 @@ def additional_capacity_for_full_coverage(
             else:
                 high = mid
     return high - 1.0
-
-
-def capacity_sweep(
-    demand: HourlySeries,
-    supply_grid: HourlySeries,
-    intensity: HourlySeries,
-    capacity_multiples: tuple,
-    flexible_ratio: float,
-) -> tuple:
-    """Schedule at each capacity multiple; returns one result per multiple.
-
-    Convenience wrapper for Fig. 12-style sweeps: all inputs fixed except
-    ``P_DC_MAX``.
-    """
-    results = []
-    base_peak = demand.max()
-    for multiple in capacity_multiples:
-        if multiple < 1.0:
-            raise ValueError(f"capacity multiples must be >= 1, got {multiple}")
-        results.append(
-            schedule_carbon_aware(
-                demand, supply_grid, intensity, base_peak * multiple, flexible_ratio
-            )
-        )
-    return tuple(results)
-
-
-def servers_for_extra_capacity(
-    n_servers: int, additional_fraction: float
-) -> int:
-    """Number of extra servers implied by an additional-capacity fraction.
-
-    Rounds up: a fraction of a server is still a server to manufacture, and
-    the embodied model charges per physical machine.
-    """
-    import math
-
-    if n_servers <= 0:
-        raise ValueError(f"n_servers must be positive, got {n_servers}")
-    if additional_fraction < 0:
-        raise ValueError(
-            f"additional_fraction must be non-negative, got {additional_fraction}"
-        )
-    return math.ceil(n_servers * additional_fraction)

@@ -84,10 +84,6 @@ class CombinedResult:
             return 0.0
         return self.discharged_mwh / usable
 
-    def peak_power_mw(self) -> float:
-        """Peak of the shifted demand trace."""
-        return self.shifted_demand.max()
-
 
 def simulate_combined(
     demand: HourlySeries,

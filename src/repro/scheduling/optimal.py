@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..timeseries import HOURS_PER_DAY, HourlySeries
-from ..timeseries.stats import is_exact_zero
 
 _H = HOURS_PER_DAY
 
@@ -162,28 +161,3 @@ def schedule_optimal(
         capacity_mw=capacity_mw,
         flexible_ratio=flexible_ratio,
     )
-
-
-def greedy_optimality_gap(
-    demand: HourlySeries,
-    supply: HourlySeries,
-    intensity: HourlySeries,
-    capacity_mw: float,
-    flexible_ratio: float,
-) -> float:
-    """Greedy deficit over optimal deficit, minus one.
-
-    0.0 means the greedy schedule is optimal; 0.05 means it leaves 5% more
-    deficit on the table than the LP.
-    """
-    from .greedy import schedule_carbon_aware
-
-    greedy = schedule_carbon_aware(demand, supply, intensity, capacity_mw, flexible_ratio)
-    optimal = schedule_optimal(demand, supply, capacity_mw, flexible_ratio)
-    greedy_deficit = (greedy.shifted_demand - supply).positive_part().total()
-    optimal_deficit = optimal.deficit_mwh(supply)
-    if is_exact_zero(optimal_deficit):
-        if is_exact_zero(greedy_deficit):
-            return 0.0
-        raise ValueError("optimal schedule reaches zero deficit but greedy does not")
-    return greedy_deficit / optimal_deficit - 1.0

@@ -17,7 +17,6 @@ from .stats import (
     coefficient_of_variation,
     daily_total_histogram,
     histogram,
-    peak_to_trough_swing,
     pearson_correlation,
     worst_days_ratio,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "coefficient_of_variation",
     "daily_total_histogram",
     "histogram",
-    "peak_to_trough_swing",
     "pearson_correlation",
     "worst_days_ratio",
 ]

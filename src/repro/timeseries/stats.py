@@ -92,19 +92,6 @@ def daily_total_histogram(series: HourlySeries, n_bins: int = 20) -> Histogram:
     return histogram(series.daily_totals(), n_bins=n_bins)
 
 
-def peak_to_trough_swing(series: HourlySeries) -> float:
-    """Relative swing ``(max - min) / mean`` of a trace.
-
-    The paper quotes ~20% CPU-utilization swings versus ~4% power swings for
-    Meta datacenters (Fig. 3) and a >3x swing for California renewables
-    (Fig. 1); this is the statistic behind those numbers.
-    """
-    mean = series.mean()
-    if is_exact_zero(mean):
-        raise ValueError("swing undefined for a zero-mean series")
-    return (series.max() - series.min()) / mean
-
-
 def best_days_ratio(series: HourlySeries, n_days: int = 10) -> float:
     """Mean daily total of the best ``n_days`` relative to the yearly mean.
 

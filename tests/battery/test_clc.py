@@ -76,6 +76,17 @@ class TestCapacityLimits:
         assert battery.equivalent_full_cycles() == 0.0
 
 
+    def test_headroom_and_available_split_the_pack(self):
+        spec = BatterySpec(100.0, chemistry=IDEAL, depth_of_discharge=0.8)
+        # initial_soc spans the usable band: 20 MWh floor + 0.5 * 80 MWh.
+        battery = Battery(spec, initial_soc=0.5)
+        assert battery.headroom_mwh == pytest.approx(40.0)
+        assert battery.available_mwh == pytest.approx(40.0)
+        battery.discharge(100.0)
+        assert battery.available_mwh == pytest.approx(0.0)
+        assert battery.headroom_mwh == pytest.approx(80.0)
+
+
 class TestCRateLimits:
     def test_charge_power_capped_at_c_rate(self):
         battery = Battery(BatterySpec(100.0, chemistry=IDEAL), initial_soc=0.0)

@@ -13,25 +13,25 @@ def model():
 
 
 class TestFadeBudget:
-    def test_fresh_pack_is_full(self, model):
-        assert model.remaining_fraction(0.0, 0.0) == 1.0
 
     def test_cycle_budget_exhausts_fade_budget(self, model):
         """Running exactly the chemistry's cycle life reaches end of life
         (ignoring calendar aging)."""
         cycles = model.spec.chemistry.cycle_life(1.0)
-        remaining = model.remaining_fraction(cycles, 0.0)
-        assert remaining == pytest.approx(END_OF_LIFE_FRACTION)
+        assert cycles * model.fade_per_cycle == pytest.approx(1.0 - END_OF_LIFE_FRACTION)
 
     def test_calendar_cap_exhausts_fade_budget(self, model):
-        remaining = model.remaining_fraction(0.0, CALENDAR_LIFE_CAP_YEARS)
-        assert remaining == pytest.approx(END_OF_LIFE_FRACTION)
+        fade = CALENDAR_LIFE_CAP_YEARS * model.fade_per_year
+        assert fade == pytest.approx(1.0 - END_OF_LIFE_FRACTION)
 
-    def test_fade_is_monotone(self, model):
-        assert model.remaining_fraction(100.0, 1.0) < model.remaining_fraction(50.0, 0.5)
-
-    def test_floor_at_zero(self, model):
-        assert model.remaining_fraction(1e9, 1e3) == 0.0
+    def test_total_fade_is_the_end_of_life_gap(self, model):
+        assert model.total_fade == pytest.approx(1.0 - END_OF_LIFE_FRACTION)
+        retire_early = DegradationModel(model.spec, end_of_life_fraction=0.9)
+        assert retire_early.total_fade == pytest.approx(0.1)
+        # Both fade rates are sized against the budget, so the budget scales
+        # the per-cycle fade and leaves the service life unchanged.
+        assert retire_early.fade_per_cycle == pytest.approx(model.fade_per_cycle / 2)
+        assert retire_early.service_years(365.0) == pytest.approx(model.service_years(365.0))
 
     def test_shallower_dod_fades_slower_per_cycle(self):
         full = DegradationModel(BatterySpec(100.0, depth_of_discharge=1.0))
@@ -51,11 +51,6 @@ class TestServiceYears:
     def test_heavier_duty_shorter_life(self, model):
         assert model.service_years(730.0) < model.service_years(365.0)
 
-    def test_end_of_life_flag(self, model):
-        service = model.service_years(365.0)
-        assert not model.is_end_of_life(cycles=0.0, years=0.0)
-        assert model.is_end_of_life(cycles=365.0 * service, years=service)
-
 
 class TestValidation:
     def test_zero_capacity_rejected(self):
@@ -68,9 +63,4 @@ class TestValidation:
 
     def test_negative_service_inputs_rejected(self, model):
         with pytest.raises(ValueError):
-            model.remaining_fraction(-1.0, 0.0)
-        with pytest.raises(ValueError):
             model.service_years(-1.0)
-
-    def test_remaining_capacity_mwh(self, model):
-        assert model.remaining_capacity_mwh(0.0, 0.0) == 100.0

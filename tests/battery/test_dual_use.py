@@ -58,7 +58,6 @@ class TestSimulateDualUse:
         outcome = simulate_dual_use(
             flat_demand, day_night_supply, capacity_mwh=200.0, ride_through_hours=4.0
         )
-        assert outcome.reserve_always_held()
         assert outcome.result.charge_level.min() >= outcome.reserve_mwh - 1e-9
 
     def test_reserve_costs_carbon_benefit(self, flat_demand, day_night_supply):

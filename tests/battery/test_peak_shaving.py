@@ -1,6 +1,5 @@
 """Tests for the peak-shaving battery policy."""
 
-import numpy as np
 import pytest
 
 from repro.battery import BatterySpec
@@ -31,20 +30,20 @@ class TestShaving:
             peaky_demand, no_supply, BatterySpec(200.0), threshold_mw=12.0
         )
         assert result.shaved_successfully()
-        assert result.peak_grid_draw_mw() <= 12.0 + 1e-9
+        assert result.grid_import.max() <= 12.0 + 1e-9
 
     def test_small_battery_leaks_peak(self, peaky_demand, no_supply):
         result = simulate_peak_shaving(
             peaky_demand, no_supply, BatterySpec(5.0), threshold_mw=12.0
         )
         assert not result.shaved_successfully()
-        assert result.peak_grid_draw_mw() > 12.0
+        assert result.grid_import.max() > 12.0
 
     def test_no_battery_is_passthrough_of_net_demand(self, peaky_demand, no_supply):
         result = simulate_peak_shaving(
             peaky_demand, no_supply, BatterySpec(0.0), threshold_mw=12.0
         )
-        assert result.peak_grid_draw_mw() == pytest.approx(20.0)
+        assert result.grid_import.max() == pytest.approx(20.0)
         assert result.unshaved_mwh > 0.0
 
     def test_renewables_reduce_net_peak(self, peaky_demand):
@@ -52,7 +51,7 @@ class TestShaving:
         result = simulate_peak_shaving(
             peaky_demand, supply, BatterySpec(0.0), threshold_mw=12.0
         )
-        assert result.peak_grid_draw_mw() == pytest.approx(12.0)
+        assert result.grid_import.max() == pytest.approx(12.0)
 
     def test_recharge_respects_threshold(self, peaky_demand, no_supply):
         """Grid draw during recharge hours must never exceed the cap."""

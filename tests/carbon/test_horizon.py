@@ -73,7 +73,6 @@ class TestHorizonTotals:
         assert plan.total_tons == pytest.approx(
             plan.operational_tons + plan.embodied_tons
         )
-        assert plan.annualized_tons() == pytest.approx(plan.total_tons / 15.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.carbon import (
     SupplyScenario,
-    annual_scenario_carbon_tons,
     effective_intensity,
     operational_carbon_tons,
     scenario_intensity,
@@ -13,6 +12,12 @@ from repro.carbon import (
 from repro.timeseries import DEFAULT_CALENDAR, HourlySeries
 
 N = DEFAULT_CALENDAR.n_hours
+
+
+def annual_scenario_carbon(scenario, demand, supply, grid_intensity, residual_import=None):
+    """Annual operational carbon under one Fig. 6 scenario, up to the tons factor."""
+    blend = scenario_intensity(scenario, demand, supply, grid_intensity, residual_import)
+    return float((demand.values * blend.values).sum())
 
 
 @pytest.fixture()
@@ -97,10 +102,10 @@ class TestScenarios:
             [0.0] * 8 + [30.0] * 8 + [0.0] * 8, DEFAULT_CALENDAR
         )
         residual = (flat_demand - supply).positive_part() * 0.1  # battery covers 90%
-        net_zero = annual_scenario_carbon_tons(
+        net_zero = annual_scenario_carbon(
             SupplyScenario.NET_ZERO, flat_demand, supply, grid_intensity
         )
-        carbon_free = annual_scenario_carbon_tons(
+        carbon_free = annual_scenario_carbon(
             SupplyScenario.CARBON_FREE_247,
             flat_demand,
             supply,
@@ -115,13 +120,13 @@ class TestScenarios:
             [0.0] * 8 + [30.0] * 8 + [0.0] * 8, DEFAULT_CALENDAR
         )
         residual = (flat_demand - supply).positive_part() * 0.05
-        grid = annual_scenario_carbon_tons(
+        grid = annual_scenario_carbon(
             SupplyScenario.GRID_MIX, flat_demand, supply, grid_intensity
         )
-        net_zero = annual_scenario_carbon_tons(
+        net_zero = annual_scenario_carbon(
             SupplyScenario.NET_ZERO, flat_demand, supply, grid_intensity
         )
-        carbon_free = annual_scenario_carbon_tons(
+        carbon_free = annual_scenario_carbon(
             SupplyScenario.CARBON_FREE_247,
             flat_demand,
             supply,

@@ -9,7 +9,6 @@ from repro.core import (
     coverage_from_grid_import,
     coverage_percent,
     hourly_coverage_fraction,
-    is_full_coverage,
     renewable_coverage,
 )
 from repro.timeseries import DEFAULT_CALENDAR, HourlySeries
@@ -108,8 +107,3 @@ class TestHelpers:
     def test_coverage_percent_validation(self):
         with pytest.raises(ValueError):
             coverage_percent(1.2)
-
-    def test_is_full_coverage(self):
-        assert is_full_coverage(1.0)
-        assert is_full_coverage(0.9999999)
-        assert not is_full_coverage(0.99)

@@ -1,8 +1,11 @@
 """Tests for the end-to-end design evaluation engine."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.core import DesignPoint, Strategy, build_site_context, evaluate_design
+from repro.core import evaluate as evaluate_module
 from repro.grid import RenewableInvestment
 
 
@@ -122,45 +125,32 @@ class TestContextCacheBound:
         disable_metrics()
         reset_metrics()
 
-    @pytest.fixture()
-    def restore_limit(self):
-        from repro.core import set_context_cache_limit
+    def test_inserting_past_limit_evicts_oldest(self, fresh_metrics, monkeypatch):
+        monkeypatch.setattr(evaluate_module, "_context_cache", OrderedDict())
+        limit = evaluate_module._MAX_CONTEXT_ENTRIES
+        assert limit == 16
+        first = build_site_context("UT", seed=1000)
+        for seed in range(1001, 1000 + limit):
+            build_site_context("UT", seed=seed)
+        assert len(evaluate_module._context_cache) == limit
+        assert fresh_metrics.counter_value("site_context_cache_evictions") == 0
+        build_site_context("UT", seed=1000 + limit)
+        assert len(evaluate_module._context_cache) == limit
+        assert fresh_metrics.counter_value("site_context_cache_evictions") == 1
+        # The evicted (oldest) seed rebuilds from scratch — a fresh object.
+        rebuilt = build_site_context("UT", seed=1000)
+        assert rebuilt is not first
+        assert rebuilt.demand.power == first.demand.power
 
-        yield
-        set_context_cache_limit(16)
-
-    def test_limit_validation(self):
-        from repro.core import set_context_cache_limit
-
-        with pytest.raises(ValueError):
-            set_context_cache_limit(0)
-
-    def test_set_limit_returns_old_value(self, restore_limit):
-        from repro.core import set_context_cache_limit
-
-        old = set_context_cache_limit(4)
-        assert set_context_cache_limit(old) == 4
-
-    def test_shrinking_evicts_and_counts(self, restore_limit, fresh_metrics):
-        from repro.core import context_cache_size, set_context_cache_limit
-
-        build_site_context("UT", seed=101)
-        build_site_context("UT", seed=102)
-        assert context_cache_size() >= 2
-        set_context_cache_limit(1)
-        assert context_cache_size() == 1
-        assert fresh_metrics.counter_value("site_context_cache_evictions") >= 1
-
-    def test_inserting_past_limit_evicts_oldest(self, restore_limit, fresh_metrics):
-        from repro.core import context_cache_size, set_context_cache_limit
-
-        set_context_cache_limit(1)
-        a = build_site_context("UT", seed=103)
-        before = fresh_metrics.counter_value("site_context_cache_evictions")
-        b = build_site_context("UT", seed=104)
-        assert context_cache_size() == 1
-        assert fresh_metrics.counter_value("site_context_cache_evictions") > before
-        # The evicted seed rebuilds from scratch — a fresh object.
-        assert build_site_context("UT", seed=103) is not a
-        assert a.demand.power == build_site_context("UT", seed=103).demand.power
-        del b
+    def test_hit_refreshes_recency(self, fresh_metrics, monkeypatch):
+        """Eviction is least-recently-used, not first-in: a hit on the
+        oldest entry makes the second-oldest the next one out."""
+        monkeypatch.setattr(evaluate_module, "_context_cache", OrderedDict())
+        limit = evaluate_module._MAX_CONTEXT_ENTRIES
+        contexts = [build_site_context("UT", seed=2000 + i) for i in range(limit)]
+        assert build_site_context("UT", seed=2000) is contexts[0]
+        assert fresh_metrics.counter_value("site_context_cache_hits") == 1
+        build_site_context("UT", seed=2000 + limit)
+        assert fresh_metrics.counter_value("site_context_cache_evictions") == 1
+        assert build_site_context("UT", seed=2000) is contexts[0]
+        assert build_site_context("UT", seed=2001) is not contexts[1]

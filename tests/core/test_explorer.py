@@ -35,6 +35,11 @@ class TestCoverageApis:
         large = explorer.coverage(RenewableInvestment(solar_mw=500.0))
         assert 0.0 < small < large <= 1.0
 
+    def test_coverage_of_existing_investment(self, explorer):
+        existing = explorer.coverage_of_existing_investment()
+        assert existing == explorer.coverage(explorer.existing_investment())
+        assert 0.0 < existing < 1.0
+
     def test_coverage_surface_shape(self, explorer):
         surface = explorer.coverage_surface([0.0, 100.0], [0.0, 100.0, 200.0])
         assert len(surface) == 6

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DesignPoint, Strategy, dominates, frontier_tail_ratio, knee_point, pareto_frontier
+from repro.core import DesignPoint, Strategy, frontier_tail_ratio, knee_point, pareto_frontier
 from repro.core.evaluate import DesignEvaluation
 from repro.grid import RenewableInvestment
 
@@ -60,19 +60,6 @@ class TestParetoFrontier:
         b = make_eval(12.0, 5.0)
         frontier = pareto_frontier([b, a])
         assert frontier == (a,)
-
-
-class TestDominates:
-    def test_strict_dominance(self):
-        assert dominates(make_eval(1.0, 1.0), make_eval(2.0, 2.0))
-
-    def test_equal_points_do_not_dominate(self):
-        a = make_eval(1.0, 1.0)
-        b = make_eval(1.0, 1.0)
-        assert not dominates(a, b)
-
-    def test_tradeoff_points_do_not_dominate(self):
-        assert not dominates(make_eval(1.0, 5.0), make_eval(5.0, 1.0))
 
 
 class TestKneeAndTail:

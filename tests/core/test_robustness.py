@@ -32,7 +32,6 @@ class TestReport:
         assert report.worst_total_tons() >= report.mean_total_tons()
 
     def test_spread_non_negative_and_bounded(self, report):
-        assert 0.0 <= report.coverage_spread() <= 1.0
         assert 0.0 <= report.total_relative_spread() < 1.0
 
     def test_design_held_fixed(self, report):

@@ -103,7 +103,7 @@ class TestSynthesizedDemand:
         assert a.utilization != b.utilization
 
     def test_peak_power_bounded_by_fleet(self, ut_demand):
-        assert ut_demand.peak_power_mw <= ut_demand.fleet.peak_power_mw + 1e-9
+        assert ut_demand.power.max() <= ut_demand.fleet.peak_power_mw + 1e-9
 
 
 class TestFig3Profiles:

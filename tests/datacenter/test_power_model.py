@@ -1,6 +1,5 @@
 """Tests for the energy-proportional server and datacenter power models."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,17 +29,10 @@ class TestServerModel:
         with pytest.raises(ValueError):
             server.power_w(1.1)
 
-    def test_inverse_roundtrip(self):
+    def test_dynamic_range_is_peak_minus_idle(self):
         server = ServerModel(peak_w=250.0, idle_w=90.0)
-        for u in (0.0, 0.3, 0.77, 1.0):
-            assert server.utilization_for_power(server.power_w(u)) == pytest.approx(u)
-
-    def test_inverse_out_of_range_rejected(self):
-        server = ServerModel(peak_w=200.0, idle_w=100.0)
-        with pytest.raises(ValueError):
-            server.utilization_for_power(99.0)
-        with pytest.raises(ValueError):
-            server.utilization_for_power(201.0)
+        assert server.dynamic_range_w == 160.0
+        assert server.power_w(1.0) - server.power_w(0.0) == pytest.approx(160.0)
 
     def test_idle_above_peak_rejected(self):
         with pytest.raises(ValueError):
@@ -61,7 +53,12 @@ class TestServerModel:
 class TestDatacenterPowerModel:
     def test_peak_and_idle_ordering(self):
         model = DatacenterPowerModel(n_servers=1000)
-        assert model.idle_power_mw < model.peak_power_mw
+        assert model.facility_power_mw(0.0) < model.peak_power_mw
+
+    def test_it_power_excludes_facility_overheads(self):
+        model = DatacenterPowerModel(n_servers=2000, pue=1.5, non_it_mw=3.0)
+        assert model.it_power_mw(0.5) == pytest.approx(2000 * model.server.power_w(0.5) / 1e6)
+        assert model.facility_power_mw(0.5) == pytest.approx(1.5 * model.it_power_mw(0.5) + 3.0)
 
     def test_pue_scales_it_power(self):
         low = DatacenterPowerModel(n_servers=1000, pue=1.0)
@@ -76,17 +73,6 @@ class TestDatacenterPowerModel:
         assert shifted.facility_power_mw(0.3) == pytest.approx(
             base.facility_power_mw(0.3) + 2.0
         )
-
-    def test_inverse_roundtrip(self):
-        model = DatacenterPowerModel(n_servers=5000, non_it_mw=1.0)
-        for u in (0.0, 0.4, 1.0):
-            power = model.facility_power_mw(u)
-            assert model.utilization_for_power(power) == pytest.approx(u)
-
-    def test_inverse_out_of_range_rejected(self):
-        model = DatacenterPowerModel(n_servers=100)
-        with pytest.raises(ValueError):
-            model.utilization_for_power(model.peak_power_mw * 2)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -107,20 +93,6 @@ class TestDatacenterPowerModel:
         bad = HourlySeries.constant(1.5, DEFAULT_CALENDAR)
         with pytest.raises(ValueError):
             model.power_trace(bad)
-
-    def test_with_extra_capacity(self):
-        model = DatacenterPowerModel(n_servers=1000)
-        grown = model.with_extra_capacity(0.25)
-        assert grown.n_servers == 1250
-        assert grown.server == model.server
-
-    def test_with_extra_capacity_rounds_up(self):
-        model = DatacenterPowerModel(n_servers=3)
-        assert model.with_extra_capacity(0.5).n_servers == 5  # ceil(4.5)
-
-    def test_negative_extra_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            DatacenterPowerModel(n_servers=10).with_extra_capacity(-0.1)
 
 
 class TestFleetSizing:

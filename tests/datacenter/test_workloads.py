@@ -9,7 +9,6 @@ from repro.datacenter import (
     FlexibilityModel,
     WorkloadTier,
     flexible_fraction_within,
-    tier_shares_sum,
 )
 
 
@@ -22,7 +21,7 @@ class TestFigure10:
         assert shares == {1: 0.088, 2: 0.038, 3: 0.105, 4: 0.712, 5: 0.057}
 
     def test_shares_sum_to_one(self):
-        assert tier_shares_sum() == pytest.approx(1.0)
+        assert sum(t.share for t in WORKLOAD_TIERS) == pytest.approx(1.0)
 
     def test_windows_match_figure(self):
         windows = {t.tier: t.slo_window_hours for t in WORKLOAD_TIERS}

@@ -6,9 +6,16 @@ from repro.grid import (
     BALANCING_AUTHORITIES,
     TABLE1_AUTHORITY_CODES,
     RenewableClass,
-    authorities_by_class,
     get_authority,
 )
+
+
+def table1_codes(renewable_class):
+    return {
+        code
+        for code in TABLE1_AUTHORITY_CODES
+        if get_authority(code).renewable_class is renewable_class
+    }
 
 
 class TestRegistry:
@@ -36,16 +43,13 @@ class TestPaperClassification:
     four hybrid (ERCO, PACE, PJM, PNM)."""
 
     def test_wind_regions(self):
-        codes = {a.code for a in authorities_by_class(RenewableClass.WIND)}
-        assert codes == {"BPAT", "MISO", "SWPP"}
+        assert table1_codes(RenewableClass.WIND) == {"BPAT", "MISO", "SWPP"}
 
     def test_solar_regions(self):
-        codes = {a.code for a in authorities_by_class(RenewableClass.SOLAR)}
-        assert codes == {"DUK", "SOCO", "TVA"}
+        assert table1_codes(RenewableClass.SOLAR) == {"DUK", "SOCO", "TVA"}
 
     def test_hybrid_regions(self):
-        codes = {a.code for a in authorities_by_class(RenewableClass.HYBRID)}
-        assert codes == {"ERCO", "PACE", "PJM", "PNM"}
+        assert table1_codes(RenewableClass.HYBRID) == {"ERCO", "PACE", "PJM", "PNM"}
 
 
 class TestProfileSanity:
@@ -70,12 +74,6 @@ class TestProfileSanity:
         for code in ("MISO", "SWPP", "ERCO", "PACE", "PNM"):
             assert bpat.wind.calm_bias > get_authority(code).wind.calm_bias
             assert bpat.wind.volatility > get_authority(code).wind.volatility
-
-    def test_renewable_capacity_property(self):
-        pace = get_authority("PACE")
-        assert pace.renewable_capacity_mw == pytest.approx(
-            pace.wind.capacity_mw + pace.solar.capacity_mw
-        )
 
     def test_dispatch_fractions_sane(self):
         for authority in BALANCING_AUTHORITIES.values():

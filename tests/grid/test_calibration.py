@@ -17,7 +17,8 @@ class TestFingerprint:
         # percent below the raw-generation target is expected.
         for fp in all_fingerprints:
             if fp.wind_cf_target > 0:
-                assert fp.wind_cf_error() < 0.06, fp.authority_code
+                error = abs(fp.wind_capacity_factor - fp.wind_cf_target) / fp.wind_cf_target
+                assert error < 0.06, fp.authority_code
                 assert fp.wind_capacity_factor <= fp.wind_cf_target + 1e-9
 
     def test_solar_never_leaks_into_night(self, all_fingerprints):

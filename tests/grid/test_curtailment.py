@@ -5,7 +5,6 @@ import pytest
 from repro.grid import (
     CISO_BUILDOUT_BY_YEAR,
     curtailment_trendline,
-    oversupply_hours,
     simulate_historical_curtailment,
 )
 
@@ -58,6 +57,3 @@ class TestValidation:
     def test_trendline_needs_two_records(self, ciso_records):
         with pytest.raises(ValueError):
             curtailment_trendline(ciso_records[:1])
-
-    def test_oversupply_hours_counts(self, pace_grid):
-        assert oversupply_hours(pace_grid) >= 0

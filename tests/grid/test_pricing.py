@@ -5,11 +5,9 @@ import pytest
 
 from repro.grid.pricing import (
     PriceModel,
-    energy_cost_dollars,
     hourly_prices,
     price_carbon_alignment,
 )
-from repro.timeseries import HourlySeries
 
 
 class TestPriceModel:
@@ -67,23 +65,3 @@ class TestAlignment:
         for grid in (bpat_grid, duk_grid):
             alignment = price_carbon_alignment(grid)
             assert -1.0 <= alignment <= 1.0
-
-
-class TestEnergyCost:
-    def test_flat_price_flat_consumption(self, flat_demand):
-        prices = HourlySeries.constant(50.0, flat_demand.calendar)
-        cost = energy_cost_dollars(flat_demand, prices)
-        assert cost == pytest.approx(10.0 * 50.0 * flat_demand.calendar.n_hours)
-
-    def test_negative_consumption_rejected(self, flat_demand):
-        prices = HourlySeries.constant(50.0, flat_demand.calendar)
-        bad = HourlySeries.constant(-1.0, flat_demand.calendar)
-        with pytest.raises(ValueError):
-            energy_cost_dollars(bad, prices)
-
-    def test_calendar_mismatch_rejected(self, flat_demand):
-        from repro.timeseries import YearCalendar
-
-        prices = HourlySeries.constant(50.0, YearCalendar(2021))
-        with pytest.raises(ValueError):
-            energy_cost_dollars(flat_demand, prices)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.grid import (
     RenewableInvestment,
-    grid_fleet_capacity,
     projected_supply,
     scale_trace_to_capacity,
 )
@@ -79,8 +78,3 @@ class TestProjectedSupply:
     def test_wind_in_solar_only_region_rejected(self, duk_grid):
         with pytest.raises(ValueError):
             projected_supply(duk_grid, RenewableInvestment(wind_mw=10.0))
-
-    def test_grid_fleet_capacity(self, pace_grid):
-        fleet = grid_fleet_capacity(pace_grid)
-        assert fleet.solar_mw == pytest.approx(pace_grid.solar.max())
-        assert fleet.wind_mw == pytest.approx(pace_grid.wind.max())

@@ -1,84 +1,35 @@
 """Unit tests for the energy-source registry (Table 2)."""
 
-import pytest
-
-from repro.grid import (
-    CARBON_INTENSITY_G_PER_KWH,
-    EnergySource,
-    carbon_intensity,
-    is_carbon_free,
-    is_variable_renewable,
-    mix_intensity_g_per_kwh,
-)
+from repro.grid import CARBON_INTENSITY_G_PER_KWH, EnergySource
 
 
 class TestTable2Values:
     """The registry must print exactly the paper's Table 2."""
 
     def test_wind(self):
-        assert carbon_intensity(EnergySource.WIND) == 11.0
+        assert CARBON_INTENSITY_G_PER_KWH[EnergySource.WIND] == 11.0
 
     def test_solar(self):
-        assert carbon_intensity(EnergySource.SOLAR) == 41.0
+        assert CARBON_INTENSITY_G_PER_KWH[EnergySource.SOLAR] == 41.0
 
     def test_water(self):
-        assert carbon_intensity(EnergySource.WATER) == 24.0
+        assert CARBON_INTENSITY_G_PER_KWH[EnergySource.WATER] == 24.0
 
     def test_nuclear(self):
-        assert carbon_intensity(EnergySource.NUCLEAR) == 12.0
+        assert CARBON_INTENSITY_G_PER_KWH[EnergySource.NUCLEAR] == 12.0
 
     def test_natural_gas(self):
-        assert carbon_intensity(EnergySource.NATURAL_GAS) == 490.0
+        assert CARBON_INTENSITY_G_PER_KWH[EnergySource.NATURAL_GAS] == 490.0
 
     def test_coal(self):
-        assert carbon_intensity(EnergySource.COAL) == 820.0
+        assert CARBON_INTENSITY_G_PER_KWH[EnergySource.COAL] == 820.0
 
     def test_oil(self):
-        assert carbon_intensity(EnergySource.OIL) == 650.0
+        assert CARBON_INTENSITY_G_PER_KWH[EnergySource.OIL] == 650.0
 
     def test_other(self):
-        assert carbon_intensity(EnergySource.OTHER) == 230.0
+        assert CARBON_INTENSITY_G_PER_KWH[EnergySource.OTHER] == 230.0
 
     def test_every_source_has_an_intensity(self):
         for source in EnergySource:
             assert source in CARBON_INTENSITY_G_PER_KWH
-
-
-class TestClassification:
-    def test_variable_renewables(self):
-        assert is_variable_renewable(EnergySource.WIND)
-        assert is_variable_renewable(EnergySource.SOLAR)
-        assert not is_variable_renewable(EnergySource.WATER)
-        assert not is_variable_renewable(EnergySource.NUCLEAR)
-
-    def test_carbon_free_includes_nuclear_and_hydro(self):
-        assert is_carbon_free(EnergySource.NUCLEAR)
-        assert is_carbon_free(EnergySource.WATER)
-        assert not is_carbon_free(EnergySource.NATURAL_GAS)
-        assert not is_carbon_free(EnergySource.COAL)
-
-
-class TestMixIntensity:
-    def test_single_source(self):
-        assert mix_intensity_g_per_kwh({EnergySource.COAL: 100.0}) == 820.0
-
-    def test_even_blend(self):
-        mix = {EnergySource.WIND: 1.0, EnergySource.COAL: 1.0}
-        assert mix_intensity_g_per_kwh(mix) == pytest.approx((11 + 820) / 2)
-
-    def test_weighting(self):
-        mix = {EnergySource.WIND: 3.0, EnergySource.COAL: 1.0}
-        assert mix_intensity_g_per_kwh(mix) == pytest.approx((3 * 11 + 820) / 4)
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            mix_intensity_g_per_kwh({EnergySource.WIND: 0.0})
-
-    def test_negative_generation_rejected(self):
-        with pytest.raises(ValueError):
-            mix_intensity_g_per_kwh({EnergySource.WIND: -1.0})
-
-    def test_bounded_by_extremes(self):
-        mix = {s: 1.0 for s in EnergySource}
-        intensity = mix_intensity_g_per_kwh(mix)
-        assert 11.0 < intensity < 820.0

@@ -8,9 +8,9 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     enable_metrics,
+    gauge_value,
     get_registry,
     inc,
-    merge_counters,
     merge_snapshot,
     metrics_enabled,
     metrics_snapshot,
@@ -117,6 +117,13 @@ class TestGlobalHelpers:
         assert get_registry().counter_value("designs_evaluated") == 3
         assert metrics_snapshot()["counters"]["designs_evaluated"] == 3
 
+    def test_gauge_value_reads_default_registry(self):
+        assert gauge_value("sweep_grid_points") == 0.0
+        enable_metrics()
+        set_gauge("sweep_grid_points", 40)
+        set_gauge("sweep_grid_points", 12)
+        assert gauge_value("sweep_grid_points") == 12
+
     def test_save_metrics_writes_snapshot(self, tmp_path):
         enable_metrics()
         inc("sweeps_completed")
@@ -155,14 +162,14 @@ class TestMergeCounters:
     def test_module_helper_merges_a_full_snapshot(self):
         enable_metrics()
         inc("designs_evaluated", 2)
-        merge_counters({"counters": {"designs_evaluated": 3, "chunk_retries": 1}})
+        worker = MetricsRegistry()
+        worker.inc("designs_evaluated", 3)
+        worker.inc("chunk_retries")
+        worker.observe("span.optimize.seconds", 0.5)
+        merge_snapshot(worker.snapshot())
         assert get_registry().counter_value("designs_evaluated") == 5
         assert get_registry().counter_value("chunk_retries") == 1
-
-    def test_module_helper_noop_when_disabled(self):
-        reset_metrics()
-        merge_counters({"counters": {"designs_evaluated": 3}})
-        assert get_registry().counter_value("designs_evaluated") == 0.0
+        assert metrics_snapshot()["histograms"]["span.optimize.seconds"]["count"] == 1
 
 
 class TestRendering:

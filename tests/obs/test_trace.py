@@ -15,7 +15,6 @@ from repro.obs import (
     save_trace,
     span,
     trace_roots,
-    trace_tree,
     tracing_enabled,
 )
 from repro.obs.trace import TREE_FORMAT

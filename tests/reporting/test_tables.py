@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.reporting import format_series, format_table, histogram_rows, percent, spark_bar
+from repro.reporting import format_table, histogram_rows, percent, spark_bar
 
 
 class TestFormatTable:
@@ -29,17 +29,6 @@ class TestFormatTable:
         lines = text.splitlines()
         # Header padded to the widest cell.
         assert lines[1] == "-" * len("longer")
-
-
-class TestFormatSeries:
-    def test_rounding(self):
-        text = format_series([1, 2], [0.12345, 1.0], "x", "y", precision=2)
-        assert "0.12" in text
-        assert "1.00" in text
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            format_series([1], [1.0, 2.0], "x", "y")
 
 
 class TestHelpers:

@@ -24,6 +24,7 @@ from repro.resilience import (
     sweep_fingerprint,
     validate_chunk_result,
 )
+from repro.resilience.serialize import design_from_json, design_to_json
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,12 @@ class TestSerialization:
         restored = evaluation_from_json(evaluation_to_json(evaluations[0]))
         assert restored.design == evaluations[0].design
         assert restored.strategy is evaluations[0].strategy
+
+    def test_design_record_holds_plain_floats(self, evaluations):
+        design = evaluations[-1].design
+        record = design_to_json(design)
+        assert all(type(value) is float for value in record.values())
+        assert design_from_json(json.loads(json.dumps(record))) == design
 
     def test_damaged_record_raises(self, evaluations):
         record = evaluation_to_json(evaluations[0])
@@ -296,7 +303,7 @@ class TestInspectJournal:
         assert info.fingerprint == "fp"
         assert info.strategy == Strategy.RENEWABLES_BATTERY.name
         assert (info.chunks, info.evaluations_done, info.total) == (1, 4, 4)
-        assert info.complete and not info.resumable
+        assert info.complete
         assert info.verdict() == "complete"
 
     def test_resumable_journal(self, tmp_path, evaluations):
@@ -304,7 +311,7 @@ class TestInspectJournal:
         with CheckpointJournal(path, _header("fp", total=8)) as journal:
             journal.append_chunk(0, evaluations)
         info = inspect_journal(path)
-        assert info.resumable and not info.complete
+        assert not info.complete
         assert info.verdict() == "resumable"
 
     def test_header_only_journal(self, tmp_path):

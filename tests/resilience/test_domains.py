@@ -158,8 +158,7 @@ class TestAdaptiveChunkTimeout:
     def test_ewma_math(self):
         timeout = AdaptiveChunkTimeout(alpha=0.5, multiplier=2.0, floor_s=0.0)
         timeout.observe(1.0)
-        timeout.observe(3.0)  # 0.5*3 + 0.5*1 = 2.0
-        assert timeout.ewma_s == pytest.approx(2.0)
+        timeout.observe(3.0)  # ewma 0.5*3 + 0.5*1 = 2.0, budget 2 x 2.0
         assert timeout.budget_s() == pytest.approx(4.0)
         assert timeout.observations == 2
 

@@ -22,10 +22,8 @@ from repro.obs import (
 )
 from repro.scheduling import (
     additional_capacity_for_full_coverage,
-    capacity_sweep,
     deficit_after_scheduling,
     schedule_carbon_aware,
-    servers_for_extra_capacity,
 )
 from repro.scheduling.capacity import MAX_CAPACITY_MULTIPLE
 from repro.timeseries import DEFAULT_CALENDAR, HOURS_PER_DAY, HourlySeries, YearCalendar
@@ -151,29 +149,6 @@ class TestAdditionalCapacity:
             additional_capacity_for_full_coverage(
                 flat_demand, generous_day_supply, intensity, max_multiple=0.5
             )
-
-
-class TestSweepAndServers:
-    def test_capacity_sweep_lengths(self, flat_demand, generous_day_supply, intensity):
-        results = capacity_sweep(
-            flat_demand, generous_day_supply, intensity, (1.0, 1.5, 2.0), 0.5
-        )
-        assert len(results) == 3
-        assert results[0].capacity_mw == pytest.approx(flat_demand.max())
-
-    def test_capacity_sweep_rejects_below_one(self, flat_demand, generous_day_supply, intensity):
-        with pytest.raises(ValueError):
-            capacity_sweep(flat_demand, generous_day_supply, intensity, (0.5,), 0.5)
-
-    def test_servers_round_up(self):
-        assert servers_for_extra_capacity(1000, 0.251) == 251
-        assert servers_for_extra_capacity(3, 0.5) == 2
-
-    def test_servers_validation(self):
-        with pytest.raises(ValueError):
-            servers_for_extra_capacity(0, 0.5)
-        with pytest.raises(ValueError):
-            servers_for_extra_capacity(10, -0.1)
 
 
 def random_year(year, seed, supply_scale):

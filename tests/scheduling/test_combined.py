@@ -148,9 +148,3 @@ class TestAccessors:
             flat_demand, day_night_supply, BatterySpec(0.0), 50.0, flexible_ratio=0.2
         )
         assert result.equivalent_full_cycles() == 0.0
-
-    def test_peak_power(self, flat_demand, day_night_supply):
-        result = simulate_combined(
-            flat_demand, day_night_supply, BatterySpec(10.0), 50.0, flexible_ratio=0.7
-        )
-        assert result.peak_power_mw() == result.shifted_demand.max()

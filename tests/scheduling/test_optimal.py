@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.scheduling import schedule_carbon_aware
-from repro.scheduling.optimal import greedy_optimality_gap, schedule_optimal
+from repro.scheduling.optimal import schedule_optimal
 from repro.timeseries import DEFAULT_CALENDAR, HourlySeries
 
 N = DEFAULT_CALENDAR.n_hours
@@ -59,6 +59,16 @@ class TestOptimalSchedule:
             schedule_optimal(flat_demand, day_night_supply, 5.0, 0.4)
         with pytest.raises(ValueError):
             schedule_optimal(flat_demand, day_night_supply, 50.0, 1.5)
+
+
+def greedy_optimality_gap(demand, supply, intensity, capacity_mw, flexible_ratio):
+    """Relative excess deficit of the greedy schedule over the LP optimum,
+    computed as ``bench_greedy_vs_optimal.py`` reports it."""
+    greedy = schedule_carbon_aware(demand, supply, intensity, capacity_mw, flexible_ratio)
+    optimal = schedule_optimal(demand, supply, capacity_mw, flexible_ratio)
+    greedy_deficit = (greedy.shifted_demand - supply).positive_part().total()
+    optimal_deficit = optimal.deficit_mwh(supply)
+    return greedy_deficit / optimal_deficit - 1.0 if optimal_deficit > 0 else 0.0
 
 
 class TestGreedyGap:

@@ -6,7 +6,6 @@ file path.
 """
 
 import importlib.util
-import json
 import pathlib
 
 import pytest
@@ -35,47 +34,17 @@ def bench_common(tmp_path, monkeypatch):
 
 class TestEmit:
     def test_creates_out_dir_with_parents_and_returns_path(self, bench_common):
-        bench_common.run_once(FakeBenchmark(), lambda: "x")
         path = bench_common.emit("fig15", "site  tons\nUT  42")
         assert path == bench_common.OUT_DIR / "fig15.txt"
         assert path.read_text() == "site  tons\nUT  42\n"
 
-    def test_writes_json_sidecar_with_wall_time_and_metrics(self, bench_common):
-        bench_common.run_once(FakeBenchmark(), lambda: "x")
+    def test_writes_only_the_text_artifact(self, bench_common):
         bench_common.emit("fig15", "rows")
-        sidecar = json.loads((bench_common.OUT_DIR / "fig15.json").read_text())
-        assert sidecar["name"] == "fig15"
-        assert sidecar["wall_s"] >= 0.0
-        assert set(sidecar["metrics"]) == {"counters", "gauges", "histograms"}
-
-    def test_without_run_once_fails_loudly(self, bench_common):
-        with pytest.raises(RuntimeError, match="without a preceding run_once"):
-            bench_common.emit("fig15", "rows")
-        assert not bench_common.OUT_DIR.exists()
-
-    def test_measurement_is_consumed_not_reused(self, bench_common):
-        bench_common.run_once(FakeBenchmark(), lambda: "x")
-        bench_common.emit("fig15", "rows")
-        # The stash is consumed: a second emit must not recycle stale timing.
-        with pytest.raises(RuntimeError, match="without a preceding run_once"):
-            bench_common.emit("other", "rows")
-
-    def test_metrics_cover_exactly_the_timed_run(self, bench_common):
-        from repro.obs import inc
-
-        def work():
-            inc("sweeps_completed", 3)
-            return "x"
-
-        inc("sweeps_completed", 100)  # pre-run noise, must not leak
-        bench_common.run_once(FakeBenchmark(), work)
-        bench_common.emit("fig15", "rows")
-        sidecar = json.loads((bench_common.OUT_DIR / "fig15.json").read_text())
-        assert sidecar["metrics"]["counters"]["sweeps_completed"] == 3
+        assert sorted(p.name for p in bench_common.OUT_DIR.iterdir()) == ["fig15.txt"]
 
 
 class TestRunOnce:
-    def test_runs_fn_once_and_stashes_measurement(self, bench_common):
+    def test_runs_fn_once_and_returns_its_result(self, bench_common):
         calls = []
 
         def work():
@@ -84,22 +53,6 @@ class TestRunOnce:
 
         assert bench_common.run_once(FakeBenchmark(), work) == "result"
         assert calls == [1]
-        assert bench_common._last_run is not None
-        assert bench_common._last_run["wall_s"] >= 0.0
-        assert "counters" in bench_common._last_run["metrics"]
-
-    def test_restores_metrics_enabled_state(self, bench_common):
-        from repro.obs import disable_metrics, enable_metrics, metrics_enabled
-
-        disable_metrics()
-        try:
-            bench_common.run_once(FakeBenchmark(), lambda: None)
-            assert not metrics_enabled()
-            enable_metrics()
-            bench_common.run_once(FakeBenchmark(), lambda: None)
-            assert metrics_enabled()
-        finally:
-            disable_metrics()
 
 
 class TestBenchWorkers:

@@ -10,12 +10,22 @@ from repro.timeseries import (
     coefficient_of_variation,
     daily_total_histogram,
     histogram,
-    peak_to_trough_swing,
     pearson_correlation,
     worst_days_ratio,
 )
+from repro.timeseries.stats import bitwise_equal, is_exact_zero
 
 N = DEFAULT_CALENDAR.n_hours
+
+
+class TestExactComparisons:
+    def test_ieee_caveats_hold(self):
+        assert is_exact_zero(-0.0)
+        assert not is_exact_zero(5e-324)
+        assert bitwise_equal(0.1 + 0.2, 0.30000000000000004)
+        assert not bitwise_equal(0.1 + 0.2, 0.3)
+        assert bitwise_equal(0.0, -0.0)
+        assert not bitwise_equal(float("nan"), float("nan"))
 
 
 class TestHistogram:
@@ -48,22 +58,6 @@ class TestHistogram:
         s = HourlySeries.constant(1.0)
         h = daily_total_histogram(s, n_bins=5)
         assert h.n_samples == DEFAULT_CALENDAR.n_days
-
-
-class TestSwing:
-    def test_constant_has_zero_swing(self):
-        assert peak_to_trough_swing(HourlySeries.constant(5.0)) == 0.0
-
-    def test_known_swing(self):
-        values = np.full(N, 10.0)
-        values[0] = 5.0
-        values[1] = 15.0
-        s = HourlySeries(values, DEFAULT_CALENDAR)
-        assert peak_to_trough_swing(s) == pytest.approx(10.0 / s.mean())
-
-    def test_zero_mean_rejected(self):
-        with pytest.raises(ValueError):
-            peak_to_trough_swing(HourlySeries.zeros())
 
 
 class TestDayRatios:
