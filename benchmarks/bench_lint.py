@@ -1,8 +1,8 @@
 """Lint engine cost: one cold whole-tree run.
 
 Not a paper artifact — this bench tracks the tooling itself.  The lint
-engine re-derives the whole-program model (import/call graph, worker and
-kernel universes, metric census) on every run; each file is read,
+engine re-derives the whole-program model (import/call graph; worker,
+kernel and dispatch universes; metric registries) on every run; each file is read,
 parsed and walked once, and nothing is cached between runs.  The bench
 times one run over the same roots the CI lint gate checks.
 """

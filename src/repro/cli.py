@@ -15,7 +15,6 @@ Wraps the library's main analyses for shell use:
 * ``export-grid``   — write a balancing authority's year as EIA-style CSV
 * ``export-demand`` — write a site's demand trace as CSV
 * ``lint``       — static invariant checks over the source tree
-  (also available standalone as ``python -m repro.lint``)
 
 Every command additionally accepts the observability flags ``--log-level``
 (console logging for the ``repro.*`` namespace), ``--trace-out FILE``

@@ -1,11 +1,7 @@
 """Command-line front end for the invariant checker.
 
-Two entry points share this module:
-
-* ``repro lint ...`` — the subcommand wired into :mod:`repro.cli` via
-  :func:`add_lint_arguments` / :func:`run_from_args`;
-* ``python -m repro.lint ...`` — the standalone module runner via
-  :func:`run`.
+``repro lint ...`` is the one entry point: :mod:`repro.cli` wires the
+subcommand through :func:`add_lint_arguments` / :func:`run_from_args`.
 
 Exit codes: ``0`` clean, ``1`` findings reported, ``2`` usage error
 (unknown rule code, empty rule selection, a path that does not exist,
@@ -19,7 +15,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .engine import LintPathError, lint_project, render_json, render_sarif, render_text
+from .engine import LintPathError, lint_project, render_sarif, render_text
 from .rules import ALL_RULES, EmptySelectionError, UnknownRuleError
 
 _DEFAULT_PATHS = ["src"]
@@ -42,7 +38,7 @@ def _split_codes(values: Optional[Sequence[str]]) -> Optional[List[str]]:
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options to ``parser`` (shared by both entry points)."""
+    """Attach the lint options to the ``repro lint`` subparser."""
     rule_summary = "; ".join(f"{cls.code} {cls.name}" for cls in ALL_RULES)
     parser.add_argument(
         "paths",
@@ -53,7 +49,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
         dest="output_format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "sarif"),
         default="text",
         help="report format (default: text)",
     )
@@ -83,20 +79,8 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
     findings = report.findings
-    if args.output_format == "json":
-        print(render_json(findings, report.stats))
-    elif args.output_format == "sarif":
+    if args.output_format == "sarif":
         print(render_sarif(findings))
     else:
         print(render_text(findings))
     return 1 if findings else 0
-
-
-def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone entry point for ``python -m repro.lint``."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.lint",
-        description="AST-based invariant checker for the repro codebase",
-    )
-    add_lint_arguments(parser)
-    return run_from_args(parser.parse_args(argv))

@@ -10,14 +10,16 @@ The engine runs in two phases over the discovered files:
   ``repro-lint`` is tokenized for suppression directives.
 * **project phase** — the per-file facts assemble into a
   :class:`~repro.lint.graph.Project` and the *project* rules (RL001,
-  RL003, RL009, RL010) run over it.
+  RL003, RL004, RL008, RL011) run over it.
 
 Nothing is cached between runs: a cold run over ``src/ benchmarks/
-tests/ examples/`` takes about 2 s on a 2-vCPU host.
+tests/ examples/`` takes about 1 s on a 2-vCPU host.
 
 Files that fail to parse are themselves findings (rule ``RL000``,
 "parse-error") rather than crashes — a syntax error in one module must
-not hide violations in the other three hundred.  A directory containing
+not hide violations in the other three hundred.  A suppression
+directive naming an unknown rule code is an ``RL000`` finding too: it
+silences nothing, so it must not look like it does.  A directory containing
 a ``.repro-lint-ignore`` marker is pruned from discovery (fixture trees
 full of deliberate violations live under one); the marker is ignored on
 an explicitly-passed root — asking for a directory by name means it.
@@ -35,17 +37,14 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .findings import Finding, SourceFile
 from .graph import Project, extract_facts
-from .rules import ALL_RULES, Rule, get_rules
-from .suppress import is_suppressed
+from .rules import ALL_RULES, get_rules
+from .suppress import DISABLE_ALL, is_suppressed
 
-#: Pseudo-rule code attributed to files the engine cannot parse.
-#: Always reported, whatever ``--select`` says: an unparseable file
-#: means every other verdict about it is fiction.
+#: Pseudo-rule code attributed to files the engine cannot parse and to
+#: directives naming unknown rule codes.  Always reported, whatever
+#: ``--select`` says: an unparseable file means every other verdict
+#: about it is fiction, and a dead directive hides nothing.
 PARSE_ERROR_RULE = "RL000"
-
-#: Version of the ``--format json`` document shape.
-#: 3: ``stats`` holds only the file count.
-JSON_FORMAT_VERSION = 3
 
 #: Marker file pruning a directory subtree from discovery.
 IGNORE_MARKER = ".repro-lint-ignore"
@@ -119,16 +118,23 @@ def load_source_file(path: pathlib.Path) -> "SourceFile | Finding":
     return SourceFile(path=str(path), source=source, tree=tree)
 
 
-def check_file(file: SourceFile, rules: Sequence[Rule]) -> List[Finding]:
-    """All unsuppressed findings for one parsed file."""
-    findings: List[Finding] = []
-    for rule in rules:
-        if not rule.applies_to(file):
-            continue
-        for finding in rule.check(file):
-            if not is_suppressed(file.suppressions, finding.line, finding.rule):
-                findings.append(finding)
-    return findings
+def unknown_directive_codes(file: SourceFile) -> Iterator[Finding]:
+    """An ``RL000`` finding per directive naming an unregistered code."""
+    known = {cls.code for cls in ALL_RULES} | {DISABLE_ALL}
+    for line, codes in sorted(file.directives.items()):
+        unknown = sorted(codes - known)
+        if unknown:
+            yield Finding(
+                path=file.path,
+                line=line,
+                col=0,
+                rule=PARSE_ERROR_RULE,
+                message=(
+                    f"repro-lint directive names unknown rule code "
+                    f"{', '.join(unknown)}, which suppresses nothing; "
+                    f"known codes: {', '.join(sorted(known))}"
+                ),
+            )
 
 
 @dataclass
@@ -166,7 +172,11 @@ def lint_project(
         if isinstance(loaded, Finding):
             findings.append(loaded)
             continue
-        findings.extend(check_file(loaded, file_rules))
+        findings.extend(unknown_directive_codes(loaded))
+        for rule in file_rules:
+            for finding in rule.check(loaded):
+                if not is_suppressed(loaded.suppressions, finding.line, finding.rule):
+                    findings.append(finding)
         if project_rules:
             facts_by_path[loaded.path] = extract_facts(loaded)
             suppressions_by_path[loaded.path] = loaded.suppressions
@@ -184,15 +194,6 @@ def lint_project(
     return LintReport(findings=sorted(findings), stats={"files": files})
 
 
-def run_lint(
-    paths: Sequence[str],
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> List[Finding]:
-    """Lint ``paths`` with the selected rules; sorted findings."""
-    return lint_project(paths, select=select, ignore=ignore).findings
-
-
 def render_text(findings: Sequence[Finding]) -> str:
     """Human-readable report: one ``path:line:col RULE message`` per line."""
     lines = [finding.render() for finding in findings]
@@ -200,19 +201,6 @@ def render_text(findings: Sequence[Finding]) -> str:
         f"{len(findings)} finding{'s' if len(findings) != 1 else ''}"
     )
     return "\n".join(lines)
-
-
-def render_json(
-    findings: Sequence[Finding], stats: Optional[Dict[str, int]] = None
-) -> str:
-    """Machine-readable report for CI: versioned JSON document."""
-    document = {
-        "version": JSON_FORMAT_VERSION,
-        "count": len(findings),
-        "findings": [finding.as_json() for finding in findings],
-        "stats": dict(stats or {}),
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
 
 
 #: Pinned schema reference for the SARIF output.
@@ -230,7 +218,9 @@ def render_sarif(findings: Sequence[Finding]) -> str:
         | {PARSE_ERROR_RULE}
     )
     descriptions = {cls.code: cls.description for cls in ALL_RULES}
-    descriptions[PARSE_ERROR_RULE] = "file could not be parsed"
+    descriptions[PARSE_ERROR_RULE] = (
+        "file could not be parsed, or a directive names an unknown rule"
+    )
     sarif_rules = [
         {
             "id": code,
@@ -243,7 +233,7 @@ def render_sarif(findings: Sequence[Finding]) -> str:
         {
             "ruleId": finding.rule,
             "ruleIndex": index_of[finding.rule],
-            "level": "error" if finding.severity == "error" else "warning",
+            "level": "error",
             "message": {"text": finding.message},
             "locations": [
                 {

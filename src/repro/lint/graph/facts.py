@@ -4,10 +4,14 @@ One pass over a file's node index (:class:`~repro.lint.index.FileIndex`)
 produces a plain-dict record of the facts the whole-program rules
 consume — module identity, resolved imports, defined functions and
 classes, call sites (with enough receiver structure to build a
-conservative call graph), rule *candidates* (every RL001/RL003-shaped
-site, scoping deferred to the project phase), metric name
-uses/declarations for the census, and shared-memory creation shapes for
-ownership tracking.
+conservative call graph), rule *candidates* (every RL001/RL003/RL011-
+shaped site, scoping deferred to the project phase), metric name
+uses/declarations, pool and segment constructions, and shared-memory
+creation shapes for ownership tracking.
+
+This module owns every call-site classifier the rules need; the rules
+only scope its candidates, so ``rules/`` imports ``graph/`` and never
+the reverse.
 
 Everything here is local analysis — no fact depends on any other file.
 Code is attributed to its *outermost* enclosing function: a nested
@@ -17,22 +21,281 @@ Code is attributed to its *outermost* enclosing function: a nested
 from __future__ import annotations
 
 import ast
-import pathlib
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..findings import SourceFile
 from ..index import FileIndex, ImportTable, dotted_name
-from ..rules.determinism import determinism_violation
-from ..rules.kernel_purity import (
-    _IO_CALLS,
-    _IO_PREFIXES,
-    REBINDING_NODES,
-    _parameter_names,
-    _rebound_names,
-    _subscript_base,
+
+_FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+# -- call-site classifiers ---------------------------------------------------
+
+#: Wall-clock reads whose value could leak into results (RL001).
+_CLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.localtime",
+        "time.gmtime",
+        "time.ctime",
+    }
 )
-from ..rules.metric_names import _API_KINDS
-from ..rules.events import _is_bus_emit
+
+#: ``datetime`` "now" constructors, matched as dotted suffixes so both
+#: ``datetime.now()`` and ``datetime.datetime.now()`` spellings hit.
+_NOW_SUFFIXES = (
+    "datetime.now",
+    "datetime.utcnow",
+    "datetime.today",
+    "date.today",
+)
+
+#: ``random`` module-level functions drawing from the hidden global state.
+_GLOBAL_RANDOM = frozenset(
+    {
+        "betavariate",
+        "choice",
+        "choices",
+        "expovariate",
+        "gammavariate",
+        "gauss",
+        "getrandbits",
+        "lognormvariate",
+        "normalvariate",
+        "paretovariate",
+        "randint",
+        "random",
+        "randrange",
+        "sample",
+        "seed",
+        "shuffle",
+        "triangular",
+        "uniform",
+        "vonmisesvariate",
+        "weibullvariate",
+    }
+)
+
+#: ``numpy.random`` module-level functions drawing from the legacy global
+#: RandomState.  ``default_rng`` / ``Generator`` are deliberately absent.
+_GLOBAL_NP_RANDOM = frozenset(
+    {
+        "beta",
+        "binomial",
+        "bytes",
+        "chisquare",
+        "choice",
+        "exponential",
+        "gamma",
+        "normal",
+        "permutation",
+        "poisson",
+        "rand",
+        "randint",
+        "randn",
+        "random",
+        "random_sample",
+        "ranf",
+        "sample",
+        "seed",
+        "shuffle",
+        "standard_normal",
+        "uniform",
+    }
+)
+
+
+def determinism_violation(callee: str) -> Optional[str]:
+    """RL001 message for a canonical dotted callee, or ``None``.
+
+    Pure classification — scoping (is the call site actually reachable
+    from a worker or kernel?) is the project phase's business.  The fact
+    extractor records a candidate for every hit; most are discarded.
+    """
+    if callee in _CLOCK_CALLS:
+        return (
+            f"{callee}() reads the wall clock inside sweep-reachable "
+            "code; results must be pure functions of (site, seed, "
+            "space, strategy)"
+        )
+    for suffix in _NOW_SUFFIXES:
+        if callee == suffix or callee.endswith("." + suffix):
+            return (
+                f"{callee}() depends on the current date inside "
+                "sweep-reachable code; pass timestamps in explicitly"
+            )
+    head, _, tail = callee.rpartition(".")
+    if head == "random" and tail in _GLOBAL_RANDOM:
+        return (
+            f"random.{tail}() draws from the unseeded global RNG; use "
+            "an explicit random.Random(seed) instance"
+        )
+    if head in ("numpy.random", "np.random") and tail in _GLOBAL_NP_RANDOM:
+        return (
+            f"{callee}() draws from numpy's global RandomState; use "
+            "np.random.default_rng(seed)"
+        )
+    return None
+
+
+#: Blocking I/O callables, banned in kernels (RL003) and in the
+#: dispatch loop (RL011).
+_IO_CALLS = frozenset({"open", "print", "input"})
+
+_IO_PREFIXES = ("sys.stdout.", "sys.stderr.")
+
+
+def _parameter_names(func: _FunctionNode) -> Set[str]:
+    args = func.args
+    names = {a.arg for a in args.args}
+    names.update(a.arg for a in args.posonlyargs)
+    names.update(a.arg for a in args.kwonlyargs)
+    if args.vararg:
+        names.add(args.vararg.arg)
+    if args.kwarg:
+        names.add(args.kwarg.arg)
+    return names
+
+
+def _binding_names(target: ast.AST) -> Iterator[str]:
+    """Names a plain assignment target binds fresh.
+
+    Only ``Name`` targets (possibly nested in tuple/list/starred
+    unpacking) create new bindings; ``supply[0] = x`` and ``obj.attr = x``
+    mutate the existing object and must NOT end mutation tracking.
+    """
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _binding_names(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _binding_names(target.value)
+
+
+#: Node types that can bind a name fresh (see :func:`_rebound_names`).
+_REBINDING_NODES = (ast.Assign, ast.AnnAssign, ast.NamedExpr, ast.For)
+
+
+def _rebound_names(nodes: Iterable[ast.AST]) -> Set[str]:
+    """Names the given :data:`_REBINDING_NODES` of one function bind fresh."""
+    rebound: Set[str] = set()
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                rebound.update(_binding_names(target))
+        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)):
+            target = node.target
+            if isinstance(target, ast.Name):
+                rebound.add(target.id)
+        elif isinstance(node, ast.For):
+            rebound.update(_binding_names(node.target))
+    return rebound
+
+
+def _subscript_base(node: ast.AST) -> "ast.Name | None":
+    """The root ``Name`` of a (possibly nested) subscript target."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node if isinstance(node, ast.Name) else None
+
+
+#: Metrics-API callables mapped to the metric kind their name refers to.
+_API_KINDS = {
+    "inc": "counter",
+    "counter_value": "counter",
+    "set_gauge": "gauge",
+    "observe": "histogram",
+}
+
+#: Receiver-name fragments that mark an ``.emit`` call as a bus call.
+_BUS_MARKERS = ("event", "bus")
+
+
+def _is_bus_emit(callee: Optional[str]) -> bool:
+    """Whether a dotted callee is an event-bus emission.
+
+    Matches ``<receiver>.emit(...)`` when any component of the receiver's
+    dotted name mentions an event bus (``events.emit``, ``bus.emit``,
+    ``self._events.emit``, ``args.events_bus.emit``), plus any call named
+    ``emit_event``.  A bare ``emit(...)`` is deliberately not matched, and
+    neither are ``logging.Handler.emit(record)`` or a benchmark's own
+    ``emit(name, text)`` helper.
+    """
+    if callee is None:
+        return False
+    parts = callee.split(".")
+    if parts[-1] == "emit_event":
+        return True
+    if parts[-1] != "emit" or len(parts) < 2:
+        return False
+    receiver = ".".join(parts[:-1]).lower()
+    return any(marker in receiver for marker in _BUS_MARKERS)
+
+
+#: Classes whose construction is confined to the owner modules (RL008).
+_CONFINED = frozenset({"ProcessPoolExecutor", "SharedMemory"})
+
+#: Canonical callables that stall unboundedly without a timeout (RL011).
+_WAIT_CALLS = frozenset(
+    {"concurrent.futures.wait", "concurrent.futures.as_completed"}
+)
+
+
+def _has_timeout(call: ast.Call, positional_slot: int) -> bool:
+    """Whether ``call`` bounds its wait (timeout kwarg or the positional)."""
+    if any(kw.arg == "timeout" for kw in call.keywords):
+        return True
+    return len(call.args) > positional_slot
+
+
+def _sleep_is_clamped(arg: ast.AST) -> bool:
+    """Whether a ``time.sleep`` argument is provably tick-bounded."""
+    if isinstance(arg, ast.Constant):
+        return True  # a literal is a bound by definition
+    if isinstance(arg, ast.Name):
+        return arg.id == "_TICK_S" or arg.id.endswith("_TICK_S")
+    if isinstance(arg, ast.Call):
+        return dotted_name(arg.func) == "min"
+    if isinstance(arg, ast.IfExp):
+        return _sleep_is_clamped(arg.body) and _sleep_is_clamped(arg.orelse)
+    return False
+
+
+def dispatch_stall(
+    call: ast.Call, callee: Optional[str], method: str
+) -> Optional[str]:
+    """RL011 message for a call in method ``method``, or ``None``."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "result":
+        if _has_timeout(call, 0):
+            return None
+        return (
+            f"unbounded .result() in dispatch-reachable {method!r}; a "
+            "wedged worker would hang the sweep — pass timeout= (0 for "
+            "futures already done)"
+        )
+    if callee in _WAIT_CALLS and not _has_timeout(call, 1):
+        return (
+            f"{callee}() without timeout in dispatch-reachable {method!r}; "
+            "the dispatch loop must wake on its tick to honor deadlines "
+            "and shutdown"
+        )
+    if callee == "time.sleep":
+        if call.args and _sleep_is_clamped(call.args[0]):
+            return None
+        return (
+            f"unclamped time.sleep() in dispatch-reachable {method!r}; "
+            "clamp backoff to the dispatch tick (min(delay, _TICK_S)) so "
+            "the loop stays responsive"
+        )
+    if callee in _IO_CALLS:
+        return (
+            f"blocking I/O via {callee}() in dispatch-reachable "
+            f"{method!r}; route output through the obs plane"
+        )
+    return None
+
 
 #: Method names too generic to anchor a conservative dynamic-dispatch
 #: edge: matching ``x.append(...)`` against every project method named
@@ -154,6 +417,10 @@ _OWNERSHIP_BINDINGS = (
 #: (``None`` at module or class level), the class whose body it is
 #: (``None`` inside functions), and the outermost function's node.
 _Context = Tuple[Optional[str], Optional[str], Optional[ast.AST]]
+
+
+#: Module-name suffix of a package's metric/event registry.
+REGISTRY_MODULE = "obs.metric_names"
 
 
 def module_matches(module: str, suffix: str) -> bool:
@@ -297,17 +564,6 @@ def _registry_declarations(file: SourceFile) -> List[Dict[str, Any]]:
     return declarations
 
 
-def _is_registry_file(path: str) -> bool:
-    parts = pathlib.PurePath(path).parts
-    return (
-        len(parts) >= 2
-        and parts[-1] == "metric_names.py"
-        and parts[-2] == "obs"
-    )
-
-
-
-
 class _Extractor:
     """Every fact of one file, read off its index; see :func:`extract_facts`."""
 
@@ -322,7 +578,9 @@ class _Extractor:
         self.rl003_mut: List[Dict[str, Any]] = []
         self.rl003_io: List[Dict[str, Any]] = []
         self.rl003_import: List[Dict[str, Any]] = []
+        self.rl011: List[Dict[str, Any]] = []
         self.uses: List[Dict[str, Any]] = []
+        self.pools: List[Dict[str, Any]] = []
         self.shm: List[Dict[str, Any]] = []
         self._context: Dict[ast.AST, _Context] = {file.tree: (None, None, None)}
         self._ownership: Dict[ast.AST, _Ownership] = {}
@@ -375,7 +633,7 @@ class _Extractor:
         if not tracked:
             return
         index = self.index
-        tracked -= _rebound_names(index.within(func, *REBINDING_NODES))
+        tracked -= _rebound_names(index.within(func, *_REBINDING_NODES))
         if not tracked:
             return
         params = [a.arg for a in func.args.posonlyargs + func.args.args]
@@ -501,35 +759,35 @@ class _Extractor:
         dotted = dotted_name(func)
         resolved = self.imports.resolve(dotted)
         self._record_call_edge(node, func, dotted, resolved, owner, cls)
-        if resolved is not None:
-            message = determinism_violation(resolved)
-            if message is not None:
-                self.rl001.append(
-                    {
-                        "caller": owner,
-                        "line": node.lineno,
-                        "col": node.col_offset,
-                        "message": message,
-                    }
-                )
-            if resolved in _IO_CALLS or resolved.startswith(_IO_PREFIXES):
-                self.rl003_io.append(
-                    {
-                        "caller": owner,
-                        "line": node.lineno,
-                        "col": node.col_offset,
-                        "message": (
-                            f"kernel performs I/O via {resolved}(); kernels "
-                            "must be pure functions of their array arguments"
-                        ),
-                    }
-                )
-            if outer is not None:
-                self._record_argsite(node, resolved, owner, outer)
-            if scope is outer and _is_shm_create(node, resolved):
-                # Only an outermost function's own creations are tracked.
-                self._creations.setdefault(outer, []).append(node)
         self._record_metric_use(node, dotted)
+        site = {"caller": owner, "line": node.lineno, "col": node.col_offset}
+        if cls is not None and outer is not None:  # inside a method
+            message = dispatch_stall(node, resolved, outer.name)
+            if message is not None:
+                self.rl011.append(dict(site, message=message))
+        if resolved is None:
+            return
+        message = determinism_violation(resolved)
+        if message is not None:
+            self.rl001.append(dict(site, message=message))
+        if resolved in _IO_CALLS or resolved.startswith(_IO_PREFIXES):
+            self.rl003_io.append(
+                dict(
+                    site,
+                    message=(
+                        f"kernel performs I/O via {resolved}(); kernels "
+                        "must be pure functions of their array arguments"
+                    ),
+                )
+            )
+        leaf = resolved.split(".")[-1]
+        if leaf in _CONFINED:
+            self.pools.append(dict(site, cls=leaf))
+        if outer is not None:
+            self._record_argsite(node, resolved, owner, outer)
+        if scope is outer and _is_shm_create(node, resolved):
+            # Only an outermost function's own creations are tracked.
+            self._creations.setdefault(outer, []).append(node)
 
     def _record_call_edge(
         self,
@@ -588,9 +846,9 @@ class _Extractor:
         if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
             return
         kind: Optional[str] = None
-        if dotted is not None and _API_KINDS.get(dotted.split(".")[-1]):
-            kind = _API_KINDS[dotted.split(".")[-1]]
-        elif _is_bus_emit(node):
+        if dotted is not None:
+            kind = _API_KINDS.get(dotted.split(".")[-1])
+        if kind is None and _is_bus_emit(dotted):
             kind = "event"
         if kind is not None:
             self.uses.append(
@@ -754,7 +1012,13 @@ def extract_facts(file: SourceFile) -> Dict[str, Any]:
         "rl003_mut": extractor.rl003_mut,
         "rl003_io": extractor.rl003_io,
         "rl003_import": extractor.rl003_import,
+        "rl011": extractor.rl011,
         "uses": extractor.uses,
-        "decls": _registry_declarations(file) if _is_registry_file(file.path) else [],
+        "decls": (
+            _registry_declarations(file)
+            if module_matches(file.module, REGISTRY_MODULE)
+            else []
+        ),
+        "pools": extractor.pools,
         "shm": extractor.shm,
     }

@@ -14,9 +14,11 @@ linted file.  It answers the questions the graph-aware rules ask:
   closure of the real pool entry points (``_init_worker`` /
   ``_evaluate_chunk`` in a ``core.engine`` module); the *kernel
   universe* seeds from every function defined in a ``kernels`` module
-  and closes over their callees.  The ``obs`` package is a documented
-  telemetry barrier: edges into it are not followed (the tracer
-  legitimately reads the wall clock; telemetry feeds no result).
+  and closes over their callees; the *dispatch universe* is the
+  ``self``-edge closure of ``SweepEngine.dispatch``.  The ``obs``
+  package is a documented telemetry barrier: edges into it are not
+  followed (the tracer legitimately reads the wall clock; telemetry
+  feeds no result).
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ WORKER_ROOTS = frozenset({"_init_worker", "_evaluate_chunk"})
 
 #: Module-name component that seeds the kernel universe.
 KERNELS_COMPONENT = "kernels"
+
+#: Qualname of the dispatch-universe root method.
+DISPATCH_ROOT = "SweepEngine.dispatch"
+
+#: Every call-edge kind (see :mod:`.facts`).
+_ALL_EDGES = frozenset({"exact", "ref", "self", "dyn"})
 
 #: A function's identity in the call graph.
 FuncId = Tuple[str, str]  # (module name, qualname)
@@ -106,76 +114,56 @@ class Project:
 
     # -- call graph --------------------------------------------------------
 
+    def _locate(self, module: str, target: str) -> Optional[FuncId]:
+        """``(module, qualname)`` a dotted callee seen in ``module`` names.
+
+        Bare names belong to ``module`` itself; dotted names are split at
+        their longest project-module prefix.
+        """
+        if "." not in target:
+            return (module, target)
+        parts = target.split(".")
+        for cut in range(len(parts) - 1, 0, -1):
+            prefix = ".".join(parts[:cut])
+            if prefix in self.modules:
+                return (prefix, ".".join(parts[cut:]))
+        return None
+
     def resolve_function(
         self, module: str, target: str
     ) -> Optional[FuncId]:
         """Resolve a dotted callee seen in ``module`` to a project function.
 
-        Bare names resolve against the module's own functions; dotted
-        names are split at the longest project-module prefix.  Class
-        names resolve to their ``__init__`` (constructor edge).
+        Class names resolve to their ``__init__`` (constructor edge).
         """
-        if "." not in target:
-            fid = (module, target)
-            if fid in self._functions:
-                return fid
-            if (module, target) in self._classes:
-                init = (module, f"{target}.__init__")
-                return init if init in self._functions else None
-            return None
-        parts = target.split(".")
-        for cut in range(len(parts) - 1, 0, -1):
-            prefix = ".".join(parts[:cut])
-            if prefix not in self.modules:
-                continue
-            rest = parts[cut:]
-            if len(rest) == 1:
-                fid = (prefix, rest[0])
-                if fid in self._functions:
-                    return fid
-                if (prefix, rest[0]) in self._classes:
-                    init = (prefix, f"{rest[0]}.__init__")
-                    return init if init in self._functions else None
-            elif len(rest) == 2:
-                fid = (prefix, f"{rest[0]}.{rest[1]}")
-                if fid in self._functions:
-                    return fid
-            return None
+        fid = self._locate(module, target)
+        if fid is None or fid in self._functions:
+            return fid
+        if fid in self._classes:
+            init = (fid[0], f"{fid[1]}.__init__")
+            return init if init in self._functions else None
         return None
 
     def resolve_class(
         self, module: str, target: str
     ) -> Optional[Dict[str, Any]]:
         """Class facts for a dotted callee seen in ``module``, if any."""
-        if "." not in target:
-            return self._classes.get((module, target))
-        parts = target.split(".")
-        for cut in range(len(parts) - 1, 0, -1):
-            prefix = ".".join(parts[:cut])
-            if prefix in self.modules and len(parts) - cut == 1:
-                return self._classes.get((prefix, parts[cut]))
-        return None
+        located = self._locate(module, target)
+        return None if located is None else self._classes.get(located)
 
     def _edges_from(
-        self, fid: FuncId, pool: FrozenSet[str]
+        self,
+        module: str,
+        qual: Optional[str],
+        pool: FrozenSet[str],
+        kinds: FrozenSet[str] = _ALL_EDGES,
     ) -> Iterable[FuncId]:
-        module, qual = fid
+        """Call edges out of function ``qual`` (``None``: module level)."""
         facts = self.modules.get(module)
         if facts is None:
             return
         for call in facts["calls"]:
-            if call["caller"] != qual:
-                continue
-            yield from self._edge_targets(module, call, pool)
-
-    def _module_level_edges(
-        self, module: str, pool: FrozenSet[str]
-    ) -> Iterable[FuncId]:
-        facts = self.modules.get(module)
-        if facts is None:
-            return
-        for call in facts["calls"]:
-            if call["caller"] is None:
+            if call["caller"] == qual and call["kind"] in kinds:
                 yield from self._edge_targets(module, call, pool)
 
     def _edge_targets(
@@ -205,13 +193,16 @@ class Project:
         return not pool or module in pool
 
     def _closure(
-        self, seeds: Iterable[FuncId], pool: FrozenSet[str]
+        self,
+        seeds: Iterable[FuncId],
+        pool: FrozenSet[str],
+        kinds: FrozenSet[str] = _ALL_EDGES,
     ) -> FrozenSet[FuncId]:
         frontier = [fid for fid in seeds if fid in self._functions]
         seen: Set[FuncId] = set(frontier)
         while frontier:
             fid = frontier.pop()
-            for target in self._edges_from(fid, pool):
+            for target in self._edges_from(*fid, pool, kinds):
                 if target not in seen:
                     seen.add(target)
                     frontier.append(target)
@@ -251,7 +242,7 @@ class Project:
         # Module-level code of closure modules runs in the worker at
         # import; the functions it calls are live there too.
         for module in modules:
-            seeds.extend(self._module_level_edges(module, modules))
+            seeds.extend(self._edges_from(module, None, modules))
         functions = self._closure(seeds, modules)
         self._worker_cache = (modules, functions)
         return self._worker_cache
@@ -281,6 +272,15 @@ class Project:
         functions = self._closure(seeds, pool)
         self._kernel_cache = (frozenset(kernel_modules), functions)
         return self._kernel_cache
+
+    def dispatch_universe(self) -> FrozenSet[FuncId]:
+        """Methods ``SweepEngine.dispatch`` reaches through ``self.*`` calls.
+
+        Only ``self`` edges are followed: the scheduler loop's liveness
+        is a property of the engine class itself.
+        """
+        seeds = [fid for fid in self._functions if fid[1] == DISPATCH_ROOT]
+        return self._closure(seeds, frozenset(), frozenset({"self"}))
 
     # -- ownership fixpoint (RL003 exemptions) ------------------------------
 

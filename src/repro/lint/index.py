@@ -166,15 +166,22 @@ class ImportTable:
     ``import time as t`` maps ``t`` → ``time``; ``from time import time
     as now`` maps ``now`` → ``time.time``; in ``repro.core.engine``,
     ``from ..obs import inc`` maps ``inc`` → ``repro.obs.inc`` (the call
-    graph needs intra-package edges).  Later imports of a name win.
+    graph needs intra-package edges).  In a package's ``__init__.py``
+    (``package=True``) ``.`` is the package itself: in ``repro.io``,
+    ``from .eia_csv import load`` maps ``load`` → ``repro.io.eia_csv.load``.
+    Later imports of a name win.
     ``imported`` lists every import as ``{"module", "names"}`` for the
     module graph.
     """
 
-    def __init__(self, imports: Iterable[ast.AST], module: str) -> None:
+    def __init__(
+        self, imports: Iterable[ast.AST], module: str, package: bool = False
+    ) -> None:
         self.aliases: Dict[str, str] = {}
         self.imported: List[Dict[str, object]] = []
         mod_parts = module.split(".")
+        if package:  # one level up from __init__ is the package itself
+            mod_parts.append("__init__")
         for node in imports:
             if isinstance(node, ast.Import):
                 for alias in node.names:

@@ -15,28 +15,22 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .base import ProjectRule, Rule
-from .census import MetricCensusRule
 from .determinism import DeterminismRule
 from .dispatch_hygiene import DispatchHygieneRule
-from .events import EventNamesRule
 from .exceptions import ExceptionHygieneRule
 from .float_equality import FloatEqualityRule
 from .kernel_purity import KernelPurityRule
-from .metric_names import MetricNamesRule
-from .pool_confinement import PoolConfinementRule
-from .shm_ownership import ShmOwnershipRule
+from .metric_registry import MetricRegistryRule
+from .pool_ownership import PoolOwnershipRule
 
 #: Every rule the checker knows, in report order.
 ALL_RULES: Tuple[type, ...] = (
     DeterminismRule,
     KernelPurityRule,
-    MetricNamesRule,
+    MetricRegistryRule,
     FloatEqualityRule,
     ExceptionHygieneRule,
-    EventNamesRule,
-    PoolConfinementRule,
-    MetricCensusRule,
-    ShmOwnershipRule,
+    PoolOwnershipRule,
     DispatchHygieneRule,
 )
 
@@ -112,12 +106,9 @@ __all__ = [
     "get_rules",
     "DeterminismRule",
     "KernelPurityRule",
-    "MetricNamesRule",
+    "MetricRegistryRule",
     "FloatEqualityRule",
     "ExceptionHygieneRule",
-    "EventNamesRule",
-    "PoolConfinementRule",
-    "MetricCensusRule",
-    "ShmOwnershipRule",
+    "PoolOwnershipRule",
     "DispatchHygieneRule",
 ]

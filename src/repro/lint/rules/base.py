@@ -1,7 +1,6 @@
 """Rule base class and shared AST helpers.
 
-A rule is a small, stateless object with a ``code`` (``RL001``…), a
-``severity``, an optional path scope (:meth:`Rule.applies_to`), and a
+A rule is a small, stateless object with a ``code`` (``RL001``…) and a
 :meth:`Rule.check` generator producing :class:`~repro.lint.findings.Finding`
 objects from a parsed :class:`~repro.lint.findings.SourceFile`.  The
 engine parses each file once and hands the same ``SourceFile`` to every
@@ -16,7 +15,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..findings import Finding, Severity, SourceFile
+from ..findings import Finding, SourceFile
 from ..index import dotted_name
 
 __all__ = ["ProjectRule", "Rule", "dotted_name"]
@@ -33,13 +32,8 @@ class Rule:
 
     code: str = "RL000"
     name: str = "base"
-    severity: Severity = Severity.ERROR
     description: str = ""
     phase: str = "file"
-
-    def applies_to(self, file: SourceFile) -> bool:
-        """Whether this rule inspects ``file`` at all (path scoping)."""
-        return True
 
     def check(self, file: SourceFile) -> Iterator[Finding]:
         """Yield findings for ``file``.  Subclasses must override."""
@@ -53,7 +47,6 @@ class Rule:
             col=getattr(node, "col_offset", 0),
             rule=self.code,
             message=message,
-            severity=self.severity.value,
         )
 
 
@@ -85,5 +78,4 @@ class ProjectRule(Rule):
             col=col,
             rule=self.code,
             message=message,
-            severity=self.severity.value,
         )

@@ -21,7 +21,10 @@ kernels module.
 
 The ``obs`` package is a documented barrier: the tracer/event plane
 legitimately reads the wall clock, and nothing it returns feeds a
-result (telemetry flows out of the sweep, never back in).
+result (telemetry flows out of the sweep, never back in).  The call
+classifier (:func:`repro.lint.graph.facts.determinism_violation`)
+records a candidate for every such call; this rule keeps the reachable
+ones.
 
 Explicitly seeded randomness stays legal: ``np.random.default_rng(seed)``
 and ``random.Random(seed)`` construct private generators and are how the
@@ -31,117 +34,10 @@ synthetic grid/demand models are *supposed* to draw their noise.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..findings import Finding
 from .base import ProjectRule
-
-#: Wall-clock reads whose value could leak into results.
-_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.localtime",
-        "time.gmtime",
-        "time.ctime",
-    }
-)
-
-#: ``datetime`` "now" constructors, matched as dotted suffixes so both
-#: ``datetime.now()`` and ``datetime.datetime.now()`` spellings hit.
-_NOW_SUFFIXES = (
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.today",
-    "date.today",
-)
-
-#: ``random`` module-level functions drawing from the hidden global state.
-_GLOBAL_RANDOM = frozenset(
-    {
-        "betavariate",
-        "choice",
-        "choices",
-        "expovariate",
-        "gammavariate",
-        "gauss",
-        "getrandbits",
-        "lognormvariate",
-        "normalvariate",
-        "paretovariate",
-        "randint",
-        "random",
-        "randrange",
-        "sample",
-        "seed",
-        "shuffle",
-        "triangular",
-        "uniform",
-        "vonmisesvariate",
-        "weibullvariate",
-    }
-)
-
-#: ``numpy.random`` module-level functions drawing from the legacy global
-#: RandomState.  ``default_rng`` / ``Generator`` are deliberately absent.
-_GLOBAL_NP_RANDOM = frozenset(
-    {
-        "beta",
-        "binomial",
-        "bytes",
-        "chisquare",
-        "choice",
-        "exponential",
-        "gamma",
-        "normal",
-        "permutation",
-        "poisson",
-        "rand",
-        "randint",
-        "randn",
-        "random",
-        "random_sample",
-        "ranf",
-        "sample",
-        "seed",
-        "shuffle",
-        "standard_normal",
-        "uniform",
-    }
-)
-
-
-def determinism_violation(callee: str) -> Optional[str]:
-    """Violation message for a canonical dotted callee, or ``None``.
-
-    Pure classification — scoping (is the call site actually reachable
-    from a worker or kernel?) is the project phase's business.  The fact
-    extractor records a candidate for every hit; most are discarded.
-    """
-    if callee in _CLOCK_CALLS:
-        return (
-            f"{callee}() reads the wall clock inside sweep-reachable "
-            "code; results must be pure functions of (site, seed, "
-            "space, strategy)"
-        )
-    for suffix in _NOW_SUFFIXES:
-        if callee == suffix or callee.endswith("." + suffix):
-            return (
-                f"{callee}() depends on the current date inside "
-                "sweep-reachable code; pass timestamps in explicitly"
-            )
-    head, _, tail = callee.rpartition(".")
-    if head == "random" and tail in _GLOBAL_RANDOM:
-        return (
-            f"random.{tail}() draws from the unseeded global RNG; use "
-            "an explicit random.Random(seed) instance"
-        )
-    if head in ("numpy.random", "np.random") and tail in _GLOBAL_NP_RANDOM:
-        return (
-            f"{callee}() draws from numpy's global RandomState; use "
-            "np.random.default_rng(seed)"
-        )
-    return None
 
 
 class DeterminismRule(ProjectRule):

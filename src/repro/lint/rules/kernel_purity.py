@@ -36,80 +36,10 @@ outside the analyzed world.
 
 from __future__ import annotations
 
-import ast
-from typing import Iterable, Iterator, Set, Union
+from typing import Iterator
 
 from ..findings import Finding
 from .base import ProjectRule
-
-_FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-_BANNED_IMPORTS = ("multiprocessing",)
-
-_IO_CALLS = frozenset({"open", "print", "input"})
-
-_IO_PREFIXES = ("sys.stdout.", "sys.stderr.")
-
-
-def _parameter_names(func: _FunctionNode) -> Set[str]:
-    args = func.args
-    names = {a.arg for a in args.args}
-    names.update(a.arg for a in args.posonlyargs)
-    names.update(a.arg for a in args.kwonlyargs)
-    if args.vararg:
-        names.add(args.vararg.arg)
-    if args.kwarg:
-        names.add(args.kwarg.arg)
-    return names
-
-
-def _binding_names(target: ast.AST) -> Iterator[str]:
-    """Names a plain assignment target binds fresh.
-
-    Only ``Name`` targets (possibly nested in tuple/list/starred
-    unpacking) create new bindings; ``supply[0] = x`` and ``obj.attr = x``
-    mutate the existing object and must NOT end mutation tracking.
-    """
-    if isinstance(target, ast.Name):
-        yield target.id
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for elt in target.elts:
-            for name in _binding_names(elt):
-                yield name
-    elif isinstance(target, ast.Starred):
-        for name in _binding_names(target.value):
-            yield name
-
-
-#: Node types that can bind a name fresh (see :func:`_rebound_names`).
-REBINDING_NODES = (ast.Assign, ast.AnnAssign, ast.NamedExpr, ast.For)
-
-
-def _rebound_names(nodes: Iterable[ast.AST]) -> Set[str]:
-    """Names the given :data:`REBINDING_NODES` bind fresh.
-
-    The caller passes every such node of one function body (nested
-    scopes included): ``file.index.within(func, *REBINDING_NODES)``.
-    """
-    rebound: Set[str] = set()
-    for node in nodes:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                rebound.update(_binding_names(target))
-        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)):
-            target = node.target
-            if isinstance(target, ast.Name):
-                rebound.add(target.id)
-        elif isinstance(node, ast.For):
-            rebound.update(_binding_names(node.target))
-    return rebound
-
-
-def _subscript_base(node: ast.AST) -> "ast.Name | None":
-    """The root ``Name`` of a (possibly nested) subscript target."""
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    return node if isinstance(node, ast.Name) else None
 
 
 class KernelPurityRule(ProjectRule):

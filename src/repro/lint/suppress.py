@@ -8,7 +8,9 @@ disable comment naming its rule (or ``all``)::
 Multiple rules are comma-separated (``disable=RL001,RL005``).  Everything
 after the rule list — conventionally a justification, as in the example —
 is ignored by the parser but required by review policy: a suppression
-without a *why* is a smell (see DESIGN.md "Static analysis").
+without a *why* is a smell (see DESIGN.md "Static analysis").  A code
+that names no registered rule (a typo, or a retired rule) suppresses
+nothing, so the engine reports it as ``RL000`` at the directive's line.
 
 Directives are extracted from real comment tokens via :mod:`tokenize`, so
 a ``repro-lint:`` inside a string literal never suppresses anything.
@@ -27,10 +29,10 @@ import ast
 import io
 import re
 import tokenize
-from typing import Dict, FrozenSet, Iterable, Optional
+from typing import Dict, FrozenSet, Iterable
 
 #: Sentinel rule name matching every rule on the line.
-ALL_RULES = "all"
+DISABLE_ALL = "all"
 
 #: Statements whose body must NOT inherit a header directive.
 _COMPOUND = (
@@ -131,23 +133,6 @@ def widen_to_statements(
     return suppressions
 
 
-def suppressed_lines(
-    source: str, tree: Optional[ast.AST] = None
-) -> Dict[int, FrozenSet[str]]:
-    """Map of line number to the rule codes disabled on that line.
-
-    With ``tree`` (the file's parsed AST), each directive is widened to
-    its statement's full line span — see the module docstring.  Without
-    it, only the directive's own physical line is covered.  The engine
-    reads :attr:`SourceFile.suppressions <repro.lint.findings.SourceFile>`
-    instead, which widens over the file's index rather than a new walk.
-    """
-    suppressions = comment_directives(source)
-    if tree is None or not suppressions:
-        return suppressions
-    return widen_to_statements(suppressions, ast.walk(tree))
-
-
 def is_suppressed(
     suppressions: Dict[int, FrozenSet[str]], line: int, rule: str
 ) -> bool:
@@ -155,4 +140,4 @@ def is_suppressed(
     codes = suppressions.get(line)
     if not codes:
         return False
-    return rule in codes or ALL_RULES in codes
+    return rule in codes or DISABLE_ALL in codes

@@ -14,7 +14,7 @@ Guarantees:
 
 * **Typed** — event kinds are declared in
   :data:`repro.obs.metric_names.EVENTS` (one source of truth, enforced
-  statically by lint rule RL007 and at runtime by every emit).
+  statically by lint rule RL004 and at runtime by every emit).
 * **One emission site per fact** — the sweep counters and gauges
   (``sweeps_completed``, ``chunk_retries``, ``capacity_steals``, …) and
   the sweep log lines derive from the events, in one accounting step
@@ -138,7 +138,7 @@ class SweepEvents:
     Every emitted kind is checked against
     :data:`repro.obs.metric_names.EVENTS`; an undeclared one raises
     :class:`~repro.obs.metric_names.UnknownMetricError` — the runtime
-    backstop behind the static RL007 lint rule.  Each accepted event
+    backstop behind the static RL004 lint rule.  Each accepted event
     then updates the sweep counters and log (see :func:`_account`)
     before any subscriber sees it.
 

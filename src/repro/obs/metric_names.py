@@ -7,8 +7,9 @@ pipeline emits is therefore declared here, checked in, and enforced from
 both directions:
 
 * statically — ``repro lint`` (rule RL004) checks every string-literal
-  name passed to ``inc``/``set_gauge``/``observe``/``counter_value``
-  against this module;
+  name passed to ``inc``/``set_gauge``/``observe``/``counter_value``,
+  and every literal event kind passed to a bus ``emit``, against this
+  module, and flags any declaration here that nothing emits;
 * at runtime — a validating :class:`~repro.obs.metrics.MetricsRegistry`
   raises :class:`UnknownMetricError` when a dynamic (non-literal) name
   slips past the linter.
@@ -94,7 +95,7 @@ HISTOGRAM_PATTERNS: Tuple[re.Pattern, ...] = (
 
 #: Every sweep-event kind the pipeline may emit onto a
 #: :class:`repro.obs.events.SweepEvents` bus.  Same single-source pattern
-#: as :data:`COUNTERS`: the static RL007 lint rule checks literal kinds in
+#: as :data:`COUNTERS`: the static RL004 lint rule checks literal kinds in
 #: ``emit()`` calls against this set, and a validating bus raises
 #: :class:`UnknownMetricError` on dynamic kinds at runtime.
 EVENTS: FrozenSet[str] = frozenset(

@@ -1,4 +1,4 @@
-"""RL007 fixture: literal event kinds absent from the EVENTS registry."""
+"""RL004 fixture: literal event kinds absent from the EVENTS registry."""
 
 
 def narrate(events, bus, obj):

@@ -1,4 +1,4 @@
-"""RL007 fixture: registered kinds, dynamic kinds, unrelated emit calls."""
+"""RL004 fixture: registered kinds, dynamic kinds, unrelated emit calls."""
 
 
 def narrate(events, bus, kind):

@@ -1,4 +1,4 @@
-"""RL010 fixture: owner-module shapes that pass, plus receiver classes."""
+"""RL008 fixture: owner-module shapes that pass, plus receiver classes."""
 
 from multiprocessing.shared_memory import SharedMemory
 

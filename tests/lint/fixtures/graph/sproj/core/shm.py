@@ -1,4 +1,4 @@
-"""RL010 fixture: every creation here escapes ownership a different way."""
+"""RL008 fixture: every creation here escapes ownership a different way."""
 
 from multiprocessing.shared_memory import SharedMemory
 

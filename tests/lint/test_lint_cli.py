@@ -1,14 +1,16 @@
-"""CLI entry points, exit codes, and the acceptance self-checks."""
+"""The ``repro lint`` subcommand: exit codes, formats, acceptance checks."""
 
 import json
-
-import pytest
+import re
 
 from repro.cli import main as repro_main
-from repro.lint.cli import run as lint_main
 
 
-class TestStandaloneRunner:
+def lint_main(argv):
+    return repro_main(["lint", *argv])
+
+
+class TestExitCodes:
     def test_clean_tree_exits_zero(self, fixtures, capsys):
         assert lint_main([str(fixtures / "good_floats.py")]) == 0
         assert capsys.readouterr().out.strip() == "0 findings"
@@ -23,14 +25,9 @@ class TestStandaloneRunner:
         assert "unknown rule 'RL999'" in capsys.readouterr().err
 
     def test_comma_separated_select(self, fixtures, capsys):
-        code = lint_main(
-            ["--select", "RL004,RL005", "--format", "json", str(fixtures)]
-        )
+        code = lint_main(["--select", "RL004,RL005", str(fixtures)])
         assert code == 1
-        rules = {
-            f["rule"]
-            for f in json.loads(capsys.readouterr().out)["findings"]
-        }
+        rules = set(re.findall(r":\d+:\d+ (RL\d+) ", capsys.readouterr().out))
         # Parse errors (RL000) are reported regardless of selection —
         # the broken-syntax fixture must never be silently skipped.
         assert rules == {"RL000", "RL004", "RL005"}
@@ -66,7 +63,7 @@ class TestStandaloneRunner:
     def test_no_python_file_exits_two(self, repo_root, tmp_path, capsys):
         assert lint_main([str(repo_root / "README.md")]) == 2
         assert "nothing would be checked" in capsys.readouterr().err
-        assert repro_main(["lint", str(tmp_path)]) == 2
+        assert lint_main([str(tmp_path)]) == 2
         assert "nothing would be checked" in capsys.readouterr().err
 
     def test_sarif_format(self, fixtures, capsys):
@@ -89,18 +86,10 @@ class TestStandaloneRunner:
 
 class TestReproSubcommand:
     def test_repro_lint_routes_and_propagates_exit_code(self, fixtures, capsys):
-        assert repro_main(["lint", str(fixtures / "good_excepts.py")]) == 0
-        assert repro_main(["lint", str(fixtures / "bad_excepts.py")]) == 1
+        assert lint_main([str(fixtures / "good_excepts.py")]) == 0
+        assert lint_main([str(fixtures / "bad_excepts.py")]) == 1
         out = capsys.readouterr().out
         assert "RL006" in out
-
-    def test_repro_lint_json_format(self, fixtures, capsys):
-        code = repro_main(
-            ["lint", "--format", "json", str(fixtures / "bad_metrics.py")]
-        )
-        assert code == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["count"] == 4
 
 
 class TestAcceptance:

@@ -1,22 +1,19 @@
 """Engine behavior: discovery, selection, parse errors, rendering."""
 
 import ast
-import json
 import pathlib
 import tokenize
 
 import pytest
 
 from repro.lint import (
-    JSON_FORMAT_VERSION,
     PARSE_ERROR_RULE,
     LintPathError,
     UnknownRuleError,
     get_rules,
     iter_python_files,
-    render_json,
+    lint_project,
     render_text,
-    run_lint,
 )
 
 
@@ -39,10 +36,10 @@ class TestFileDiscovery:
 
     def test_missing_path_or_no_python_file_raises(self, tmp_path):
         with pytest.raises(LintPathError, match="no such file"):
-            run_lint([str(tmp_path / "missing")])
+            lint_project([str(tmp_path / "missing")])
         (tmp_path / "notes.txt").write_text("not python\n")
         with pytest.raises(LintPathError, match="nothing would be checked"):
-            run_lint([str(tmp_path)])
+            lint_project([str(tmp_path)])
 
 
 class TestOnePass:
@@ -67,7 +64,7 @@ class TestOnePass:
 
         monkeypatch.setattr(ast, "parse", counting_parse)
         monkeypatch.setattr(tokenize, "generate_tokens", counting_tokens)
-        findings = run_lint([str(tmp_path)])  # every rule, both phases
+        findings = lint_project([str(tmp_path)]).findings  # every rule, both phases
         assert sorted(parsed) == ["flagged.py", "plain.py", "quiet.py"]
         assert len(tokenized) == 1  # quiet.py, the one carrying a directive
         assert [(pathlib.Path(f.path).name, f.rule) for f in findings] == [
@@ -96,20 +93,22 @@ class TestRuleSelection:
 
 class TestParseErrors:
     def test_broken_file_reports_rl000_not_crash(self, fixtures):
-        findings = run_lint([str(fixtures / "broken_syntax.py")])
+        findings = lint_project([str(fixtures / "broken_syntax.py")]).findings
         assert [(f.line, f.rule) for f in findings] == [(3, PARSE_ERROR_RULE)]
         assert "cannot parse" in findings[0].message
 
     def test_broken_file_does_not_hide_sibling_findings(self, fixtures, tmp_path):
         (tmp_path / "broken.py").write_text("def broken(:\n")
         (tmp_path / "floats.py").write_text("ok = 1.0 == x\n")
-        rules = {f.rule for f in run_lint([str(tmp_path)])}
+        rules = {f.rule for f in lint_project([str(tmp_path)]).findings}
         assert rules == {PARSE_ERROR_RULE, "RL005"}
 
 
 class TestRendering:
     def test_text_report_lines_and_count(self, fixtures):
-        findings = run_lint([str(fixtures / "bad_floats.py")], select=["RL005"])
+        findings = lint_project(
+            [str(fixtures / "bad_floats.py")], select=["RL005"]
+        ).findings
         text = render_text(findings)
         lines = text.splitlines()
         assert lines[0].startswith(str(fixtures / "bad_floats.py") + ":5:")
@@ -117,25 +116,7 @@ class TestRendering:
         assert lines[-1] == "4 findings"
         assert render_text([]) == "0 findings"
 
-    def test_json_document_schema(self, fixtures):
-        findings = run_lint([str(fixtures / "bad_metrics.py")], select=["RL004"])
-        document = json.loads(render_json(findings))
-        assert set(document) == {"version", "count", "findings", "stats"}
-        assert document["version"] == JSON_FORMAT_VERSION
-        assert document["count"] == len(document["findings"]) == 4
-        for entry in document["findings"]:
-            assert set(entry) == {
-                "path",
-                "line",
-                "col",
-                "rule",
-                "severity",
-                "message",
-            }
-            assert entry["rule"] == "RL004"
-            assert entry["severity"] == "error"
-
     def test_findings_are_sorted_by_location(self, fixtures):
-        findings = run_lint([str(fixtures)])
+        findings = lint_project([str(fixtures)]).findings
         keys = [(f.path, f.line, f.col, f.rule) for f in findings]
         assert keys == sorted(keys)

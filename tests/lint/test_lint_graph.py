@@ -1,8 +1,8 @@
 """Unit tests for the whole-program model (``repro.lint.graph``).
 
 These pin down the project model the reachability rules stand on:
-module naming, import edges, the obs barrier, and the two universes
-(worker, kernel).  The packaged tree
+module naming, import edges, the obs barrier, and the three universes
+(worker, kernel, dispatch).  The packaged tree
 under ``fixtures/graph/wproj`` is the shared subject — it has worker
 roots, a reachable helper, an orphan module, and a kernel module.
 """
@@ -94,6 +94,19 @@ class TestKernelUniverse:
         assert ("wproj.kernels.ops", "scale") in functions
         assert ("wproj.kernels.ops", "_fold") in functions
         assert ("wproj.kernels.ops", "fold_all") in functions
+
+
+class TestDispatchUniverse:
+    def test_self_calls_from_dispatch_only(self, fixtures):
+        # bad_dispatch's shutdown() is a method of the same class that
+        # dispatch never calls.
+        project = build_project(fixtures / "core")
+        assert project.dispatch_universe() == {
+            ("core.bad_dispatch", "SweepEngine.dispatch"),
+            ("core.bad_dispatch", "SweepEngine._drain"),
+            ("core.good_dispatch", "SweepEngine.dispatch"),
+            ("core.good_dispatch", "SweepEngine._drain"),
+        }
 
 
 class TestNameResolution:

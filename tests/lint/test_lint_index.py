@@ -224,6 +224,22 @@ class TestSourceFile:
         assert file.module == "pkg.mod"
         assert file.imports.aliases == {"sibling": "pkg.sibling"}
 
+    def test_relative_imports_in_init_anchor_at_the_package(self, tmp_path):
+        # In pkg/io/__init__.py the module is pkg.io itself, so "." is
+        # pkg.io and ".." is pkg — not one package higher.
+        pkg = tmp_path / "pkg" / "io"
+        pkg.mkdir(parents=True)
+        (tmp_path / "pkg" / "__init__.py").write_text("")
+        path = pkg / "__init__.py"
+        source = "from .eia_csv import load\nfrom .. import core\n"
+        path.write_text(source)
+        file = SourceFile(str(path), source, ast.parse(source))
+        assert file.module == "pkg.io"
+        assert file.imports.aliases == {
+            "load": "pkg.io.eia_csv.load",
+            "core": "pkg.core",
+        }
+
     def test_directive_free_source_is_never_tokenized(self, monkeypatch):
         def refuse(readline):
             raise AssertionError("tokenized a file with no directive")

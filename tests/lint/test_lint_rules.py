@@ -1,28 +1,31 @@
 """Per-rule behavior over the checked-in fixture trees.
 
-Each file rule gets one bad-fixture test asserting the exact
-``(line, rule)`` pairs it reports and one good-fixture test asserting
-silence.  Project rules (RL001/RL003/RL009/RL010) are exercised over
-the packaged trees under ``fixtures/graph/`` — ``wproj`` defines worker
-roots and a kernel module, ``mproj`` a metric registry plus emitters,
-``sproj`` an owner-module pair of shm creation shapes — so reachability
-and cross-file census behavior is pinned down with exact locations.
+Each rule gets bad-fixture tests asserting the exact ``(line, rule)``
+pairs it reports and good-fixture tests asserting silence.  The
+cross-file behavior of the project rules is exercised over the packaged
+trees under ``fixtures/graph/`` — ``wproj`` defines worker roots and a
+kernel module, ``mproj`` a metric registry plus emitters, ``sproj`` an
+owner-module pair of shm creation shapes — so reachability, registry
+and ownership behavior is pinned down with exact locations.
 """
 
 import pathlib
 
-from repro.lint import run_lint
+import pytest
+
+from repro.lint import lint_project
 
 
 def findings_for(path, rule):
-    return [(f.line, f.rule) for f in run_lint([str(path)], select=[rule])]
+    findings = lint_project([str(path)], select=[rule]).findings
+    return [(f.line, f.rule) for f in findings]
 
 
 def tree_findings(root, rule):
     """``(basename, line, rule)`` triples for a whole fixture tree."""
     return [
         (pathlib.Path(f.path).name, f.line, f.rule)
-        for f in run_lint([str(root)], select=[rule])
+        for f in lint_project([str(root)], select=[rule]).findings
     ]
 
 
@@ -61,7 +64,7 @@ class TestDeterminismRL001:
         copy = tmp_path / "elsewhere" / "bad_determinism.py"
         copy.parent.mkdir()
         copy.write_text((fixtures / "core" / "bad_determinism.py").read_text())
-        assert run_lint([str(copy)], select=["RL001"]) == []
+        assert findings_for(copy, "RL001") == []
 
 
 class TestKernelPurityRL003:
@@ -81,7 +84,7 @@ class TestKernelPurityRL003:
         copy = tmp_path / "helpers" / "bad_kernel.py"
         copy.parent.mkdir()
         copy.write_text((fixtures / "kernels" / "bad_kernel.py").read_text())
-        assert run_lint([str(copy)], select=["RL003"]) == []
+        assert findings_for(copy, "RL003") == []
 
     def test_owned_scratch_exemption_is_call_graph_proven(self, fixtures):
         # _fold mutates its scratch parameter, but its only call site
@@ -92,7 +95,7 @@ class TestKernelPurityRL003:
         ]
 
 
-class TestMetricNamesRL004:
+class TestMetricRegistryRL004:
     def test_flags_unregistered_literal_names(self, fixtures):
         assert findings_for(fixtures / "bad_metrics.py", "RL004") == [
             (5, "RL004"),  # inc typo
@@ -103,6 +106,71 @@ class TestMetricNamesRL004:
 
     def test_registered_dynamic_and_unrelated_calls_pass(self, fixtures):
         assert findings_for(fixtures / "good_metrics.py", "RL004") == []
+
+    def test_flags_unregistered_literal_kinds(self, fixtures):
+        assert findings_for(fixtures / "bad_events.py", "RL004") == [
+            (5, "RL004"),  # events.emit typo
+            (6, "RL004"),  # bus.emit unknown
+            (7, "RL004"),  # nested events_bus receiver
+            (8, "RL004"),  # bare emit_event
+        ]
+
+    def test_registered_dynamic_and_unrelated_emits_pass(self, fixtures):
+        assert findings_for(fixtures / "good_events.py", "RL004") == []
+
+    def test_source_tree_is_clean(self, repo_root):
+        src = repo_root / "src" / "repro"
+        assert findings_for(src, "RL004") == []
+
+    def test_dead_declarations_and_undeclared_uses(self, fixtures):
+        assert tree_findings(fixtures / "graph" / "mproj", "RL004") == [
+            ("app.py", 8, "RL004"),            # emitted but never declared
+            ("metric_names.py", 6, "RL004"),   # counter declared, never emitted
+            ("metric_names.py", 15, "RL004"),  # event declared, never emitted
+        ]
+
+    def test_without_its_registry_a_use_checks_the_installed_one(self, fixtures):
+        # Linted alone, app.py's package has no registry in the linted
+        # set: its uses fall back to repro.obs.metric_names, and no
+        # registry name is reported dead.
+        app = fixtures / "graph" / "mproj" / "app.py"
+        assert findings_for(app, "RL004") == [
+            (5, "RL004"),  # declared by mproj, not by repro
+            (6, "RL004"),
+            (8, "RL004"),
+        ]
+
+    @pytest.mark.parametrize(
+        "expected",
+        [
+            pytest.param(
+                {
+                    "bad_metrics.py": [5, 6, 7, 8],
+                    "bad_events.py": [5, 6, 7, 8],
+                },
+                id="each-undeclared-use-reported-once",
+            ),
+            pytest.param(
+                {
+                    "good_metrics.py": [],
+                    "good_events.py": [],
+                    "suppressed.py": [],  # line 7 disables RL004
+                    "app.py": [8],  # mproj's own registry declares 5 and 6
+                },
+                id="two-registries-never-contradict",
+            ),
+        ],
+    )
+    def test_whole_fixture_tree(self, fixtures, expected):
+        # One run of every rule over every fixture, two registries in
+        # play: mproj's uses check mproj's registry, the rest the
+        # installed one.  RL005 is left out: suppressed.py:10 is its.
+        found = {name: [] for name in expected}
+        for finding in lint_project([str(fixtures)]).findings:
+            name = pathlib.Path(finding.path).name
+            if name in found and finding.rule != "RL005":
+                found[name].append(finding.line)
+        assert found == expected
 
 
 class TestFloatEqualityRL005:
@@ -130,24 +198,7 @@ class TestExceptionHygieneRL006:
         assert findings_for(fixtures / "good_excepts.py", "RL006") == []
 
 
-class TestEventNamesRL007:
-    def test_flags_unregistered_literal_kinds(self, fixtures):
-        assert findings_for(fixtures / "bad_events.py", "RL007") == [
-            (5, "RL007"),  # events.emit typo
-            (6, "RL007"),  # bus.emit unknown
-            (7, "RL007"),  # nested events_bus receiver
-            (8, "RL007"),  # bare emit_event
-        ]
-
-    def test_registered_dynamic_and_unrelated_emits_pass(self, fixtures):
-        assert findings_for(fixtures / "good_events.py", "RL007") == []
-
-    def test_source_tree_is_clean(self, repo_root):
-        src = repo_root / "src" / "repro"
-        assert run_lint([str(src)], select=["RL007"]) == []
-
-
-class TestPoolConfinementRL008:
+class TestPoolOwnershipRL008:
     def test_flags_constructions_outside_owner_files(self, fixtures):
         assert findings_for(fixtures / "core" / "bad_pools.py", "RL008") == [
             (10, "RL008"),  # ProcessPoolExecutor(...)
@@ -184,34 +235,17 @@ class TestPoolConfinementRL008:
 
     def test_source_tree_is_clean(self, repo_root):
         src = repo_root / "src" / "repro"
-        assert run_lint([str(src)], select=["RL008"]) == []
+        assert findings_for(src, "RL008") == []
 
-
-class TestMetricCensusRL009:
-    def test_dead_declarations_and_undeclared_uses(self, fixtures):
-        assert tree_findings(fixtures / "graph" / "mproj", "RL009") == [
-            ("app.py", 8, "RL009"),            # emitted but never declared
-            ("metric_names.py", 6, "RL009"),   # counter declared, never emitted
-            ("metric_names.py", 15, "RL009"),  # event declared, never emitted
-        ]
-
-    def test_census_inactive_without_the_registry(self, fixtures):
-        # Linting a subtree that lacks obs/metric_names.py must not
-        # report registry names as dead — or uses as undeclared.
-        app = fixtures / "graph" / "mproj" / "app.py"
-        assert run_lint([str(app)], select=["RL009"]) == []
-
-
-class TestShmOwnershipRL010:
-    def test_escape_shapes_are_flagged(self, fixtures):
+    def test_owner_module_escape_shapes_are_flagged(self, fixtures):
         # sproj/core/engine.py in the same tree holds the passing
         # shapes (with-managed, finally-unlinked, error-guarded
         # transfer to Holder) — only shm.py's escapes appear.
-        assert tree_findings(fixtures / "graph" / "sproj", "RL010") == [
-            ("shm.py", 9, "RL010"),   # result never bound to a name
-            ("shm.py", 13, "RL010"),  # returned bare
-            ("shm.py", 18, "RL010"),  # no error-path unlink
-            ("shm.py", 24, "RL010"),  # transferred to a non-unlinking class
+        assert tree_findings(fixtures / "graph" / "sproj", "RL008") == [
+            ("shm.py", 9, "RL008"),   # result never bound to a name
+            ("shm.py", 13, "RL008"),  # returned bare
+            ("shm.py", 18, "RL008"),  # no error-path unlink
+            ("shm.py", 24, "RL008"),  # transferred to a non-unlinking class
         ]
 
 

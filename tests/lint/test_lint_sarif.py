@@ -15,7 +15,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from repro.lint import render_sarif, run_lint
+from repro.lint import lint_project, render_sarif
 from repro.lint.engine import SARIF_SCHEMA_URI
 
 SARIF_2_1_0_SUBSET = {
@@ -130,7 +130,9 @@ SARIF_2_1_0_SUBSET = {
 
 @pytest.fixture
 def document(fixtures):
-    findings = run_lint([str(fixtures / "bad_floats.py")], select=["RL005"])
+    findings = lint_project(
+        [str(fixtures / "bad_floats.py")], select=["RL005"]
+    ).findings
     assert findings, "fixture must produce findings"
     return json.loads(render_sarif(findings))
 
@@ -152,9 +154,11 @@ class TestSarifContent:
     def test_every_rule_is_described_even_unfired_ones(self, document):
         rules = document["runs"][0]["tool"]["driver"]["rules"]
         ids = [rule["id"] for rule in rules]
-        # All RL000..RL011 descriptors ship so viewers can label any run.
+        # Every rule's descriptor ships so viewers can label any run.
         assert ids == sorted(ids)
-        assert {"RL000", "RL001", "RL009", "RL010", "RL011"} <= set(ids)
+        assert ids == [
+            "RL000", "RL001", "RL003", "RL004", "RL005", "RL006", "RL008", "RL011"
+        ]
 
     def test_rule_index_points_at_the_matching_descriptor(self, document):
         run = document["runs"][0]

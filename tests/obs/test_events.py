@@ -34,7 +34,7 @@ class TestSweepEventsBus:
     def test_unknown_kind_raises_on_validating_bus(self):
         bus = SweepEvents()
         with pytest.raises(UnknownMetricError):
-            bus.emit("chunk_complete")  # typo'd kind  # repro-lint: disable=RL007,RL009 — deliberately unregistered; exercises the runtime registry guard
+            bus.emit("chunk_complete")  # typo'd kind  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
         assert bus.events() == ()
 
     def test_every_declared_kind_is_emittable(self):

@@ -53,9 +53,9 @@ class TestValidatingRegistry:
     def test_validating_registry_rejects_unknown_names(self):
         registry = MetricsRegistry(enabled=True, validate=True)
         with pytest.raises(UnknownMetricError):
-            registry.inc("not_a_metric")  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
+            registry.inc("not_a_metric")  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
         with pytest.raises(UnknownMetricError):
-            registry.set_gauge("not_a_metric", 1.0)  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
+            registry.set_gauge("not_a_metric", 1.0)  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
         with pytest.raises(UnknownMetricError):
             registry.observe("not_a_metric", 1.0)  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
 
@@ -77,13 +77,13 @@ class TestValidatingRegistry:
 
     def test_disabled_registry_never_validates(self):
         registry = MetricsRegistry(enabled=False, validate=True)
-        registry.inc("would_explode_if_checked")  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
+        registry.inc("would_explode_if_checked")  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
         assert registry.snapshot()["counters"] == {}
 
     def test_instances_default_to_unvalidated(self):
         registry = MetricsRegistry()
-        registry.inc("scratch_counter")  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
-        assert registry.counter_value("scratch_counter") == 1  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
+        registry.inc("scratch_counter")  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
+        assert registry.counter_value("scratch_counter") == 1  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
 
     def test_default_registry_validates(self):
         from repro.obs import get_registry

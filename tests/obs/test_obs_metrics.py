@@ -28,12 +28,12 @@ class TestRegistry:
         registry.inc("designs_evaluated")
         registry.inc("designs_evaluated", 4)
         assert registry.counter_value("designs_evaluated") == 5
-        assert registry.counter_value("never_written") == 0.0  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
+        assert registry.counter_value("never_written") == 0.0  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
 
     def test_gauges_keep_last_value(self):
         registry = MetricsRegistry()
-        registry.set_gauge("grid_points", 10)  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
-        registry.set_gauge("grid_points", 3)  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
+        registry.set_gauge("grid_points", 10)  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
+        registry.set_gauge("grid_points", 3)  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
         assert registry.snapshot()["gauges"]["grid_points"] == 3
 
     def test_histogram_statistics(self):
@@ -49,8 +49,8 @@ class TestRegistry:
 
     def test_disabled_registry_is_noop(self):
         registry = MetricsRegistry(enabled=False)
-        registry.inc("c")  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
-        registry.set_gauge("g", 1.0)  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
+        registry.inc("c")  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
+        registry.set_gauge("g", 1.0)  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
         registry.observe("h", 1.0)  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
         snap = registry.snapshot()
         assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
@@ -60,14 +60,14 @@ class TestRegistry:
 
         def work():
             for _ in range(1000):
-                registry.inc("hits")  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
+                registry.inc("hits")  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
 
         threads = [threading.Thread(target=work) for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert registry.counter_value("hits") == 4000  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
+        assert registry.counter_value("hits") == 4000  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
 
 
 class TestSnapshotRoundtrip:
@@ -82,7 +82,7 @@ class TestSnapshotRoundtrip:
 
     def test_reset_clears_everything(self):
         registry = MetricsRegistry()
-        registry.inc("c")  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
+        registry.inc("c")  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
         registry.observe("h", 1.0)  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
         registry.reset()
         assert registry.snapshot() == {
@@ -93,7 +93,7 @@ class TestSnapshotRoundtrip:
 
     def test_save_writes_valid_json(self, tmp_path):
         registry = MetricsRegistry()
-        registry.inc("c", 2)  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
+        registry.inc("c", 2)  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
         path = tmp_path / "metrics.json"
         registry.save(path)
         assert json.loads(path.read_text())["counters"]["c"] == 2
@@ -103,8 +103,8 @@ class TestGlobalHelpers:
     def test_disabled_by_default(self):
         reset_metrics()
         assert not metrics_enabled()
-        inc("ignored")  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
-        set_gauge("ignored", 1.0)  # repro-lint: disable=RL004,RL009 — deliberately unregistered; exercises the runtime registry guard
+        inc("ignored")  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
+        set_gauge("ignored", 1.0)  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
         observe("ignored", 1.0)  # repro-lint: disable=RL004 — deliberately unregistered; exercises the runtime registry guard
         snap = metrics_snapshot()
         assert snap["counters"] == {}
