@@ -13,16 +13,23 @@ site, :func:`repro.core.fleet.sweep_fleet` for many -- runs through
   payload`` map (shared-memory handles by default); workers attach a
   site's segment lazily on its first chunk and cache the context for
   the pool's lifetime.
+* **Windows** — the pool's unit of work is a window: one chunk each of
+  up to ``ceil(schedulable sites / workers)`` sites, taken in
+  round-robin order, evaluated in a worker the way a serial round is
+  (:func:`_evaluate_chunks`) and committed chunk by chunk.  Only
+  first-attempt chunks with no planned fault share a window; a retried
+  or fault-targeted chunk runs alone.
 * **Pool lifecycle** — one long-lived pool, rebuilt on
   ``BrokenProcessPool``; every rebuild consumes chunk attempts, so a
   crash-looping chunk is bounded by ``max_retries``.
 * **Resilience** — per-chunk attempt accounting (a failed chunk is
-  requeued at its site's tail), EWMA-adaptive stall budgets seeded by
-  ``chunk_timeout``, idempotent per-ordinal commits (a stalled chunk
-  landing after its retry already committed is dropped, so journals
-  never hold a chunk twice), journal resume, and per-site quarantine: a
-  site whose chunk exhausts its retries drains serially in-parent, so a
-  sweep always completes.
+  requeued at its site's tail, a failed window's chunks one by one),
+  EWMA-adaptive per-chunk stall budgets seeded by ``chunk_timeout`` (a
+  window gets its chunk count times the budget), idempotent per-ordinal
+  commits (a stalled chunk landing after its retry already committed is
+  dropped, so journals never hold a chunk twice), journal resume, and
+  per-site quarantine: a site whose chunk exhausts its retries drains
+  serially in-parent, so a sweep always completes.
 * **Cross-site work stealing** — each site gets a fair share of the
   in-flight budget; when a site's queue drains (or it is quarantined),
   its capacity is re-granted to the site with the largest remaining
@@ -59,7 +66,7 @@ from typing import (
     Any,
     Deque,
     Dict,
-    Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -134,7 +141,7 @@ _TARGET_CHUNKS = 32
 #: deadline and stall checks stay responsive, long enough not to spin.
 _TICK_S = 0.05
 
-#: In-flight chunks per pool slot; 2 keeps every worker fed without
+#: In-flight windows per pool slot; 2 keeps every worker fed without
 #: queueing so much that one site's burst delays the others' turns.
 _INFLIGHT_PER_WORKER = 2
 
@@ -270,27 +277,56 @@ def _context_for(site: str) -> SiteContext:
     return context
 
 
-def _evaluate_chunk(
-    site: str,
-    start: int,
-    designs: Sequence[DesignPoint],
+def _evaluate_chunks(
+    blocks: Sequence[Tuple[str, SiteContext, int, Sequence[DesignPoint]]],
+    strategy: Strategy,
+) -> Iterator[List[DesignEvaluation]]:
+    """Evaluate a round or window of ``(site, context, start, designs)`` chunks.
+
+    The one evaluation step of every dispatch path, in the parent and in
+    pool workers alike; the chunks belong to distinct sites.  Several
+    chunks whose rows merge across sites (:func:`merges_sites`) are
+    evaluated in one :func:`evaluate_block_sites` call under one
+    ``evaluate_round`` span; any other chunks one at a time, each under
+    its own ``evaluate_chunk`` span and lazily, so a caller can commit a
+    chunk before the next one runs.  Yields each chunk's evaluations in
+    order.
+    """
+    if len(blocks) > 1 and merges_sites(strategy):
+        with span(
+            "evaluate_round",
+            sites=[site for site, _, _, _ in blocks],
+            n_designs=sum(len(designs) for _, _, _, designs in blocks),
+        ):
+            merged = evaluate_block_sites(
+                [(context, designs) for _, context, _, designs in blocks], strategy
+            )
+        yield from merged
+        return
+    for site, context, start, designs in blocks:
+        with span("evaluate_chunk", site=site, start=start, n_designs=len(designs)):
+            evaluations = evaluate_block(context, designs, strategy)
+        yield evaluations
+
+
+def _evaluate_window(
+    chunks: Sequence[Tuple[str, int, Sequence[DesignPoint]]],
     strategy: Strategy,
     fault: Optional[FaultAction] = None,
-) -> Tuple[str, int, List[DesignEvaluation], Optional[Dict[str, Any]]]:
-    """Evaluate one contiguous slice of a site's grid in a worker process.
+) -> Tuple[List[Tuple[str, int, List[DesignEvaluation]]], Optional[Dict[str, Any]]]:
+    """Evaluate one window of ``(site, start, designs)`` chunks in a worker.
 
-    Returns ``(site, start, evaluations, telemetry)`` where ``telemetry``
-    is this chunk's worker-registry metrics snapshot (reset at chunk
-    start so snapshots are disjoint and the parent can merge counters
-    and histogram buckets additively), extended — when the parent was
-    tracing at pool creation — with the chunk's exported span records
-    under ``"spans"`` and this worker's ``"pid"`` so the parent can
-    render them on a per-process Chrome lane.  Metrics are reset
-    *before* the lazy attach so a first attach's
-    ``context_attach_count`` lands in this chunk's snapshot.  ``fault``
-    is the test/CI fault injected into this attempt, if any.  The slice
-    goes through :func:`evaluate_block`, which batches it or not by its
-    strategy and row count alone (bitwise identical either way).
+    Returns ``(entries, telemetry)``: one ``(site, start, evaluations)``
+    entry per chunk, in window order, and ``telemetry``, this window's
+    worker-registry metrics snapshot (reset at window start so snapshots
+    are disjoint and the parent can merge counters and histogram buckets
+    additively), extended -- when the parent was tracing at pool
+    creation -- with the window's exported span records under
+    ``"spans"`` and this worker's ``"pid"`` so the parent can render them
+    on a per-process Chrome lane.  Metrics are reset *before* the lazy
+    attach so a first attach's ``context_attach_count`` lands in this
+    window's snapshot.  ``fault`` is the test/CI fault injected into this
+    attempt, if any; the parent only plans one for a one-chunk window.
     """
     if _worker_collect_metrics:
         reset_metrics()
@@ -300,13 +336,19 @@ def _evaluate_chunk(
         reset_tracing(drop_open=True)
     if fault is not None and fault.kind is FaultKind.SHM:
         raise SharedContextError(
-            f"injected shm fault: segment for site {site!r} is unattachable"
+            f"injected shm fault: segment for site {chunks[0][0]!r} is unattachable"
         )
     execute_pre_fault(fault)
-    context = _context_for(site)
-    evaluations: List[Any]
-    with span("evaluate_chunk", site=site, start=start, n_designs=len(designs)):
-        evaluations = evaluate_block(context, designs, strategy)
+    blocks = [
+        (site, _context_for(site), start, designs)
+        for site, start, designs in chunks
+    ]
+    entries = [
+        (site, start, evaluations)
+        for (site, _, start, _), evaluations in zip(
+            blocks, _evaluate_chunks(blocks, strategy)
+        )
+    ]
     telemetry: Optional[Dict[str, Any]] = (
         metrics_snapshot() if _worker_collect_metrics else None
     )
@@ -315,8 +357,11 @@ def _evaluate_chunk(
         telemetry["spans"] = export_spans()
         telemetry["pid"] = os.getpid()
     if fault is not None and fault.kind is FaultKind.CORRUPT:
-        evaluations = corrupt_payload(evaluations)
-    return site, start, evaluations, telemetry
+        entries = [
+            (site, start, corrupt_payload(evaluations))
+            for site, start, evaluations in entries
+        ]
+    return entries, telemetry
 
 
 # ----------------------------------------------------------------------
@@ -377,6 +422,11 @@ class SiteRun:
         return self.status is None
 
     @property
+    def schedulable(self) -> bool:
+        """Whether the pooled or serial dispatch may still hand it a chunk."""
+        return self.active and not self.quarantined and bool(self.queue)
+
+    @property
     def done_points(self) -> int:
         return sum(1 for r in self.results if r is not None)
 
@@ -395,34 +445,72 @@ class SiteRun:
 
 @dataclass(frozen=True)
 class _Flight:
-    """One chunk in flight on the shared pool."""
+    """One chunk of a window in flight on the shared pool."""
 
     site: str
     ordinal: int
     start: int
     stop: int
+
+
+@dataclass(frozen=True)
+class _Window:
+    """One pool task: chunks of distinct sites, submitted together."""
+
+    flights: Tuple[_Flight, ...]
     submitted_s: float  # time.monotonic() at submission
 
 
-def _validated_payload(
-    payload: Any, flight: _Flight
-) -> Tuple[List[DesignEvaluation], Optional[Dict[str, Any]]]:
-    """Shape-check one worker payload against its flight."""
-    if not isinstance(payload, tuple) or len(payload) != 4:
+#: A chunk's outcome in a window payload: its evaluations, or why they
+#: were rejected.
+_ChunkOutcome = Union[List[DesignEvaluation], ChunkValidationError]
+
+
+def _validated_window(
+    payload: Any, window: _Window
+) -> Tuple[List[_ChunkOutcome], Optional[Dict[str, Any]]]:
+    """Shape-check one worker payload against its window, chunk by chunk.
+
+    Raises :class:`ChunkValidationError` when the payload as a whole is
+    malformed; a chunk whose own entry is malformed gets its error as its
+    outcome, so the window's other chunks can still commit.
+    """
+    flights = window.flights
+    if not (
+        isinstance(payload, tuple)
+        and len(payload) == 2
+        and isinstance(payload[0], list)
+        and len(payload[0]) == len(flights)
+    ):
         raise ChunkValidationError(
-            f"chunk {flight.site}:{flight.ordinal}: payload is "
-            f"{type(payload).__name__}, expected a 4-tuple"
+            f"window {[f'{f.site}:{f.ordinal}' for f in flights]}: payload is "
+            f"not an (entries, telemetry) pair with {len(flights)} entries"
         )
-    site = payload[0]
-    if site != flight.site:
-        raise ChunkValidationError(
-            f"chunk {flight.site}:{flight.ordinal}: worker reported "
-            f"site {site!r}"
-        )
-    _, evaluations, telemetry = validate_chunk_result(
-        tuple(payload[1:]), flight.start, flight.stop - flight.start
-    )
-    return evaluations, telemetry
+    entries, telemetry = payload
+    outcomes: List[_ChunkOutcome] = []
+    for flight, entry in zip(flights, entries):
+        try:
+            if not isinstance(entry, tuple) or len(entry) != 3:
+                raise ChunkValidationError(
+                    f"chunk {flight.site}:{flight.ordinal}: entry is "
+                    f"{type(entry).__name__}, expected a 3-tuple"
+                )
+            if entry[0] != flight.site:
+                raise ChunkValidationError(
+                    f"chunk {flight.site}:{flight.ordinal}: worker reported "
+                    f"site {entry[0]!r}"
+                )
+            # The window's telemetry rides along so its type is checked too.
+            _, evaluations, _ = validate_chunk_result(
+                (entry[1], entry[2], telemetry),
+                flight.start,
+                flight.stop - flight.start,
+            )
+        except ChunkValidationError as error:
+            outcomes.append(error)
+        else:
+            outcomes.append(evaluations)
+    return outcomes, telemetry
 
 
 class SweepEngine:
@@ -623,15 +711,16 @@ class SweepEngine:
         evaluations: List[DesignEvaluation],
         telemetry: Optional[Dict[str, Any]],
         serial: bool = False,
-    ) -> None:
+    ) -> bool:
         """Write one completed chunk back: results, journal, events.
 
         Idempotent per ordinal — a stalled chunk that lands after its
         retry already committed is dropped, so the journal never holds a
-        chunk twice and worker telemetry merges exactly once per chunk.
+        chunk twice.  Returns whether the chunk was committed (and
+        ``telemetry`` merged).
         """
         if ordinal in state.committed or state.status is not None:
-            return
+            return False
         state.committed.add(ordinal)
         if serial:
             state.serial_chunks += 1
@@ -668,6 +757,7 @@ class SweepEngine:
                 if (state.quarantined or state.serial_chunks)
                 else SiteStatus.COMPLETE,
             )
+        return True
 
     def _finalize(self, state: SiteRun, status: SiteStatus) -> None:
         """Close a site out; its terminal event fires once.
@@ -734,37 +824,15 @@ class SweepEngine:
     def _evaluate_in_parent(
         self, state: SiteRun, start: int, stop: int
     ) -> List[DesignEvaluation]:
-        with span(
-            "evaluate_chunk", site=state.key, start=start, n_designs=stop - start
-        ):
-            return evaluate_block(
-                state.context, state.designs[start:stop], self.strategy
-            )
+        (evaluations,) = _evaluate_chunks(
+            [(state.key, state.context, start, state.designs[start:stop])],
+            self.strategy,
+        )
+        return evaluations
 
     # ------------------------------------------------------------------
     # Serial dispatch
     # ------------------------------------------------------------------
-
-    def _evaluate_round(
-        self, chunks: List[Tuple[SiteRun, int, int, int]]
-    ) -> List[List[DesignEvaluation]]:
-        """One block-evaluator call for a round's chunks (one per site).
-
-        :func:`evaluate_block_sites` owns the routing: the chunks merge
-        into one kernel call once the round reaches the strategy's floor.
-        """
-        with span(
-            "evaluate_round",
-            sites=[state.key for state, _, _, _ in chunks],
-            n_designs=sum(stop - start for _, _, start, stop in chunks),
-        ):
-            return evaluate_block_sites(
-                [
-                    (state.context, state.designs[start:stop])
-                    for state, _, start, stop in chunks
-                ],
-                self.strategy,
-            )
 
     def _dispatch_serial(self) -> None:
         # Fault plans are not applied in-parent — faults fire in pool
@@ -772,35 +840,26 @@ class SweepEngine:
         # pooled path is tested against.
         #
         # A round is the next chunk of every schedulable site in site
-        # order — the round-robin sequence, one lap at a time.  A round
-        # of several chunks whose rows merge across sites
-        # (:func:`merges_sites`) is evaluated in one call, any other
-        # round one chunk at a time; commits stay per chunk in round
-        # order, so journals and events match a chunk-at-a-time
-        # dispatch.  The deadline is checked per round.
-        merge = merges_sites(self.strategy)
+        # order — the round-robin sequence, one lap at a time — and is
+        # evaluated by :func:`_evaluate_chunks`, as a pool window is;
+        # commits stay per chunk in round order, so journals and events
+        # match a chunk-at-a-time dispatch.  The deadline is checked per
+        # round.
         while True:
-            sites = [
-                state
-                for state in self.states
-                if state.active and not state.quarantined and state.queue
-            ]
+            sites = [state for state in self.states if state.schedulable]
             if not sites:
                 break
             if self._deadline_hit():
                 self._close_deadline([s for s in self.states if s.active])
                 break
             chunks = [(state, *state.queue.popleft()) for state in sites]
-            if merge and len(chunks) > 1:
-                evaluated: Iterable[List[DesignEvaluation]] = self._evaluate_round(
-                    chunks
-                )
-            else:
-                # Lazy, so each chunk commits before the next one runs.
-                evaluated = (
-                    self._evaluate_in_parent(state, start, stop)
+            evaluated = _evaluate_chunks(
+                [
+                    (state.key, state.context, start, state.designs[start:stop])
                     for state, _, start, stop in chunks
-                )
+                ],
+                self.strategy,
+            )
             for (state, ordinal, start, _), evaluations in zip(chunks, evaluated):
                 self._commit(state, ordinal, start, evaluations, None)
                 remaining = self._remaining_s()
@@ -850,17 +909,12 @@ class SweepEngine:
             cap = grants[state.key]
             if cap <= 0 or inflight[state.key] > 0:
                 continue
-            if state.active and not state.quarantined and state.queue:
+            if state.schedulable:
                 continue
             target: Optional[SiteRun] = None
             target_remaining = 0
             for other in self.states:
-                if (
-                    other is state
-                    or not other.active
-                    or other.quarantined
-                    or not other.queue
-                ):
+                if other is state or not other.schedulable:
                     continue
                 remaining = other.total - other.done_points
                 if remaining > target_remaining:
@@ -889,19 +943,76 @@ class SweepEngine:
         for step in range(1, n + 1):
             index = (cursor + step) % n
             state = self.states[index]
-            if not (state.active and not state.quarantined and state.queue):
+            if not state.schedulable:
                 continue
             if inflight[state.key] >= grants[state.key]:
                 continue
             return state, index
         return None, cursor
 
-    def _record_failure(self, flight: _Flight, error: BaseException) -> None:
+    def _window_width(self) -> int:
+        """Chunks per window: each worker's share of one round-robin round."""
+        schedulable = sum(1 for state in self.states if state.schedulable)
+        return max(1, math.ceil(schedulable / self.workers))
+
+    def _next_window(
+        self,
+        cursor: int,
+        grants: Dict[str, int],
+        inflight: Dict[str, int],
+    ) -> Tuple[List[Tuple[SiteRun, _Chunk]], Optional[FaultAction], int]:
+        """The next window: one chunk per site, in round-robin site order.
+
+        Up to :meth:`_window_width` chunks, each within its site's grant.
+        Only first-attempt chunks with no planned fault share a window; a
+        retried or fault-targeted chunk runs as a window of its own, so a
+        fault takes no healthy chunk down with it.  Returns the window's
+        ``(state, chunk)`` entries (empty when nothing is schedulable),
+        the fault planned for a one-chunk window, and the new cursor.
+        """
+        width = self._window_width()
+        window: List[Tuple[SiteRun, _Chunk]] = []
+        for _ in range(len(self.states)):
+            state, index = self._next_pooled_site(cursor, grants, inflight)
+            if state is None or any(state is taken for taken, _ in window):
+                break
+            chunk = state.queue.popleft()
+            ordinal = chunk[0]
+            if ordinal in state.committed:
+                cursor = index
+                continue
+            attempt = state.attempts.get(ordinal, 0)
+            fault = (
+                self.faults.action_for(state.key, ordinal, attempt)
+                if self.faults is not None
+                else None
+            )
+            if fault is not None or attempt:
+                if window:
+                    # It leads the next window, on its own.
+                    state.queue.appendleft(chunk)
+                    break
+                return [(state, chunk)], fault, index
+            window.append((state, chunk))
+            cursor = index
+            if len(window) == width:
+                break
+        return window, None, cursor
+
+    def _record_failure(
+        self, flight: _Flight, error: BaseException, alone: bool = True
+    ) -> None:
+        """Count one failed chunk attempt and requeue it, or quarantine its site.
+
+        ``alone`` says the chunk ran as a one-chunk window: only then is
+        a shared-memory error known to be its own site's.  A shared
+        window's chunks retry one by one, which pins the error down.
+        """
         state = self._by_key[flight.site]
         if state.status is not None or flight.ordinal in state.committed:
             return
         inc("chunk_failures")
-        if isinstance(error, SharedContextError):
+        if alone and isinstance(error, SharedContextError):
             # The site's segment is unattachable for every worker; retrying
             # cannot help — isolate the fault domain immediately.
             self._quarantine(state, f"shm attach failed: {error}")
@@ -934,31 +1045,74 @@ class SweepEngine:
         )
         state.queue.append((flight.ordinal, flight.start, flight.stop))
 
+    def _fail_window(self, window: _Window, error: BaseException) -> None:
+        """Fail every chunk of a window; each requeues on its own."""
+        alone = len(window.flights) == 1
+        for flight in window.flights:
+            self._record_failure(flight, error, alone)
+
+    def _land_window(self, window: _Window, future: Future, late: bool) -> None:
+        """Commit a finished window's chunks in window order.
+
+        A window that failed as a whole has its chunks failed one by one;
+        a chunk whose own entry is unsound fails alone.  A ``late`` window
+        was already failed when it stalled: its sound chunks that no retry
+        has committed yet are committed, anything else is dropped.  The
+        window's worker telemetry merges once, with its first commit, and
+        only if no chunk of it was committed from another attempt, so no
+        chunk's work is counted twice.
+        """
+        try:
+            # timeout=0 is safe: the future came out of the wait() done
+            # set, so the result is already there.
+            outcomes, telemetry = _validated_window(future.result(timeout=0), window)
+        except Exception as error:
+            if not late:
+                self._fail_window(window, error)
+            return
+        if not late:
+            self.timeout.observe(
+                time.monotonic() - window.submitted_s, chunks=len(window.flights)
+            )
+        if any(
+            flight.ordinal in self._by_key[flight.site].committed
+            for flight in window.flights
+        ):
+            telemetry = None
+        for flight, outcome in zip(window.flights, outcomes):
+            if isinstance(outcome, ChunkValidationError):
+                if not late:
+                    self._record_failure(flight, outcome)
+                continue
+            state = self._by_key[flight.site]
+            if self._commit(state, flight.ordinal, flight.start, outcome, telemetry):
+                telemetry = None
+
     def _dispatch_pooled(self) -> None:
         """The shared scheduling loop over one long-lived pool.
 
-        A ``BrokenProcessPool`` (a kill fault, a real OOM) is survived by
-        failing the in-flight chunks and rebuilding the pool — bounded,
-        because every rebuild consumes at least one chunk attempt and
-        attempts are capped by ``max_retries``.
+        The pool's unit of work is a window (:meth:`_next_window`): one
+        ``submit`` per worker's share of a round, committed chunk by
+        chunk.  The pool cap counts windows; per-site grants count
+        chunks, so their budget is the cap times the window width.  A
+        ``BrokenProcessPool`` (a kill fault, a real OOM) is survived by
+        failing the in-flight windows' chunks and rebuilding the pool —
+        bounded, because every rebuild consumes at least one chunk
+        attempt and attempts are capped by ``max_retries``.
         """
         self._pool = self._make_pool()
-        flights: Dict[Future, _Flight] = {}
-        #: Stalled flights still owed a result: committed if they land
-        #: first, ignored otherwise (commit is idempotent per ordinal).
-        late: Dict[Future, _Flight] = {}
-        max_in_flight = self.workers * _INFLIGHT_PER_WORKER
-        grants = self._fair_grants(max_in_flight)
+        flights: Dict[Future, _Window] = {}
+        #: Stalled windows still owed a result: their chunks commit if
+        #: they land first, are ignored otherwise (commit is idempotent
+        #: per ordinal).
+        late: Dict[Future, _Window] = {}
+        max_windows = self.workers * _INFLIGHT_PER_WORKER
+        grants = self._fair_grants(max_windows * self._window_width())
         inflight: Dict[str, int] = {state.key: 0 for state in self.states}
         cursor = -1
 
         def work_remaining() -> bool:
-            if flights:
-                return True
-            return any(
-                state.active and not state.quarantined and state.queue
-                for state in self.states
-            )
+            return bool(flights) or any(state.schedulable for state in self.states)
 
         while work_remaining():
             if self._deadline_hit():
@@ -970,43 +1124,35 @@ class SweepEngine:
 
             # Top up: interleave sites round-robin so none starves.
             pool_broken = False
-            while len(flights) < max_in_flight:
-                state, cursor = self._next_pooled_site(cursor, grants, inflight)
-                if state is None:
+            while len(flights) < max_windows:
+                window, fault, cursor = self._next_window(cursor, grants, inflight)
+                if not window:
                     break
-                ordinal, start, stop = state.queue.popleft()
-                if ordinal in state.committed:
-                    continue
-                fault = (
-                    self.faults.action_for(
-                        state.key, ordinal, state.attempts.get(ordinal, 0)
-                    )
-                    if self.faults is not None
-                    else None
-                )
                 try:
                     future = self._pool.submit(
-                        _evaluate_chunk,
-                        state.key,
-                        start,
-                        state.designs[start:stop],
+                        _evaluate_window,
+                        [
+                            (state.key, start, state.designs[start:stop])
+                            for state, (_, start, stop) in window
+                        ],
                         self.strategy,
                         fault,
                     )
                 except BrokenExecutor:
-                    # The pool died between completions; put the chunk back
-                    # (no attempt consumed — it never ran) and rebuild below.
-                    state.queue.appendleft((ordinal, start, stop))
+                    # The pool died between completions; put the chunks back
+                    # (no attempt consumed — they never ran) and rebuild below.
+                    for state, chunk in reversed(window):
+                        state.queue.appendleft(chunk)
                     pool_broken = True
                     break
-                flights[future] = _Flight(
-                    site=state.key,
-                    ordinal=ordinal,
-                    start=start,
-                    stop=stop,
+                flights[future] = _Window(
+                    flights=tuple(
+                        _Flight(state.key, *chunk) for state, chunk in window
+                    ),
                     submitted_s=time.monotonic(),
                 )
-                inflight[state.key] += 1
+                for state, _ in window:
+                    inflight[state.key] += 1
 
             if flights or late:
                 done, _ = wait(
@@ -1014,79 +1160,51 @@ class SweepEngine:
                     timeout=_TICK_S,
                     return_when=FIRST_COMPLETED,
                 )
-                now = time.monotonic()
                 for future in done:
                     if future in late:
-                        flight = late.pop(future)
-                        state = self._by_key[flight.site]
-                        # Already retried when declared stalled: commit the
-                        # late result if sound, silently drop it otherwise.
-                        if future.cancelled() or future.exception() is not None:
-                            continue
-                        try:
-                            evaluations, telemetry = _validated_payload(
-                                future.result(timeout=0), flight
-                            )
-                        except ChunkValidationError:
-                            continue
-                        self._commit(
-                            state, flight.ordinal, flight.start, evaluations, telemetry
-                        )
+                        self._land_window(late.pop(future), future, late=True)
                         continue
-                    flight = flights.pop(future)
-                    inflight[flight.site] -= 1
-                    state = self._by_key[flight.site]
-                    try:
-                        # timeout=0 is safe: the future came out of the
-                        # wait() done set, so the result is already there.
-                        payload = future.result(timeout=0)
-                        evaluations, telemetry = _validated_payload(payload, flight)
-                    except BrokenExecutor as error:
-                        pool_broken = True
-                        self._record_failure(flight, error)
-                        continue
-                    except Exception as error:
-                        self._record_failure(flight, error)
-                        continue
-                    self.timeout.observe(now - flight.submitted_s)
-                    self._commit(
-                        state, flight.ordinal, flight.start, evaluations, telemetry
-                    )
-
-                # Stall detection: an outstanding chunk past the current
-                # budget is requeued; its worker may be wedged for good,
-                # so the late result is welcome but not waited for.
-                budget = self.timeout.budget_s()
-                if budget is not None:
-                    for future, flight in list(flights.items()):
-                        if now - flight.submitted_s <= budget:
-                            continue
-                        del flights[future]
+                    window = flights.pop(future)
+                    for flight in window.flights:
                         inflight[flight.site] -= 1
-                        if not future.cancel():
-                            late[future] = flight
-                        _log.warning(
-                            "chunk stalled: site=%s chunk=%d ran %.2fs "
-                            "(budget %.2fs)",
-                            flight.site,
-                            flight.ordinal,
-                            now - flight.submitted_s,
-                            budget,
-                        )
-                        self._record_failure(
-                            flight,
-                            TimeoutError(
-                                f"no result within the {budget:.2f}s stall budget"
-                            ),
-                        )
+                    if isinstance(future.exception(), BrokenExecutor):
+                        pool_broken = True
+                    self._land_window(window, future, late=False)
+
+                # Stall detection: an outstanding window past its budget
+                # (its chunk count times the per-chunk budget) is failed
+                # and its chunks requeued; its worker may be wedged for
+                # good, so the late result is welcome but not waited for.
+                now = time.monotonic()
+                for future, window in list(flights.items()):
+                    budget = self.timeout.budget_s(chunks=len(window.flights))
+                    if budget is None or now - window.submitted_s <= budget:
+                        continue
+                    del flights[future]
+                    for flight in window.flights:
+                        inflight[flight.site] -= 1
+                    if not future.cancel():
+                        late[future] = window
+                    _log.warning(
+                        "window stalled: chunks=%s ran %.2fs (budget %.2fs)",
+                        ",".join(f"{f.site}:{f.ordinal}" for f in window.flights),
+                        now - window.submitted_s,
+                        budget,
+                    )
+                    self._fail_window(
+                        window,
+                        TimeoutError(
+                            f"no result within the {budget:.2f}s stall budget"
+                        ),
+                    )
 
             if pool_broken:
                 _log.warning(
-                    "sweep pool broke; failing %d in-flight chunks and rebuilding",
+                    "sweep pool broke; failing %d in-flight windows and rebuilding",
                     len(flights),
                 )
-                for future, flight in list(flights.items()):
-                    self._record_failure(flight, BrokenExecutor("pool broke mid-flight"))
+                for window in flights.values():
+                    self._fail_window(window, BrokenExecutor("pool broke mid-flight"))
                 flights.clear()
                 late.clear()  # old pool's futures can never land
                 for key in inflight:

@@ -19,7 +19,9 @@ one-site fleet whose finished :class:`SiteSweep` is unwrapped into the
   which merges the rows across sites into one kernel block once the
   lap reaches the batch floor
   (:func:`~repro.core.evaluate.evaluate_block_sites`); other strategies
-  evaluate one chunk at a time.  Commits stay per chunk, in lap order.
+  evaluate one chunk at a time.  A pooled sweep ships each worker its
+  share of a lap as one window, evaluated the same way inside the
+  worker.  Commits stay per chunk, in lap or window order.
 * **Cross-site work stealing** (always on in pooled sweeps) — when a
   site's queue drains, its share of the in-flight budget is re-granted
   to the site with the largest remaining grid, so one oversized site

@@ -9,10 +9,10 @@ linted file.  It answers the questions the graph-aware rules ask:
   method calls, conservative dynamic-dispatch edges (``x.evaluate()``
   reaches every project method named ``evaluate`` in the candidate
   pool), constructor edges, and function-reference edges
-  (``pool.submit(_evaluate_chunk, ...)``).
+  (``pool.submit(_evaluate_window, ...)``).
 * **Reachability universes** — the *worker universe* is the call-graph
   closure of the real pool entry points (``_init_worker`` /
-  ``_evaluate_chunk`` in a ``core.engine`` module); the *kernel
+  ``_evaluate_window`` in a ``core.engine`` module); the *kernel
   universe* seeds from every function defined in a ``kernels`` module
   and closes over their callees; the *dispatch universe* is the
   ``self``-edge closure of ``SweepEngine.dispatch``.  The ``obs``
@@ -30,12 +30,12 @@ from .facts import GENERIC_METHODS, module_matches
 #: Module-name component that marks the telemetry barrier.
 OBS_BARRIER = "obs"
 
-#: Module-name suffix whose ``_init_worker``/``_evaluate_chunk`` are the
+#: Module-name suffix whose ``_init_worker``/``_evaluate_window`` are the
 #: worker-universe roots.
 WORKER_ROOT_MODULE = "core.engine"
 
 #: Names of the worker-universe root functions.
-WORKER_ROOTS = frozenset({"_init_worker", "_evaluate_chunk"})
+WORKER_ROOTS = frozenset({"_init_worker", "_evaluate_window"})
 
 #: Module-name component that seeds the kernel universe.
 KERNELS_COMPONENT = "kernels"

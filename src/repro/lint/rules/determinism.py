@@ -10,7 +10,7 @@ equalities.
 This is a *project* rule: instead of guessing which directories a worker
 can reach, it asks the :class:`~repro.lint.graph.Project` for the real
 reachability universes — the call-graph closure of the pool entry points
-(``_init_worker``/``_evaluate_chunk`` in ``core.engine``) and of the
+(``_init_worker``/``_evaluate_window`` in ``core.engine``) and of the
 kernel entry points (every function a ``kernels`` module defines).  A
 wall-clock call in a function *no worker or kernel can reach* is not a
 determinism hazard and is left to code review; the same call three hops

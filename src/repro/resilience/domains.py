@@ -294,7 +294,10 @@ class AdaptiveChunkTimeout:
     outstanding chunk is ``max(floor_s, multiplier * ewma)`` (optionally
     capped).  Until the first observation the budget is the ``initial_s``
     seed — ``None`` disables stall detection entirely until real
-    durations exist, at which point the average takes over.
+    durations exist, at which point the average takes over.  A pooled
+    window of several chunks is observed as its duration per chunk and
+    gets its chunk count times the per-chunk budget, so a wide window
+    after single-chunk retries does not read as stalled.
 
     The multiplier is deliberately generous (default 8x): the budget is a
     wedged-worker detector, not a latency SLO, and a false trip costs a
@@ -328,25 +331,36 @@ class AdaptiveChunkTimeout:
         self._ewma: Optional[float] = None
         self.observations = 0
 
-    def observe(self, duration_s: float) -> None:
-        """Feed one completed chunk's wall-clock duration into the average."""
+    def observe(self, duration_s: float, chunks: int = 1) -> None:
+        """Feed one completed task's wall-clock duration into the average.
+
+        A task of several ``chunks`` (a pooled window) counts as its
+        per-chunk share, so the average stays a per-chunk duration
+        whatever mix of window widths produced it.
+        """
         if duration_s < 0:
             raise ValueError(f"duration_s must be >= 0, got {duration_s}")
+        if chunks < 1:
+            raise ValueError(f"chunks must be >= 1, got {chunks}")
+        per_chunk = duration_s / chunks
         if self._ewma is None:
-            self._ewma = duration_s
+            self._ewma = per_chunk
         else:
-            self._ewma = self._alpha * duration_s + (1 - self._alpha) * self._ewma
+            self._ewma = self._alpha * per_chunk + (1 - self._alpha) * self._ewma
         self.observations += 1
 
-    def budget_s(self) -> Optional[float]:
-        """Current stall budget for an outstanding chunk, or ``None``.
+    def budget_s(self, chunks: int = 1) -> Optional[float]:
+        """Current stall budget for an outstanding task, or ``None``.
 
-        ``None`` means "no stall detection": no observations yet and no
-        ``initial_s`` seed to fall back to.
+        ``chunks`` times the per-chunk budget.  ``None`` means "no stall
+        detection": no observations yet and no ``initial_s`` seed to fall
+        back to.
         """
+        if chunks < 1:
+            raise ValueError(f"chunks must be >= 1, got {chunks}")
         if self._ewma is None:
-            return self._initial_s
+            return None if self._initial_s is None else chunks * self._initial_s
         budget = max(self._floor_s, self._multiplier * self._ewma)
         if self._cap_s is not None:
             budget = min(budget, self._cap_s)
-        return budget
+        return chunks * budget

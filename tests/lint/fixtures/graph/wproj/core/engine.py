@@ -7,5 +7,5 @@ def _init_worker(ctx):
     helpers.stamp(ctx)
 
 
-def _evaluate_chunk(chunk):
+def _evaluate_window(chunk):
     return helpers.fold(chunk)

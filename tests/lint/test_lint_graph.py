@@ -80,7 +80,7 @@ class TestWorkerUniverse:
     def test_functions_are_reachable_from_the_roots_only(self, wproj):
         _, functions = wproj.worker_universe()
         assert ("wproj.core.engine", "_init_worker") in functions
-        assert ("wproj.core.engine", "_evaluate_chunk") in functions
+        assert ("wproj.core.engine", "_evaluate_window") in functions
         assert ("wproj.core.helpers", "stamp") in functions
         assert ("wproj.core.helpers", "fold") in functions
         # Defined in a worker module but never called from a root.

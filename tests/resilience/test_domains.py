@@ -170,7 +170,27 @@ class TestAdaptiveChunkTimeout:
         timeout.observe(100.0)
         assert timeout.budget_s() == pytest.approx(5.0)  # capped
 
+    def test_window_after_single_chunk_retries_is_not_stalled(self):
+        # Seven-chunk windows at 0.1 s a chunk, then three one-chunk
+        # retries, then a seven-chunk window running 1.4 s: twice its
+        # share, well short of a wedged worker.
+        timeout = AdaptiveChunkTimeout()
+        for _ in range(4):
+            timeout.observe(0.7, chunks=7)
+        for _ in range(3):
+            timeout.observe(0.1)
+        assert timeout.budget_s() == pytest.approx(0.8)
+        assert timeout.budget_s(chunks=7) == pytest.approx(5.6)
+        assert timeout.budget_s(chunks=7) > 1.4
+        assert timeout.budget_s(chunks=1) == pytest.approx(0.8)
+        # A seeded budget scales with the window the same way.
+        assert AdaptiveChunkTimeout(initial_s=2.0).budget_s(chunks=7) == 14.0
+
     def test_validation(self):
+        with pytest.raises(ValueError, match="chunks"):
+            AdaptiveChunkTimeout().observe(1.0, chunks=0)
+        with pytest.raises(ValueError, match="chunks"):
+            AdaptiveChunkTimeout().budget_s(chunks=0)
         with pytest.raises(ValueError, match="initial_s"):
             AdaptiveChunkTimeout(initial_s=0.0)
         with pytest.raises(ValueError, match="alpha"):
