@@ -15,7 +15,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -691,9 +691,20 @@ def evaluate_block_sites(
     ]
 
 
-#: One block ready for a batched kernel: its context, its designs
-#: constrained to the strategy, and each design's supply projection.
-_Segment = Tuple[SiteContext, List[DesignPoint], list]
+class _Segment(NamedTuple):
+    """One block ready for a batched kernel.
+
+    ``designs`` are constrained to the strategy and ``projections`` holds
+    each design's ``(solar, wind, supply)`` projection.  ``supply_rows``
+    are the block's distinct supply arrays, one per investment pair, and
+    ``row_supply`` is each design's index into them.
+    """
+
+    context: SiteContext
+    designs: List[DesignPoint]
+    projections: list
+    supply_rows: List[np.ndarray]
+    row_supply: List[int]
 
 
 def _batch_groups(
@@ -727,42 +738,50 @@ def _batch_segment(
         context.supply_cache.project(d.investment.solar_mw, d.investment.wind_mw)
         for d in constrained
     ]
-    if min(float(supply.values.min()) for _, _, supply in projections) < 0.0:
+    # Distinct rows are keyed by investment pair, not by object identity:
+    # a supply-cache eviction can hand one pair two equal arrays.
+    index: Dict[Tuple[float, float], int] = {}
+    supply_rows: List[np.ndarray] = []
+    row_supply: List[int] = []
+    for design, (_, _, supply) in zip(constrained, projections):
+        key = (design.investment.solar_mw, design.investment.wind_mw)
+        j = index.setdefault(key, len(supply_rows))
+        if j == len(supply_rows):
+            supply_rows.append(supply.values)
+        row_supply.append(j)
+    if min(float(values.min()) for values in supply_rows) < 0.0:
         return None
-    return context, constrained, projections
+    return _Segment(context, constrained, projections, supply_rows, row_supply)
 
 
 def _evaluate_batched(
     segments: Sequence[_Segment], strategy: Strategy
 ) -> List[List[DesignEvaluation]]:
     """One batched kernel call over every row of ``segments``, per segment."""
-    designs = [d for _, constrained, _ in segments for d in constrained]
+    designs = [d for segment in segments for d in segment.designs]
     n_rows = len(designs)
-    supply_block = np.stack(
-        [supply.values for _, _, rows in segments for _, _, supply in rows]
-    )
     specs = [d.battery_spec() for d in designs]
     row_capacities: List[float] = []
-    for context, constrained, _ in segments:
-        peak = context.demand.power.max()
+    for segment in segments:
+        peak = segment.context.demand.power.max()
         row_capacities.extend(
-            peak * (1.0 + d.extra_capacity_fraction) for d in constrained
+            peak * (1.0 + d.extra_capacity_fraction) for d in segment.designs
         )
     capacities = np.array(row_capacities)
     # One site passes its (H,) demand; several pass their (S, H) traces
     # and the row -> site index.
-    sizes = [len(constrained) for _, constrained, _ in segments]
+    sizes = [len(segment.designs) for segment in segments]
     offsets = np.cumsum([0] + sizes[:-1]).tolist()
     if len(segments) == 1:
-        demand, row_sites = segments[0][0].demand.power.values, None
+        demand, row_sites = segments[0].context.demand.power.values, None
     else:
-        demand = np.stack([context.demand.power.values for context, _, _ in segments])
+        demand = np.stack([segment.context.demand.power.values for segment in segments])
         row_sites = np.repeat(np.arange(len(segments)), sizes)
 
     with span(
         "evaluate_block",
         strategy=strategy.value,
-        sites=[context.site_state for context, _, _ in segments],
+        sites=[segment.context.site_state for segment in segments],
         n_designs=n_rows,
     ):
         inc("designs_batched", n_rows)
@@ -770,30 +789,42 @@ def _evaluate_batched(
 
         if strategy is not Strategy.RENEWABLES_CAS:
             # Battery and combined rows share one lockstep kernel (a
-            # battery block is a combined block at flexible ratio 0).
+            # battery block is a combined block at flexible ratio 0),
+            # which reads each segment's distinct supply rows through a
+            # row -> supply index.
+            supply = np.stack(
+                [values for segment in segments for values in segment.supply_rows]
+            )
+            row_supply: List[int] = []
+            n_supply = 0
+            for segment in segments:
+                row_supply.extend(n_supply + j for j in segment.row_supply)
+                n_supply += len(segment.supply_rows)
             if strategy is Strategy.RENEWABLES_BATTERY:
                 run = battery_run_batch(
                     demand,
-                    supply_block,
+                    supply,
                     **_battery_columns(specs),
                     row_sites=row_sites,
+                    row_supply=row_supply,
                     planes=False,
                 )
                 finish = _finish_battery_rows
             else:
                 run = combined_run_batch(
                     demand,
-                    supply_block,
+                    supply,
                     **_battery_columns(specs),
                     capacity_mw=capacities,
                     flexible_ratio=np.array([d.flexible_ratio for d in designs]),
                     deadline_hours=COMBINED_DEADLINE_HOURS,
                     row_sites=row_sites,
+                    row_supply=row_supply,
                     planes=False,
                 )
                 finish = _finish_combined_rows
             return [
-                finish(*segment, run, offset)
+                finish(segment.context, segment.designs, segment.projections, run, offset)
                 for segment, offset in zip(segments, offsets)
             ]
 
@@ -801,7 +832,8 @@ def _evaluate_batched(
         # schedule_run_batch shares one 24-hour FWR profile across the
         # block, so rows are grouped by their exact flexible_ratio (sweep
         # grids almost always hold it constant — one group).
-        ((context, constrained, projections),) = segments
+        ((context, constrained, projections, _, _),) = segments
+        supply_block = np.stack([supply.values for _, _, supply in projections])
         demand_power = context.demand.power
         evaluations: List[Optional[DesignEvaluation]] = [None] * n_rows
         groups: Dict[float, List[int]] = {}

@@ -5,10 +5,11 @@ spend one Python year-loop per design; an exhaustive sweep multiplies that
 loop by the grid size.  The kernels here run the *same* hour loop once for
 a whole block of designs: ``supply`` becomes a ``(D, H)`` block — one row
 per design's solar/wind mix, broadcast from the memoized per-axis
-projections — and every per-design scalar (battery capacity, DoD floor,
-datacenter capacity, flexible ratio) becomes a ``(D,)`` column, so each
-hour's state update is a handful of vectorized row-wise operations instead
-of ``D`` interpreter iterations.
+projections (the lockstep kernel also takes a ``(U, H)`` block of distinct
+mixes plus a row→mix index) — and every per-design scalar (battery
+capacity, DoD floor, datacenter capacity, flexible ratio) becomes a
+``(D,)`` column, so each hour's state update is a handful of vectorized
+row-wise operations instead of ``D`` interpreter iterations.
 
 Bitwise contract
 ----------------
@@ -127,6 +128,7 @@ def battery_run_batch(
     discharge_efficiency,
     initial_energy_mwh,
     row_sites=None,
+    row_supply=None,
     planes: bool = True,
 ) -> CombinedRunBatch:
     """:func:`~repro.kernels.battery.battery_run` over a design block.
@@ -137,11 +139,11 @@ def battery_run_batch(
     its deferral steps, and every row is bitwise identical to
     :func:`~repro.kernels.combined.combined_run`'s delegation to
     ``battery_run`` (zero-capacity rows to ``renewables_only_run``).
-    ``demand``, ``row_sites`` and ``planes`` mean what they mean there;
-    the deferral meters of the returned :class:`CombinedRunBatch` are
-    zero.  Sweeps reach it only when ``REPRO_BATCH_MIN_ROWS`` sets a
-    battery floor; by default battery blocks run
-    :func:`~repro.kernels.battery.battery_run_seeded` per row.
+    ``demand``, ``supply``, ``row_sites``, ``row_supply`` and ``planes``
+    mean what they mean there; the deferral meters of the returned
+    :class:`CombinedRunBatch` are zero.  Sweeps reach it only when
+    ``REPRO_BATCH_MIN_ROWS`` sets a battery floor; by default battery
+    blocks run :func:`~repro.kernels.battery.battery_run_seeded` per row.
 
     Preconditions (the wrappers validate them): finite non-negative
     demand/supply, efficiencies in ``(0, 1]``, ``floor <= initial <=
@@ -161,6 +163,7 @@ def battery_run_batch(
         flexible_ratio=0.0,
         deadline_hours=1,
         row_sites=row_sites,
+        row_supply=row_supply,
         planes=planes,
     )
 
@@ -300,9 +303,10 @@ def combined_run_batch(
     flexible_ratio,
     deadline_hours: int,
     row_sites=None,
+    row_supply=None,
     planes: bool = True,
 ) -> CombinedRunBatch:
-    """One year of the combined heuristic for a ``(D, H)`` block of designs.
+    """One year of the combined heuristic for a block of ``D`` designs.
 
     Bitwise identical to mapping :func:`~repro.kernels.combined.combined_run`
     over the rows (including its ``flexible_ratio == 0`` delegations to the
@@ -310,8 +314,13 @@ def combined_run_batch(
     trace, or ``(S, H)`` site traces with ``row_sites`` the ``(D,)`` index
     of each row's site — which lets one call span several sites; a
     ``(D, H)`` block without ``row_sites`` gives each row its own trace.
-    ``planes=False`` skips the ``shifted_demand``/``charge_level``
-    diagnostic planes.
+    ``supply`` is likewise a ``(D, H)`` block, one row per design, or
+    ``(U, H)`` distinct supply rows with ``row_supply`` the ``(D,)`` index
+    of each design's row: a sweep grid repeats each investment pair across
+    its battery and capacity axes, so a block needs only its distinct
+    projections.  Each hour gathers its supply column with one ``np.take``,
+    exactly as ``row_sites`` gathers demand.  ``planes=False`` skips the
+    ``shifted_demand``/``charge_level`` diagnostic planes.
 
     The serial kernel's FIFO deque splits into two structures that
     vectorize across rows:
@@ -319,20 +328,22 @@ def combined_run_batch(
     * a **deadline ring** ``(deadline_hours + 1, D)`` for not-yet-due work —
       each hour defers into slot ``(hour + deadline) % ring``, and each
       hour drains slot ``hour % ring`` ("due now") before reusing it;
-    * an **overdue matrix** — a circular ``(D, L)`` buffer with per-row
-      ``head``/``count`` cursors that holds work past its deadline.  A
-      due-now entry the capacity budget cannot finish spills its residual
-      to the matrix tail, so matrix order is deadline order — exactly the
-      serial queue's FIFO order.  Row-major layout keeps each design's
-      entries contiguous: chronically backlogged rows can grow the queue
-      into the thousands, and the hourly head-take/tail-spill traffic
-      then stays on each row's warm cache lines instead of striding
-      across the whole matrix.
+    * an **overdue buffer** — a linear row-major ``(D, H + 1)`` buffer
+      with per-row ``head``/``count`` cursors that holds work past its
+      deadline.  A due-now entry the capacity budget cannot finish spills
+      its residual to the row's tail, so buffer order is deadline order —
+      exactly the serial queue's FIFO order.  A row spills at most once
+      per hour, so its cursors never wrap and never pass ``H``: the
+      buffer is allocated once and never grows.  Row-major layout keeps
+      each design's entries contiguous: chronically backlogged rows can
+      grow the queue into the thousands, and the hourly head-take/tail-
+      spill traffic then stays on each row's warm cache lines instead of
+      striding across the whole buffer.
 
-    Step 1 (deadlines first) walks the matrix one head entry per round for
+    Step 1 (deadlines first) walks the buffer one head entry per round for
     all rows in lockstep, using the serial expressions (``min(amount,
     budget - executed)``; pop at ``take >= amount - eps``) — exact, with no
-    magnitude caveat.  Every matrix take is late (its deadline has passed);
+    magnitude caveat.  Every buffer take is late (its deadline has passed);
     the due-now take never is, so no deadline values are stored at all.
 
     Step 2 (surplus soak) only ever reaches the *ring* — if overdue work
@@ -352,16 +363,27 @@ def combined_run_batch(
     target is non-negative, so the unconditional updates are bitwise
     no-ops there.
 
-    Memory is the caller's ``(D, H)`` supply block, the two ``(D, H)``
-    outputs (``grid_import``, ``surplus``), the two optional diagnostic
-    planes, and ``(D,)``-scale state (the ring and the matrix): no
-    hour-major planes and no input copies — about 36 MB per plane at
-    ``D = 512`` for a leap year.  Each hour reads its supply
-    column and writes its output columns in place; the ``D`` cache lines
-    a column touches serve the next seven hours too, so the strided
-    access stays cache-resident and needs no transpose pass.
+    Memory is the caller's supply block (``U`` or ``D`` rows), the two
+    ``(D, H)`` outputs (``grid_import``, ``surplus``), the two optional
+    diagnostic planes, the overdue buffer, and ``(D,)``-scale state (the
+    ring, the cursors, the scratch columns): no hour-major planes and no
+    input copies — about 36 MB per plane at ``D = 512`` for a leap year.
+    The overdue buffer is one ``np.zeros`` allocation whose pages become
+    resident only where a row's tail reaches, so a block whose rows
+    never spill costs nothing for it and a starved row costs 8 bytes per
+    entry it ever spilled.  It must be zeroed, not ``np.empty``: the walk reads
+    the head slot of rows that just drained (a slot no spill has written
+    yet), and that read must be a finite ``+0.0``.  Each hour reads its
+    supply column and writes its output columns in place; the cache
+    lines a column touches serve the next seven hours too, so the
+    strided access stays cache-resident and needs no transpose pass.
     """
-    n_rows, n_hours = supply.shape
+    n_hours = supply.shape[1]
+    if row_supply is None:
+        row_supply = np.arange(supply.shape[0])
+    else:
+        row_supply = np.asarray(row_supply, dtype=np.intp)
+    n_rows = row_supply.size
     dl = int(deadline_hours)
     if dl < 1:
         raise ValueError("deadline_hours must be >= 1")
@@ -392,6 +414,8 @@ def combined_run_batch(
         demand_h = np.empty(n_rows)
     else:
         demand_hours = demand.tolist()
+    # The hour's supply operand: a (D,) row gathered from the supply rows.
+    supply_h = np.empty(n_rows)
     grid = np.zeros((n_rows, n_hours))
     surplus = np.zeros((n_rows, n_hours))
     # Diagnostic planes; sweeps never read them, so they skip both.
@@ -422,15 +446,16 @@ def combined_run_batch(
     ring_order = (np.arange(ring_n)[:, None] + np.arange(1, dl)) % ring_n
     ring_rows = 0
 
-    # Overdue matrix: circular (D, L), per-row head/count cursors.
-    L = 64
-    Lm1 = L - 1
-    Q = np.zeros((n_rows, L))
-    Qflat = Q.ravel()
+    # Overdue buffer: linear row-major (D, H + 1), flat, with per-row
+    # head/count cursors.  A row spills at most once per hour, so its tail
+    # (head + count) never passes H and its head slot is always in the
+    # row's own span: nothing wraps and nothing grows.  Untouched pages of
+    # the zeroed allocation never become resident.
+    width = n_hours + 1
+    Qflat = np.zeros(n_rows * width)
     head = np.zeros(n_rows, dtype=np.int64)
     ocount = np.zeros(n_rows, dtype=np.int64)
-    rows_idx = np.arange(n_rows, dtype=np.int64)
-    rowbase = rows_idx * L
+    rowbase = np.arange(n_rows, dtype=np.int64) * width
     overdue_any = False
 
     # (D,) scratch
@@ -469,7 +494,7 @@ def combined_run_batch(
         any_spill_now = False
 
         # ---- 1. Deadlines first: run_queued(headroom, hour, True).
-        # Matrix head entries (all strictly overdue -> late), then the
+        # Buffer head entries (all strictly overdue -> late), then the
         # due-now ring entry (never late), under one budget fold.
         if due_flag or overdue_any:
             np.subtract(cmw, demand_h, out=headroom)
@@ -498,7 +523,7 @@ def combined_run_batch(
                     oc_c = ocount[cand]
                     qt_c = np.take(queued_total, cand)
                     lt_c = np.take(late, cand)
-                    base_c = cand * L
+                    base_c = cand * width
                     ex_c = np.zeros(nc)
                     rem_c, take_c, resid_c, a0_c = (
                         rem[:nc], take[:nc], resid[:nc], a0[:nc])
@@ -511,8 +536,7 @@ def combined_run_batch(
                         act_c &= oflag_c
                         if not act_c.any():
                             break
-                        np.bitwise_and(hd_c, Lm1, out=i_c)
-                        np.add(i_c, base_c, out=i_c)
+                        np.add(hd_c, base_c, out=i_c)
                         Qflat.take(i_c, None, a0_c)
                         np.minimum(a0_c, rem_c, out=take_c)
                         np.multiply(take_c, act_c, out=take_c)
@@ -524,7 +548,7 @@ def combined_run_batch(
                         pop_c &= act_c
                         np.subtract(a0_c, take_c, out=resid_c)
                         # Inactive lanes computed resid == a0 bitwise
-                        # (take is +/-0.0 there and the matrix never
+                        # (take is +/-0.0 there and the buffer never
                         # stores -0.0), so only the draining lanes need
                         # their entry scattered back.
                         Qflat[i_c[act_c]] = resid_c[act_c]
@@ -554,38 +578,26 @@ def combined_run_batch(
                 np.logical_not(pop, out=flag)
                 spill &= flag
                 if spill.any():
-                    # Unfinished due work migrates to the matrix tail: its
+                    # Unfinished due work migrates to the buffer tail: its
                     # slot is about to be reused, and its deadline (== hour)
-                    # sorts after every matrix entry, preserving FIFO order.
+                    # sorts after every buffer entry, preserving FIFO order.
                     any_spill_now = True
                     np.subtract(due_amt, take, out=resid)
                     np.add(head, ocount, out=i64a)
-                    np.bitwise_and(i64a, Lm1, out=i64a)
                     np.add(i64a, rowbase, out=i64a)
                     # Non-spilling rows would write a dead tail position
                     # (beyond their count, never read) — skip them.
                     Qflat[i64a[spill]] = resid[spill]
                     np.add(ocount, spill, out=ocount)
                     overdue_any = True
-                    if int(ocount.max()) >= L:
-                        ks = np.arange(L, dtype=np.int64)[None, :]
-                        old = np.bitwise_and(head[:, None] + ks, Lm1)
-                        old += rowbase[:, None]
-                        L *= 2
-                        Lm1 = L - 1
-                        grown = np.zeros((n_rows, L))
-                        grown[:, : L // 2] = Qflat[old]
-                        Q = grown
-                        Qflat = Q.ravel()
-                        rowbase = rows_idx * L
-                        head.fill(0)
                 due_amt.fill(0.0)
                 ring_rows -= int(occ[slot_due])
                 occ[slot_due] = 0
             np.add(load, ex, out=load)
 
         # ---- Serial branch decision, with this hour's true load.
-        np.subtract(supply[:, hour], load, out=gap)
+        np.take(supply[:, hour], row_supply, out=supply_h)
+        np.subtract(supply_h, load, out=gap)
         np.greater(gap, 0.0, out=sup)
         any_sup = bool(sup.any())
         all_sup = any_sup and bool(sup.all())
@@ -603,7 +615,7 @@ def combined_run_batch(
                 if act.any():
                     _soak_replay_rows(
                         np.flatnonzero(act), soak_mask, budget, queued_total,
-                        late, load, gap, Qflat, head, ocount, Lm1, L,
+                        late, load, gap, Qflat, head, ocount, width,
                         ring_amt, ring_n, hour, dl,
                         spill if any_spill_now else None,
                     )
@@ -758,7 +770,7 @@ def combined_run_batch(
 
 def _soak_replay_rows(
     rows, soak_mask, budget, queued_total, late, load, gap,
-    Qflat, head, ocount, Lm1, L, ring_amt, ring_n, hour, dl, spill,
+    Qflat, head, ocount, width, ring_amt, ring_n, hour, dl, spill,
 ):
     """Serial soak replay for rows whose budget survived step 1's drain.
 
@@ -766,8 +778,8 @@ def _soak_replay_rows(
     exhausted, and then the soak budget fails its epsilon gate — except
     when ``cmw - load`` re-rounds an ulp above ``headroom - executed``.
     For those (vanishingly rare) rows, replay the serial run_queued walk
-    exactly: matrix entries head-first, then live ring slots in deadline
-    order.  Every matrix take is late unless it is the entry spilled this
+    exactly: buffer entries head-first, then live ring slots in deadline
+    order.  Every buffer take is late unless it is the entry spilled this
     very hour (``spill`` is step 1's spill mask, or None if none spilled),
     which still carries deadline == hour.
     """
@@ -780,7 +792,7 @@ def _soak_replay_rows(
         hd = int(head[row])
         oc = int(ocount[row])
         while oc and budget_row - exec_row > _EPSILON_MWH:
-            slot = row * L + (hd & Lm1)
+            slot = row * width + hd
             amount = float(Qflat[slot])
             remaining = budget_row - exec_row
             take = amount if amount <= remaining else remaining

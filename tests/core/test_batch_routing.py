@@ -291,14 +291,21 @@ class TestCombinedFloor:
 
         ``evaluate_block_sites`` routes every block itself (it must not
         hand a lone site to ``evaluate_block``), and a single site passes
-        its ``(H,)`` demand with no row-to-site index.
+        its ``(H,)`` demand with no row-to-site index.  Supply arrives as
+        the block's distinct investment pairs (16 on this grid) plus one
+        index entry per design.
         """
         designs, oracle = designs_and_oracle
         kernel_calls = []
         kernel = evaluate_module.combined_run_batch
 
         def spy(demand, supply, **kwargs):
-            kernel_calls.append((demand.shape, supply.shape, kwargs.get("row_sites")))
+            kernel_calls.append((
+                demand.shape,
+                supply.shape,
+                kwargs.get("row_sites"),
+                len(kwargs["row_supply"]),
+            ))
             return kernel(demand, supply, **kwargs)
 
         def no_second_router(*args, **kwargs):
@@ -311,7 +318,11 @@ class TestCombinedFloor:
         )
         assert counters.counter_value("designs_batched") == 160
         n_hours = ut_context.demand.power.calendar.n_hours
-        assert kernel_calls == [((n_hours,), (160, n_hours), None)]
+        n_pairs = len({
+            (d.investment.solar_mw, d.investment.wind_mw) for d in designs
+        })
+        assert n_pairs == 16
+        assert kernel_calls == [((n_hours,), (n_pairs, n_hours), None, 160)]
         assert block == oracle
 
 

@@ -15,16 +15,19 @@ its cases pin the combined kernel's no-deferral lanes to ``battery_run``.
 
 Covered edges: ``D = 1`` blocks, zero-capacity rows mixed into live
 blocks, per-row ``(D, H)`` demand and ``(S, H)`` site traces with a
-row->site index (the fleet-merge layouts), hours where supply equals
-demand exactly (where ``-0.0`` arises), full leap and non-leap years,
-a soak over a full deadline ring, the ``planes=False`` output-plane
-opt-out, NaN-freedom, and the surplus-soak hazard replay helper against
-an independent reimplementation of the serial FIFO walk.
+row->site index (the fleet-merge layouts), ``(U, H)`` distinct supply
+rows with a row->supply index, hours where supply equals demand exactly
+(where ``-0.0`` arises), full leap and non-leap years, a soak over a full
+deadline ring, a leap year of overdue backlog thousands of entries deep
+(with an allocation bound), the ``planes=False`` output-plane opt-out,
+NaN-freedom, and the surplus-soak hazard replay helper against an
+independent reimplementation of the serial FIFO walk.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -598,6 +601,83 @@ class TestCombinedBatch:
         assert batch.unserved_mwh[0] == ref.unserved_mwh
         assert batch.deferral_events[0] == ref.deferral_events
 
+    def test_deep_backlog_over_a_leap_year(self):
+        """A leap year of starved rows whose overdue queues grow thousands
+        of entries deep, one of them spilling at every hour it can, still
+        matches the serial deque walk bit for bit.  The same call's
+        allocation peak stays within its two output planes, the overdue
+        buffer, the distinct supply rows and ``(D,)``-scale slack: the
+        queue is allocated once and never grows by copies."""
+        n_hours = 366 * HOURS_PER_DAY
+        rng = np.random.default_rng(5)
+        # Site 0's flat demand sits exactly at its row's capacity, so that
+        # row defers every hour, never runs deferred work, and spills each
+        # entry when it falls due: every hour from the deadline on.  Site
+        # 1's 10-20 MW demand leaves its rows 0.5 MW, 4 MW and 20 % of
+        # headroom over the peak: row 1 stays backlogged all year, rows 2
+        # and 3 drain and refill.
+        traces = np.array([np.full(n_hours, 10.0), rng.uniform(10.0, 20.0, n_hours)])
+        row_sites = np.array([0, 1, 1, 1])
+        row_supply = np.array([0, 1, 1, 2])  # rows 1 and 2 share a supply row
+        specs = [BatterySpec(0.0), BatterySpec(0.0), BatterySpec(5.0), BatterySpec(5.0)]
+        rows = [(spec, 1.0, None, None) for spec in specs]
+        site_peak = float(traces[1].max())
+        capacity = np.array([10.0, site_peak + 0.5, site_peak + 4.0, site_peak * 1.2])
+        ratios = np.array([1.0, 1.0, 0.5, 0.5])
+        columns = battery_columns(rows)
+        tracemalloc.start()
+        try:
+            supply = np.empty((3, n_hours))
+            supply[:2] = rng.uniform(0.0, 4.0, (2, n_hours))
+            supply[2] = rng.uniform(0.0, 30.0, n_hours)
+            batch = combined_run_batch(
+                traces,
+                supply,
+                row_sites=row_sites,
+                row_supply=row_supply,
+                capacity_mw=capacity,
+                flexible_ratio=ratios,
+                deadline_hours=24,
+                planes=False,
+                **columns,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_rows = len(rows)
+        plane = n_rows * n_hours * 8
+        overdue = n_rows * (n_hours + 1) * 8
+        # 64 (D,) columns plus 64 KiB of interpreter objects.  A queue that
+        # grows by doubling copies overshoots this bound by about 1 MB.
+        slack = 64 * 1024 + 64 * n_rows * 8
+        assert peak <= 2 * plane + overdue + supply.nbytes + slack
+
+        refs = []
+        for i, spec in enumerate(specs):
+            ref = combined_run(
+                traces[row_sites[i]],
+                supply[row_supply[i]],
+                capacity_mw=float(capacity[i]),
+                flexible_ratio=float(ratios[i]),
+                deadline_hours=24,
+                **battery_kwargs(spec, 1.0),
+            )
+            for field in (
+                "grid_import", "surplus", "deferred_mwh", "late_mwh",
+                "unserved_mwh", "charged_mwh", "discharged_mwh",
+            ):
+                assert_bits_equal(getattr(batch, field)[i], getattr(ref, field))
+            assert batch.deferral_events[i] == ref.deferral_events
+            refs.append(ref)
+        # Row 0 ran nothing it deferred: all 8784 entries are still queued,
+        # and the 8760 whose deadline passed each spilled at that hour.
+        assert refs[0].deferral_events == n_hours
+        assert refs[0].late_mwh == 0.0
+        assert refs[0].unserved_mwh == refs[0].deferred_mwh
+        # Entries hold at most 20 MWh, so row 1 ends over 1000 entries deep.
+        assert refs[1].late_mwh > 0.0
+        assert refs[1].unserved_mwh > 1000 * 20.0
+
     def test_charge_plane_opt_out(self):
         """``planes=False`` skips both diagnostic planes, nothing else."""
         demand, supply = make_traces(13, 2)
@@ -637,6 +717,90 @@ class TestCombinedBatch:
                 deadline_hours=0,
                 **battery_kwargs(BatterySpec(5.0), 1.0),
             )
+
+
+# ---------------------------------------------------------------------------
+# Distinct supply rows
+# ---------------------------------------------------------------------------
+class TestDistinctSupplyRows:
+    """``(U, H)`` distinct supply rows plus a ``row_supply`` index equal
+    the stacked ``(D, H)`` block bit for bit, sign of zero included."""
+
+    FIELDS = (
+        "grid_import", "surplus", "charge_level", "deferred_mwh", "late_mwh",
+        "unserved_mwh", "charged_mwh", "discharged_mwh", "deferral_events",
+    )
+
+    @staticmethod
+    def layout(rows, seed, multi_site, data):
+        """Demand, distinct supply rows, row->site and row->supply indices.
+
+        The supply labels are relabelled to ``0..U-1``, each used at least
+        once, so blocks mix repeated and singleton supply rows.  Each
+        distinct row ties about a third of its hours to the demand of its
+        first design's site, where the lockstep loops meet ``-0.0``.
+        """
+        n_rows = len(rows)
+        n_sites = data.draw(st.integers(min_value=2, max_value=3)) if multi_site else 1
+        row_sites = np.array(
+            data.draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=n_sites - 1),
+                    min_size=n_rows,
+                    max_size=n_rows,
+                )
+            )
+        )
+        labels = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n_rows - 1),
+                min_size=n_rows,
+                max_size=n_rows,
+            )
+        )
+        _, first, row_supply = np.unique(labels, return_index=True, return_inverse=True)
+        traces, stacked = tied_traces(seed, n_sites, row_sites)
+        demand = traces if multi_site else traces[0]
+        return demand, traces, stacked[first], (row_sites if multi_site else None), row_supply
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        rows=ZERO_LED_ROWS,
+        seed=SEEDS,
+        multi_site=st.booleans(),
+        deadline_hours=st.sampled_from([4, 24]),
+        data=st.data(),
+    )
+    def test_combined_kernel(self, rows, seed, multi_site, deadline_hours, data):
+        demand, traces, distinct, row_sites, row_supply = self.layout(
+            rows, seed, multi_site, data
+        )
+        site_of = row_sites if multi_site else np.zeros(len(rows), dtype=int)
+        kwargs = dict(
+            capacity_mw=np.array(
+                [float(traces[s].max()) * cap for s, (*_, cap) in zip(site_of, rows)]
+            ),
+            flexible_ratio=np.array([ratio for _, _, ratio, _ in rows]),
+            deadline_hours=deadline_hours,
+            row_sites=row_sites,
+            **battery_columns(rows),
+        )
+        indexed = combined_run_batch(demand, distinct, row_supply=row_supply, **kwargs)
+        stacked = combined_run_batch(demand, distinct[row_supply], **kwargs)
+        for field in self.FIELDS + ("shifted_demand",):
+            assert_bits_equal(getattr(indexed, field), getattr(stacked, field))
+
+    @settings(deadline=None, max_examples=40)
+    @given(rows=ZERO_LED_ROWS, seed=SEEDS, multi_site=st.booleans(), data=st.data())
+    def test_battery_kernel(self, rows, seed, multi_site, data):
+        demand, _, distinct, row_sites, row_supply = self.layout(
+            rows, seed, multi_site, data
+        )
+        kwargs = dict(row_sites=row_sites, **battery_columns(rows))
+        indexed = battery_run_batch(demand, distinct, row_supply=row_supply, **kwargs)
+        stacked = battery_run_batch(demand, distinct[row_supply], **kwargs)
+        for field in self.FIELDS:
+            assert_bits_equal(getattr(indexed, field), getattr(stacked, field))
 
 
 # ---------------------------------------------------------------------------
