@@ -108,8 +108,14 @@ class EmbodiedCarbonModel:
         *generation*, a year's share is simply that year's generation times
         the coefficient — independent of how much the datacenter used.
         """
-        solar_mwh = solar_generation.total()
-        wind_mwh = wind_generation.total()
+        return self.renewables_annual_tons_from_totals(
+            solar_generation.total(), wind_generation.total()
+        )
+
+    def renewables_annual_tons_from_totals(
+        self, solar_mwh: float, wind_mwh: float
+    ) -> float:
+        """:meth:`renewables_annual_tons` from annual generation totals, MWh."""
         if solar_mwh < 0 or wind_mwh < 0:
             raise ValueError("generation totals must be non-negative")
         grams = (

@@ -65,10 +65,18 @@ def coverage_from_import_values(demand: np.ndarray, grid_import: np.ndarray) -> 
         raise ValueError("demand and grid_import must share a calendar")
     if grid_import.min() < 0:
         raise ValueError("grid import must be non-negative")
-    total_demand = float(demand.sum())
+    return coverage_from_import_total(float(grid_import.sum()), float(demand.sum()))
+
+
+def coverage_from_import_total(import_mwh: float, total_demand: float) -> float:
+    """The scalar step of :func:`coverage_from_import_values`.
+
+    Takes the annual totals, so sweep evaluation, which already holds
+    the import total and a per-site demand total, reduces no array here.
+    """
     if is_exact_zero(total_demand):
         raise ValueError("coverage undefined for zero total demand")
-    coverage = 1.0 - float(grid_import.sum()) / total_demand
+    coverage = 1.0 - import_mwh / total_demand
     if coverage < -1e-9:
         raise ValueError("grid import exceeds total demand: inconsistent traces")
     return max(coverage, 0.0)

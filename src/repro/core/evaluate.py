@@ -40,7 +40,7 @@ from ..kernels.batch import (
 from ..obs import gauge_value, inc, set_gauge, span
 from ..scheduling import schedule_carbon_aware, simulate_combined
 from ..timeseries import DEFAULT_CALENDAR, HOURS_PER_DAY, HourlySeries, YearCalendar
-from .coverage import coverage_from_import_values
+from .coverage import coverage_from_import_total
 from .design import DesignPoint, Strategy
 from ..timeseries.stats import is_exact_zero
 
@@ -65,18 +65,31 @@ class SupplyProjectionCache:
     value, which sweeps keep small by construction.  Renewables-only
     evaluation reads the per-axis maps alone (:meth:`axis_traces`): a
     renewables-only grid visits each investment once, so inserting its
-    combined supply would only churn the LRU.
+    combined supply would only churn the LRU.  Beside each per-axis
+    trace the cache keeps its annual total (:meth:`axis_totals`), summed
+    once per distinct axis value; like the traces, totals never evict.
     """
 
     _MAX_COMBINED_ENTRIES = 1024
 
-    __slots__ = ("_solar_source", "_wind_source", "_solar", "_wind", "_combined", "_lock")
+    __slots__ = (
+        "_solar_source",
+        "_wind_source",
+        "_solar",
+        "_wind",
+        "_solar_totals",
+        "_wind_totals",
+        "_combined",
+        "_lock",
+    )
 
     def __init__(self, solar_source: HourlySeries, wind_source: HourlySeries) -> None:
         self._solar_source = solar_source
         self._wind_source = wind_source
         self._solar: Dict[float, HourlySeries] = {}
         self._wind: Dict[float, HourlySeries] = {}
+        self._solar_totals: Dict[float, float] = {}
+        self._wind_totals: Dict[float, float] = {}
         self._combined: "OrderedDict[Tuple[float, float], HourlySeries]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -88,6 +101,33 @@ class SupplyProjectionCache:
             trace = scale_trace_to_capacity(source, capacity_mw)
             cache[capacity_mw] = trace
         return trace
+
+    def _total(
+        self,
+        totals: Dict[float, float],
+        cache: Dict[float, HourlySeries],
+        source: HourlySeries,
+        capacity_mw: float,
+    ) -> float:
+        total = totals.get(capacity_mw)
+        if total is None:
+            total = self._scaled(cache, source, capacity_mw).total()
+            totals[capacity_mw] = total
+        return total
+
+    def axis_totals(self, solar_mw: float, wind_mw: float) -> Tuple[float, float]:
+        """``(solar_mwh, wind_mwh)``: the annual totals of :meth:`axis_traces`.
+
+        Each is the ``total()`` of the cached trace itself, so it is
+        bitwise the total a caller would take of that trace.
+        """
+        with self._lock:
+            return (
+                self._total(
+                    self._solar_totals, self._solar, self._solar_source, solar_mw
+                ),
+                self._total(self._wind_totals, self._wind, self._wind_source, wind_mw),
+            )
 
     def axis_traces(
         self, solar_mw: float, wind_mw: float
@@ -216,6 +256,19 @@ class SiteContext:
         return cache
 
     @property
+    def total_demand_mwh(self) -> float:
+        """Annual demand energy, summed once per context.
+
+        Threads racing on the first read each store the same float, so
+        no lock is needed.
+        """
+        total = self.__dict__.get("_total_demand_mwh")
+        if total is None:
+            total = self.demand.power.total()
+            object.__setattr__(self, "_total_demand_mwh", total)
+        return total
+
+    @property
     def battery_seed_cache(self) -> BatterySeedCache:
         """The lazily created per-context battery-seed cache."""
         cache = self.__dict__.get("_battery_seed_cache")
@@ -229,11 +282,12 @@ class SiteContext:
 
     def __getstate__(self):
         # The projection/seed caches hold locks and can be megabytes of
-        # memoized traces; workers rebuild their own, so keep them out of
-        # the pickle.
+        # memoized traces; workers rebuild their own, so keep them (and
+        # the memoized demand total) out of the pickle.
         state = self.__dict__.copy()
         state.pop("_supply_cache", None)
         state.pop("_battery_seed_cache", None)
+        state.pop("_total_demand_mwh", None)
         return state
 
     def __setstate__(self, state):
@@ -406,12 +460,16 @@ def evaluate_design(
                     f"{demand_power.calendar.year} vs {solar_trace.calendar.year}"
                 )
             supply = np.add(solar_trace.values, wind_trace.values)
-            grid_import = np.clip(demand_power.values - supply, 0.0, None)
-            surplus = np.clip(supply - demand_power.values, 0.0, None)
+            # Positive parts: ``np.clip(x, 0.0, None)`` dispatches to this
+            # same ufunc, so the bits match; done in place on the fresh
+            # difference, it skips clip's wrapper and one allocation.
+            grid_import = demand_power.values - supply
+            np.maximum(grid_import, 0.0, out=grid_import)
+            # The supply row is this design's own: its surplus overwrites it.
+            surplus = np.subtract(supply, demand_power.values, out=supply)
+            np.maximum(surplus, 0.0, out=surplus)
         else:
-            solar_trace, wind_trace, supply_series = context.supply_cache.project(
-                solar_mw, wind_mw
-            )
+            supply_series = context.supply_cache.project(solar_mw, wind_mw)[2]
             capacity_mw = demand_power.max() * (1.0 + design.extra_capacity_fraction)
             if strategy is Strategy.RENEWABLES_BATTERY:
                 seed = context.battery_seed_cache.seed_for(
@@ -432,8 +490,10 @@ def evaluate_design(
                     flexible_ratio=design.flexible_ratio,
                 )
                 shifted = result.shifted_demand.values
-                grid_import = np.clip(shifted - supply_series.values, 0.0, None)
-                surplus = np.clip(supply_series.values - shifted, 0.0, None)
+                grid_import = shifted - supply_series.values
+                np.maximum(grid_import, 0.0, out=grid_import)
+                surplus = supply_series.values - shifted
+                np.maximum(surplus, 0.0, out=surplus)
                 moved_mwh = result.moved_mwh
             elif strategy is Strategy.RENEWABLES_BATTERY_CAS:
                 result = simulate_combined(
@@ -456,8 +516,6 @@ def evaluate_design(
             context,
             design,
             strategy,
-            solar_trace,
-            wind_trace,
             grid_import,
             surplus,
             moved_mwh,
@@ -532,8 +590,6 @@ def _finish_evaluation(
     context: SiteContext,
     design: DesignPoint,
     strategy: Strategy,
-    solar_trace: HourlySeries,
-    wind_trace: HourlySeries,
     grid_import: np.ndarray,
     surplus: np.ndarray,
     moved_mwh: float,
@@ -547,6 +603,14 @@ def _finish_evaluation(
     :class:`HourlySeries` constructor's error, as wrapping the rows would.
     Finite totals imply finite rows, so the elementwise scan runs only when
     a total is not finite (an overflowing sum of finite hours passes).
+
+    Each row runs four year-length reductions: the import and surplus
+    sums, the operational core's non-negativity ``min`` and its product
+    sum.  The coverage and renewables formulas take their scalar steps
+    over totals computed once elsewhere: the import sum above, the
+    context's demand total, and the supply cache's per-axis generation
+    totals.  The coverage core's own non-negativity check is the
+    operational core's, which fires first, so it is not repeated.
     """
     import_mwh = float(grid_import.sum())
     surplus_mwh = float(surplus.sum())
@@ -554,12 +618,13 @@ def _finish_evaluation(
         np.isfinite(grid_import).all() and np.isfinite(surplus).all()
     ):
         raise ValueError("series values must be finite (no NaN/inf)")
-    demand_power = context.demand.power
     operational = operational_carbon_tons_values(
         grid_import, context.grid_intensity.values
     )
-    renewables_embodied = context.embodied.renewables_annual_tons(
-        solar_trace, wind_trace
+    renewables_embodied = context.embodied.renewables_annual_tons_from_totals(
+        *context.supply_cache.axis_totals(
+            design.investment.solar_mw, design.investment.wind_mw
+        )
     )
     battery_embodied = context.embodied.battery_annual_tons(
         design.battery_spec(), cycles_per_day=max(battery_cycles_per_day, 1e-3)
@@ -567,11 +632,14 @@ def _finish_evaluation(
     servers_embodied = context.embodied.servers_annual_tons(
         _extra_servers(context, design.extra_capacity_fraction)
     )
+    if context.demand.power.values.shape != grid_import.shape:
+        raise ValueError("demand and grid_import must share a calendar")
+    coverage = coverage_from_import_total(import_mwh, context.total_demand_mwh)
     inc("designs_evaluated")
     return DesignEvaluation(
         design=design,
         strategy=strategy,
-        coverage=coverage_from_import_values(demand_power.values, grid_import),
+        coverage=coverage,
         operational_tons=operational,
         renewables_embodied_tons=renewables_embodied,
         battery_embodied_tons=battery_embodied,
@@ -694,15 +762,13 @@ def evaluate_block_sites(
 class _Segment(NamedTuple):
     """One block ready for a batched kernel.
 
-    ``designs`` are constrained to the strategy and ``projections`` holds
-    each design's ``(solar, wind, supply)`` projection.  ``supply_rows``
-    are the block's distinct supply arrays, one per investment pair, and
+    ``designs`` are constrained to the strategy.  ``supply_rows`` are
+    the block's distinct supply arrays, one per investment pair, and
     ``row_supply`` is each design's index into them.
     """
 
     context: SiteContext
     designs: List[DesignPoint]
-    projections: list
     supply_rows: List[np.ndarray]
     row_supply: List[int]
 
@@ -734,24 +800,21 @@ def _batch_segment(
     constrained = [design.constrained_to(strategy) for design in designs]
     if not _batch_preconditions_hold(context, constrained):
         return None
-    projections = [
-        context.supply_cache.project(d.investment.solar_mw, d.investment.wind_mw)
-        for d in constrained
-    ]
     # Distinct rows are keyed by investment pair, not by object identity:
     # a supply-cache eviction can hand one pair two equal arrays.
     index: Dict[Tuple[float, float], int] = {}
     supply_rows: List[np.ndarray] = []
     row_supply: List[int] = []
-    for design, (_, _, supply) in zip(constrained, projections):
+    for design in constrained:
         key = (design.investment.solar_mw, design.investment.wind_mw)
+        supply = context.supply_cache.project(*key)[2]
         j = index.setdefault(key, len(supply_rows))
         if j == len(supply_rows):
             supply_rows.append(supply.values)
         row_supply.append(j)
     if min(float(values.min()) for values in supply_rows) < 0.0:
         return None
-    return _Segment(context, constrained, projections, supply_rows, row_supply)
+    return _Segment(context, constrained, supply_rows, row_supply)
 
 
 def _evaluate_batched(
@@ -824,7 +887,7 @@ def _evaluate_batched(
                 )
                 finish = _finish_combined_rows
             return [
-                finish(segment.context, segment.designs, segment.projections, run, offset)
+                finish(segment.context, segment.designs, run, offset)
                 for segment, offset in zip(segments, offsets)
             ]
 
@@ -832,8 +895,8 @@ def _evaluate_batched(
         # schedule_run_batch shares one 24-hour FWR profile across the
         # block, so rows are grouped by their exact flexible_ratio (sweep
         # grids almost always hold it constant — one group).
-        ((context, constrained, projections, _, _),) = segments
-        supply_block = np.stack([supply.values for _, _, supply in projections])
+        ((context, constrained, supply_rows, row_supply),) = segments
+        supply_block = np.stack([supply_rows[j] for j in row_supply])
         demand_power = context.demand.power
         evaluations: List[Optional[DesignEvaluation]] = [None] * n_rows
         groups: Dict[float, List[int]] = {}
@@ -850,6 +913,10 @@ def _evaluate_batched(
             for j, i in enumerate(rows):
                 shifted = shifted_rows.shifted[j]
                 supply = supply_block[i]
+                grid_import = shifted - supply
+                np.maximum(grid_import, 0.0, out=grid_import)
+                surplus = supply - shifted
+                np.maximum(surplus, 0.0, out=surplus)
                 inc("schedules_run")
                 inc("schedule_days", demand_power.calendar.n_days)
                 inc("schedule_moved_mwh", float(shifted_rows.moved_mwh[j]))
@@ -857,10 +924,8 @@ def _evaluate_batched(
                     context,
                     constrained[i],
                     strategy,
-                    projections[i][0],
-                    projections[i][1],
-                    np.clip(shifted - supply, 0.0, None),
-                    np.clip(supply - shifted, 0.0, None),
+                    grid_import,
+                    surplus,
                     float(shifted_rows.moved_mwh[j]),
                     0.0,
                 )
@@ -894,7 +959,6 @@ def _battery_columns(specs) -> Dict[str, np.ndarray]:
 def _finish_battery_rows(
     context: SiteContext,
     designs: Sequence[DesignPoint],
-    projections,
     run,
     offset: int,
 ) -> List[DesignEvaluation]:
@@ -911,8 +975,6 @@ def _finish_battery_rows(
                 context,
                 design,
                 Strategy.RENEWABLES_BATTERY,
-                projections[j][0],
-                projections[j][1],
                 run.grid_import[i],
                 run.surplus[i],
                 0.0,
@@ -925,7 +987,6 @@ def _finish_battery_rows(
 def _finish_combined_rows(
     context: SiteContext,
     designs: Sequence[DesignPoint],
-    projections,
     run,
     offset: int,
 ) -> List[DesignEvaluation]:
@@ -944,8 +1005,6 @@ def _finish_combined_rows(
                 context,
                 design,
                 Strategy.RENEWABLES_BATTERY_CAS,
-                projections[j][0],
-                projections[j][1],
                 run.grid_import[i],
                 run.surplus[i],
                 float(run.deferred_mwh[i]),

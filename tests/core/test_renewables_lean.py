@@ -10,6 +10,8 @@ evaluation, or the error raised -- must match it exactly.
 from __future__ import annotations
 
 import math
+import pickle
+from collections import Counter
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 
 from repro.carbon import operational_carbon_tons, operational_carbon_tons_values
 from repro.core.coverage import coverage_from_grid_import, coverage_from_import_values
-from repro.core.design import DesignPoint, Strategy
+from repro.core import evaluate as evaluate_module
+from repro.core.design import DesignPoint, Strategy, default_design_space
 from repro.core.evaluate import (
     DesignEvaluation,
     SiteContext,
@@ -29,6 +32,7 @@ from repro.core.evaluate import (
     evaluate_block,
     evaluate_design,
 )
+from repro.core.shm import share_context
 from repro.grid import RenewableInvestment, scale_trace_to_capacity
 from repro.obs import disable_metrics, enable_metrics, get_registry, reset_metrics
 from repro.timeseries import HourlySeries
@@ -255,7 +259,7 @@ def _tail_outcomes(context, grid_import, surplus):
 
     def new():
         return _finish_evaluation(
-            context, design, ONLY, zeros, zeros, grid_import, surplus, 0.0, 0.0
+            context, design, ONLY, grid_import, surplus, 0.0, 0.0
         )
 
     return outcome(new), outcome(old)
@@ -362,3 +366,191 @@ def test_renewables_rows_bypass_the_combined_lru(contexts, counters):
     assert solar is cached_solar and wind is cached_wind
     assert supply.name == "renewable supply"
     assert np.array_equal(supply.values, (solar + wind).values)
+
+
+# ----------------------------------------------------------------------
+# The accounting tail reads each distinct input once
+# ----------------------------------------------------------------------
+class _CountingRow(np.ndarray):
+    """A row view that logs each year-length reduction taken of it.
+
+    Arithmetic on the view returns the subclass, so the operational
+    core's product row is counted too.
+    """
+
+    log: list = []
+
+    def sum(self, *args, **kwargs):
+        _CountingRow.log.append("sum")
+        return super().sum(*args, **kwargs)
+
+    def min(self, *args, **kwargs):
+        _CountingRow.log.append("min")
+        return super().min(*args, **kwargs)
+
+    def max(self, *args, **kwargs):
+        _CountingRow.log.append("max")
+        return super().max(*args, **kwargs)
+
+    def mean(self, *args, **kwargs):
+        _CountingRow.log.append("mean")
+        return super().mean(*args, **kwargs)
+
+
+def test_tail_sums_each_distinct_input_once(contexts, monkeypatch):
+    context = fresh(contexts[("UT", 2020)])
+    space = default_design_space(
+        context.demand.power.mean(),
+        supports_solar=True,
+        supports_wind=True,
+        n_renewable_steps=30,
+        battery_hours=(0.0,),
+        extra_capacity_fractions=(0.0,),
+    )
+    designs = list(space.points(ONLY))
+    assert len(designs) == 900
+
+    totals = Counter()
+    real_total = HourlySeries.total
+
+    def counting_total(series):
+        totals[id(series)] += 1
+        return real_total(series)
+
+    real_finish = evaluate_module._finish_evaluation
+
+    def counting_finish(context, design, strategy, grid_import, surplus, *rest):
+        return real_finish(
+            context,
+            design,
+            strategy,
+            grid_import.view(_CountingRow),
+            surplus.view(_CountingRow),
+            *rest,
+        )
+
+    monkeypatch.setattr(HourlySeries, "total", counting_total)
+    monkeypatch.setattr(evaluate_module, "_finish_evaluation", counting_finish)
+    monkeypatch.setattr(_CountingRow, "log", [])
+    evaluations = evaluate_block(context, designs, ONLY)
+    assert len(evaluations) == 900
+
+    cache = context.supply_cache
+    solar, wind = list(cache._solar.values()), list(cache._wind.values())
+    assert len(solar) == len(wind) == 30
+    expected = Counter({id(trace): 1 for trace in solar + wind})
+    expected[id(context.demand.power)] = 1
+    assert totals == expected
+    assert Counter(_CountingRow.log) == {"sum": 3 * 900, "min": 900}
+
+
+KEYING_STRATEGIES = (ONLY, Strategy.RENEWABLES_BATTERY, Strategy.RENEWABLES_CAS)
+
+
+def _shared_outcomes(context, designs):
+    """Every design's outcome on ``context`` under each keying strategy."""
+    return [
+        outcome(evaluate_design, context, design, strategy)
+        for design in designs
+        for strategy in KEYING_STRATEGIES
+    ]
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_cached_totals_match_a_fresh_context(contexts, site):
+    context = fresh(contexts[site])
+    avg = context.demand.power.mean()
+    wind_axis = (0.0, 2.0 * avg) if context.supports_wind else (0.0,)
+    designs = [
+        design_of(solar, wind, battery_mwh=2.0 * avg)
+        for solar in (0.0, 3.0 * avg)
+        for wind in wind_axis
+    ]
+    # Each design on a context of its own, so nothing is reused.
+    expected = [
+        outcome(evaluate_design, fresh(context), design, strategy)
+        for design in designs
+        for strategy in KEYING_STRATEGIES
+    ]
+    assert all(result[0] == "ok" for result in expected)
+    for design in designs:
+        assert outcome(evaluate_design, context, design, ONLY) == outcome(
+            oracle_renewables_only, context, design
+        )
+    # The warm context's totals are memoized, and stay out of a pickle.
+    assert _shared_outcomes(context, designs) == expected
+    assert "_total_demand_mwh" in context.__dict__
+    assert context.supply_cache._solar_totals
+    state = context.__getstate__()
+    assert "_total_demand_mwh" not in state and "_supply_cache" not in state
+    clone = pickle.loads(pickle.dumps(context))
+    assert "_total_demand_mwh" not in clone.__dict__
+    assert _shared_outcomes(clone, designs) == expected
+    with share_context(context) as shared:
+        attached = shared.handle.attach()
+        assert _shared_outcomes(attached, designs) == expected
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [Strategy.RENEWABLES_BATTERY, Strategy.RENEWABLES_CAS, Strategy.RENEWABLES_BATTERY_CAS],
+)
+@pytest.mark.parametrize("floor", ["1", "1000000"], ids=["batched", "per-design"])
+def test_kernel_rows_through_the_tail_match_the_old_tail(
+    contexts, counters, monkeypatch, strategy, floor
+):
+    monkeypatch.setenv("REPRO_BATCH_MIN_ROWS", floor)
+    context = fresh(contexts[("UT", 2021)])
+    calendar = context.demand.power.calendar
+    avg = context.demand.power.mean()
+    designs = [
+        design_of(solar, wind, battery_mwh=battery, extra_capacity_fraction=0.5,
+                  flexible_ratio=0.4)
+        for solar in (0.0, 4.0 * avg)
+        for wind in (1.0 * avg, 3.0 * avg)
+        for battery in (0.0, 5.0 * avg)
+    ]
+    rows = []
+    real_finish = evaluate_module._finish_evaluation
+
+    def capturing_finish(context, design, strategy, grid_import, surplus, *rest):
+        result = outcome(
+            real_finish, context, design, strategy, grid_import, surplus, *rest
+        )
+        rows.append((design, grid_import.copy(), surplus.copy(), rest, result))
+        return real_finish(context, design, strategy, grid_import, surplus, *rest)
+
+    monkeypatch.setattr(evaluate_module, "_finish_evaluation", capturing_finish)
+    evaluations = evaluate_block(context, designs, strategy)
+    assert len(rows) == len(evaluations) == len(designs)
+    batched = counters.counter_value("designs_batched")
+    assert batched == (len(designs) if floor == "1" else 0)
+    for design, grid_import, surplus, rest, result in rows:
+        assert result[0] == "ok"
+        expected = outcome(
+            _old_finish_evaluation,
+            context,
+            design,
+            strategy,
+            scale_trace_to_capacity(context.grid.solar, design.investment.solar_mw),
+            scale_trace_to_capacity(context.grid.wind, design.investment.wind_mw),
+            HourlySeries(grid_import, calendar, name="grid import"),
+            HourlySeries(surplus, calendar, name="surplus"),
+            *rest,
+        )
+        assert result == expected
+
+
+def test_positive_part_is_clip_bitwise():
+    tiny = np.finfo(np.float64).tiny
+    lanes = np.array(
+        [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+         tiny / 2, -tiny / 2, tiny, -tiny, 1.0, -1.0, 1.7e308, -1.7e308]
+    )
+    # Lengths off the SIMD width exercise the vector loops' tails.
+    for values in (lanes, lanes[::-1], np.tile(lanes, 37), lanes[:-3]):
+        expected = np.clip(values, 0.0, None).view(np.uint64)
+        assert np.array_equal(np.maximum(values, 0.0).view(np.uint64), expected)
+        scratch = values.copy()
+        assert np.maximum(scratch, 0.0, out=scratch) is scratch
+        assert np.array_equal(scratch.view(np.uint64), expected)

@@ -7,9 +7,9 @@ absolute numbers (our grid is synthetic; see DESIGN.md).
 
 import pytest
 
-from repro import CarbonExplorer, Strategy
+from repro import SITE_ORDER, CarbonExplorer, Strategy, sweep_fleet
 from repro.battery import BatterySpec
-from repro.grid import RenewableInvestment
+from repro.grid import RenewableClass, RenewableInvestment
 
 pytestmark = pytest.mark.integration
 
@@ -202,3 +202,69 @@ class TestParetoShape:
         full = [e for e in evaluations if e.coverage > 0.9999]
         assert full, "some design must reach 24/7"
         assert all(e.design.battery_mwh > 0.0 for e in full)
+
+
+@pytest.fixture(scope="module")
+def fig15():
+    """Fig. 15's grid at all 13 sites: ``{site: {strategy: best evaluation}}``.
+
+    The same sweep as ``benchmarks/bench_fig15.py``, whose table is a
+    golden: every strategy through ``sweep_fleet(batch_size=512)``.
+    """
+    explorers = [CarbonExplorer(state) for state in SITE_ORDER]
+    sites = [
+        (
+            explorer.context.site_state,
+            explorer.context,
+            explorer.default_space(
+                n_renewable_steps=4,
+                battery_hours=(0.0, 2.0, 5.0, 10.0, 16.0),
+                extra_capacity_fractions=(0.0, 0.5),
+            ),
+        )
+        for explorer in explorers
+    ]
+    best = {key: {} for key, _, _ in sites}
+    for strategy in Strategy:
+        fleet = sweep_fleet(sites, strategy, batch_size=512)
+        assert fleet.complete, fleet.statuses()
+        for key in best:
+            best[key][strategy] = fleet.site(key).result.best
+    return best
+
+
+class TestFig15Verdicts:
+    """Fig. 15 / §5.2: the carbon-optimal footprint of each solution."""
+
+    def test_renewables_only_is_worst_at_every_site(self, fig15):
+        for site, best in fig15.items():
+            renewables = best[Strategy.RENEWABLES_ONLY].total_tons
+            others = [
+                e.total_tons for s, e in best.items() if s is not Strategy.RENEWABLES_ONLY
+            ]
+            assert renewables > max(others), site
+
+    def test_battery_plus_cas_is_best_at_every_site(self, fig15):
+        for site, best in fig15.items():
+            combined = best[Strategy.RENEWABLES_BATTERY_CAS].total_tons
+            assert combined <= min(e.total_tons for e in best.values()), site
+
+    def test_batteries_cut_the_most_in_solar_only_regions(self, fig15):
+        """'The reduction is most pronounced in regions that rely only on
+        solar energy': every solar-only site's renew / renew+batt footprint
+        ratio exceeds every other site's."""
+        solar_only = {"NC", "GA", "TN", "AL"}
+        assert solar_only == {
+            site
+            for site in fig15
+            if CarbonExplorer(site).context.grid.authority.renewable_class
+            is RenewableClass.SOLAR
+        }
+        ratios = {
+            site: best[Strategy.RENEWABLES_ONLY].total_tons
+            / best[Strategy.RENEWABLES_BATTERY].total_tons
+            for site, best in fig15.items()
+        }
+        weakest_solar = min(ratios[site] for site in solar_only)
+        strongest_other = max(r for site, r in ratios.items() if site not in solar_only)
+        assert weakest_solar > strongest_other, ratios
