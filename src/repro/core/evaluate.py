@@ -529,12 +529,13 @@ def evaluate_design(
 #: serial battery kernel skips each row's rail stretches on its own and
 #: beats the lockstep kernel on the 20-80-row blocks per-site sweeps
 #: produce; batched CAS wins 4-14x even at 8 rows; batched combined
-#: breaks even near 160 rows.  ``REPRO_BATCH_MIN_ROWS`` replaces the
+#: breaks even near 64 rows and wins at every measured site from 80.
+#: ``REPRO_BATCH_MIN_ROWS`` replaces the
 #: whole table (an env var reaches spawned workers, which a
 #: monkeypatched module global would not).
 _BATCH_MIN_ROWS = {
     Strategy.RENEWABLES_CAS: 8,
-    Strategy.RENEWABLES_BATTERY_CAS: 160,
+    Strategy.RENEWABLES_BATTERY_CAS: 80,
 }
 
 #: Deferral deadline for the combined battery + CAS strategy, hours.

@@ -12,9 +12,12 @@ synthetic substrate:
   (attaching it to a registered balancing authority for metadata).
 
 The format is deliberately strict: a full year of hourly rows in order,
-numeric non-negative megawatt values, and recognized fuel column names.
-Malformed files fail loudly with row/column context rather than producing a
-silently misaligned year of data.
+each with one cell per column, numeric non-negative megawatt values,
+recognized fuel column names, and a line break after the last row (a
+file cut inside its last cell still parses, so only the missing line
+break tells it from a shorter number).  A leading byte-order mark is
+skipped.  Malformed files fail loudly with row/column context rather than
+producing a silently misaligned year of data.
 """
 
 from __future__ import annotations
@@ -134,16 +137,21 @@ def read_grid_csv(source: PathOrFile, year: Optional[int] = None) -> GridDataset
     ------
     GridCsvError
         On unknown balancing authority, missing/unknown columns, wrong row
-        count, out-of-order timestamps, or non-numeric/negative values.
+        count or cell count, out-of-order timestamps, non-numeric/negative
+        values, or no line break after the last row.
     """
     if isinstance(source, (str, pathlib.Path)):
         with open(source, newline="") as handle:
             content = handle.read()
     else:
         content = source.read()
+    content = content.removeprefix("\ufeff")
 
-    reader = csv.reader(io.StringIO(content))
-    rows = list(reader)
+    # newline="" lets the csv module see every line ending (CR, LF, CRLF).
+    try:
+        rows = list(csv.reader(io.StringIO(content, newline="")))
+    except csv.Error as error:
+        raise GridCsvError(f"unreadable CSV: {error}") from None
     if len(rows) < 3:
         raise GridCsvError("file too short: need BA row, header row, and data")
 
@@ -156,7 +164,7 @@ def read_grid_csv(source: PathOrFile, year: Optional[int] = None) -> GridDataset
         raise GridCsvError(str(error)) from None
 
     header = rows[1]
-    if header[0] != TIMESTAMP_COLUMN or header[1] != DEMAND_COLUMN:
+    if header[:2] != [TIMESTAMP_COLUMN, DEMAND_COLUMN]:
         raise GridCsvError(
             f"header must start with {TIMESTAMP_COLUMN!r}, {DEMAND_COLUMN!r}; got {header[:2]}"
         )
@@ -192,6 +200,10 @@ def read_grid_csv(source: PathOrFile, year: Optional[int] = None) -> GridDataset
     curtailed = np.zeros(calendar.n_hours)
     fuels = {fuel: np.empty(calendar.n_hours) for fuel in fuel_indices}
     for hour, row in enumerate(data_rows):
+        if len(row) != len(header):
+            raise GridCsvError(
+                f"row {hour}: expected {len(header)} cells, got {len(row)}"
+            )
         if row[0] != expected_stamps[hour]:
             raise GridCsvError(
                 f"row {hour}: timestamp {row[0]!r} out of order "
@@ -202,6 +214,8 @@ def read_grid_csv(source: PathOrFile, year: Optional[int] = None) -> GridDataset
             fuels[fuel][hour] = _parse_float(row[index], hour, FUEL_COLUMNS[fuel])
         if curtailed_index is not None:
             curtailed[hour] = _parse_float(row[curtailed_index], hour, CURTAILED_COLUMN)
+    if not content.endswith(("\n", "\r")):
+        raise GridCsvError("no line break after the last row: the file looks truncated")
 
     generation = {
         fuel: HourlySeries(values, calendar, name=fuel.value)

@@ -4,7 +4,8 @@ Datacenter operators exporting their own hourly power traces need a simpler
 format than the wide grid CSV: two columns, timestamp and megawatts.  These
 helpers read and write that format for any :class:`HourlySeries`, with the
 same strictness guarantees as the grid reader (full year, ordered hours,
-finite non-negative values).
+finite non-negative values, a line break after the last row, a leading
+byte-order mark skipped).
 """
 
 from __future__ import annotations
@@ -65,8 +66,13 @@ def read_trace_csv(
             content = handle.read()
     else:
         content = source.read()
+    content = content.removeprefix("\ufeff")
 
-    rows = list(csv.reader(io.StringIO(content)))
+    # newline="" lets the csv module see every line ending (CR, LF, CRLF).
+    try:
+        rows = list(csv.reader(io.StringIO(content, newline="")))
+    except csv.Error as error:
+        raise TraceCsvError(f"unreadable CSV: {error}") from None
     if len(rows) < 2:
         raise TraceCsvError("file too short: need a header row and data")
     header, data_rows = rows[0], rows[1:]
@@ -103,4 +109,8 @@ def read_trace_csv(
         if value < 0 and not allow_negative:
             raise TraceCsvError(f"row {hour}: negative value {value}")
         values[hour] = value
+    # A file cut inside its last value still parses; only the missing line
+    # break tells it from a shorter number.
+    if not content.endswith(("\n", "\r")):
+        raise TraceCsvError("no line break after the last row: the file looks truncated")
     return HourlySeries(values, calendar, name=header[1])

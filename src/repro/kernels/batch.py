@@ -34,6 +34,19 @@ reduction order:
   the ``max(…, 0.0)`` floor), which also normalizes any ``-0.0``
   candidate power to ``+0.0`` exactly like the scalar branches do.
 
+Dispatch budget
+---------------
+
+At a few hundred lanes a numpy call costs about as much as its dispatch,
+so the lockstep hour loops are bound by how many calls each hour makes
+and by the form of each call, not by arithmetic.  The hot loops therefore
+use the cheap forms: ``np.count_nonzero`` for ``any``/``all`` tests,
+``.nonzero()[0]`` for index lists, plain integer indexing for gathers,
+flat positions with ``.take``/``.put`` for (slot x row) cells,
+``np.add.accumulate`` for prefix sums (the ufunc ``np.cumsum`` wraps, so
+the bits match), and 0-d arrays rather than python floats as scalar
+operands.  DESIGN.md ("Dispatch budget") lists the measured costs.
+
 Degenerate rows (zero battery capacity, zero flexible ratio) stay in the
 block: their lanes reproduce the serial kernels' vectorized short-circuits
 bitwise (``-(a - b)`` equals ``b - a`` bitwise, and the masked lanes never
@@ -318,9 +331,10 @@ def combined_run_batch(
     ``(U, H)`` distinct supply rows with ``row_supply`` the ``(D,)`` index
     of each design's row: a sweep grid repeats each investment pair across
     its battery and capacity axes, so a block needs only its distinct
-    projections.  Each hour gathers its supply column with one ``np.take``,
-    exactly as ``row_sites`` gathers demand.  ``planes=False`` skips the
-    ``shifted_demand``/``charge_level`` diagnostic planes.
+    projections.  Each hour gathers its supply column by indexing with
+    ``row_supply``, exactly as ``row_sites`` gathers demand.
+    ``planes=False`` skips the ``shifted_demand``/``charge_level``
+    diagnostic planes.
 
     The serial kernel's FIFO deque splits into two structures that
     vectorize across rows:
@@ -328,35 +342,40 @@ def combined_run_batch(
     * a **deadline ring** ``(deadline_hours + 1, D)`` for not-yet-due work —
       each hour defers into slot ``(hour + deadline) % ring``, and each
       hour drains slot ``hour % ring`` ("due now") before reusing it;
-    * an **overdue buffer** — a linear row-major ``(D, H + 1)`` buffer
-      with per-row ``head``/``count`` cursors that holds work past its
-      deadline.  A due-now entry the capacity budget cannot finish spills
-      its residual to the row's tail, so buffer order is deadline order —
-      exactly the serial queue's FIFO order.  A row spills at most once
-      per hour, so its cursors never wrap and never pass ``H``: the
-      buffer is allocated once and never grows.  Row-major layout keeps
-      each design's entries contiguous: chronically backlogged rows can
-      grow the queue into the thousands, and the hourly head-take/tail-
-      spill traffic then stays on each row's warm cache lines instead of
+    * a **due buffer** — a linear row-major ``(D, H + 1)`` buffer with
+      per-row absolute ``head``/``tail`` cursors that holds work at or
+      past its deadline.  Each hour the due-now ring entries join their
+      rows' tails, so buffer order is deadline order — exactly the serial
+      queue's FIFO order.  A row appends at most once per hour, so its
+      cursors never wrap and never leave the row's span: the buffer is
+      allocated once and never grows.  Row-major layout keeps each
+      design's entries contiguous: chronically backlogged rows can grow
+      the queue into the thousands, and the hourly head-take/tail-append
+      traffic then stays on each row's warm cache lines instead of
       striding across the whole buffer.
 
     Step 1 (deadlines first) walks the buffer one head entry per round for
-    all rows in lockstep, using the serial expressions (``min(amount,
-    budget - executed)``; pop at ``take >= amount - eps``) — exact, with no
-    magnitude caveat.  Every buffer take is late (its deadline has passed);
-    the due-now take never is, so no deadline values are stored at all.
+    the rows that hold entries and pass the hour gate, in lockstep, using
+    the serial expressions (``min(amount, budget - executed)``; pop at
+    ``take >= amount - eps``) — exact, with no magnitude caveat.  A take
+    is late unless it comes from the entry the row appended this hour
+    (the serial due-now entry, always the row's last), so no deadline
+    values are stored at all; what the walk leaves of that entry is the
+    serial kernel's spill.
 
     Step 2 (surplus soak) only ever reaches the *ring* — if overdue work
     survived step 1, the capacity budget is exhausted and the soak gate
     fails.  That argument is exact up to re-rounding (``cmw - load``
     versus ``headroom - executed`` differ in the last ulp), so rows where
     the soak gate passes while overdue work remains fall back to a scalar
-    replay of the serial walk; this triggers at most a-few-entries per
-    occurrence and is vanishingly rare.  The ring soak itself walks the
-    live slots in increasing-deadline order — the serial queue's FIFO
-    order, since a deferral at hour ``h`` uniquely targets deadline ``h +
-    deadline_hours`` — one slot per round for all rows in lockstep, with
-    the same exact serial expressions as step 1.
+    replay of the serial walk (:func:`_soak_replay_rows`); this triggers
+    at most a-few-entries per occurrence and is vanishingly rare.  The
+    ring soak itself evaluates the not-yet-due slots in increasing-deadline
+    order — the serial queue's FIFO order, since a deferral at hour ``h``
+    uniquely targets deadline ``h + deadline_hours`` — as one
+    (slot x row) sheet: a prefix sum of the amounts stands in for the
+    serial running ``executed``, and the rare row where that differs from
+    the serial walk is replayed (:func:`_soak_exact_column`).
 
     Masked-lane transparency throughout follows the module contract:
     multiply-by-bool produces ``+/-0.0`` in dead lanes, and every fold
@@ -365,18 +384,19 @@ def combined_run_batch(
 
     Memory is the caller's supply block (``U`` or ``D`` rows), the two
     ``(D, H)`` outputs (``grid_import``, ``surplus``), the two optional
-    diagnostic planes, the overdue buffer, and ``(D,)``-scale state (the
+    diagnostic planes, the due buffer, and ``(D,)``-scale state (the
     ring, the cursors, the scratch columns): no hour-major planes and no
     input copies — about 36 MB per plane at ``D = 512`` for a leap year.
-    The overdue buffer is one ``np.zeros`` allocation whose pages become
-    resident only where a row's tail reaches, so a block whose rows
-    never spill costs nothing for it and a starved row costs 8 bytes per
-    entry it ever spilled.  It must be zeroed, not ``np.empty``: the walk reads
-    the head slot of rows that just drained (a slot no spill has written
-    yet), and that read must be a finite ``+0.0``.  Each hour reads its
-    supply column and writes its output columns in place; the cache
-    lines a column touches serve the next seven hours too, so the
-    strided access stays cache-resident and needs no transpose pass.
+    The due buffer is one ``np.zeros`` allocation whose pages become
+    resident only where a row's tail reaches, so a block that never
+    defers costs nothing for it and a row costs 8 bytes per deferral
+    still queued at its deadline.  It must be zeroed, not ``np.empty``:
+    the walk reads the head slot of rows that just drained (a slot no
+    append has written yet), and that read must be a finite ``+0.0``.
+    Each hour reads its supply column and writes its output columns in
+    place; the cache lines a column touches serve the next seven hours
+    too, so the strided access stays cache-resident and needs no
+    transpose pass.
     """
     n_hours = supply.shape[1]
     if row_supply is None:
@@ -410,12 +430,11 @@ def combined_run_batch(
     if demand.ndim == 2:
         if row_sites is None:
             row_sites = np.arange(n_rows)
+        else:
+            row_sites = np.asarray(row_sites, dtype=np.intp)
         demand_hours = None
-        demand_h = np.empty(n_rows)
     else:
         demand_hours = demand.tolist()
-    # The hour's supply operand: a (D,) row gathered from the supply rows.
-    supply_h = np.empty(n_rows)
     grid = np.zeros((n_rows, n_hours))
     surplus = np.zeros((n_rows, n_hours))
     # Diagnostic planes; sweeps never read them, so they skip both.
@@ -431,41 +450,46 @@ def combined_run_batch(
     late = np.zeros(n_rows)
     events = np.zeros(n_rows, dtype=np.int64)
 
+    # Scalar operands as 0-d arrays: a python float operand costs a
+    # conversion on every ufunc call, a 0-d double none (same IEEE value).
+    eps = np.array(_EPSILON_MWH)
+    zero = np.array(0.0)
+
     # Deadline ring + defer-time occupancy counts: occ[slot] is the number
     # of rows that deferred into the slot (set absolutely at defer, zeroed
     # at drain; soak pops do NOT decrement, so the counts are sloppy-high
-    # in between).  That is enough to skip never-filled slots and idle
-    # hours with scalar tests, and it keeps the soak walk free of any
-    # bookkeeping reductions — emptied lanes hold +0.0, which is
-    # bitwise-transparent through the serial take/pop expressions.
-    # ring_order[due] lists the not-yet-due slots in increasing-deadline
-    # order for the hour whose due slot is ``due``.
+    # in between).  That is enough to skip idle hours with scalar tests,
+    # and it keeps the soak walk free of any bookkeeping reductions —
+    # emptied lanes hold +0.0, which is bitwise-transparent through the
+    # serial take/pop expressions.  ring_order[due] lists the not-yet-due
+    # slots in increasing-deadline order for the hour whose due slot is
+    # ``due``; ring_cells[due] holds their flat (slot, row 0) positions as
+    # a column, to which a row index adds.
     ring_n = dl + 1
     ring_amt = np.zeros((ring_n, n_rows))
-    occ = np.zeros(ring_n, dtype=np.int64)
+    occ = [0] * ring_n
     ring_order = (np.arange(ring_n)[:, None] + np.arange(1, dl)) % ring_n
+    ring_cells = (ring_order * n_rows)[:, :, None]
     ring_rows = 0
 
-    # Overdue buffer: linear row-major (D, H + 1), flat, with per-row
-    # head/count cursors.  A row spills at most once per hour, so its tail
-    # (head + count) never passes H and its head slot is always in the
-    # row's own span: nothing wraps and nothing grows.  Untouched pages of
-    # the zeroed allocation never become resident.
+    # Due buffer: linear row-major (D, H + 1), flat, with per-row
+    # absolute head/tail cursors (the row's first entry, one past its
+    # last).  A row appends at most once per hour, so its tail never
+    # passes the end of the row's own span: nothing wraps and nothing
+    # grows.  Untouched pages of the zeroed allocation never become
+    # resident.
     width = n_hours + 1
     Qflat = np.zeros(n_rows * width)
-    head = np.zeros(n_rows, dtype=np.int64)
-    ocount = np.zeros(n_rows, dtype=np.int64)
-    rowbase = np.arange(n_rows, dtype=np.int64) * width
+    head = np.arange(n_rows, dtype=np.int64) * width
+    tail = head.copy()
     overdue_any = False
 
     # (D,) scratch
     load = np.empty(n_rows)
     headroom = np.empty(n_rows)
     gap = np.empty(n_rows)
-    ex = np.empty(n_rows)
     rem = np.empty(n_rows)
     take = np.empty(n_rows)
-    a0 = np.empty(n_rows)
     resid = np.empty(n_rows)
     power = np.empty(n_rows)
     limit = np.empty(n_rows)
@@ -473,234 +497,222 @@ def combined_run_batch(
     deficit = np.empty(n_rows)
     deferred = np.empty(n_rows)
     budget = np.empty(n_rows)
-    g1 = np.empty(n_rows, dtype=bool)
+    gate = np.empty(n_rows, dtype=bool)
     act = np.empty(n_rows, dtype=bool)
     pop = np.empty(n_rows, dtype=bool)
-    spill = np.empty(n_rows, dtype=bool)
-    sup = np.empty(n_rows, dtype=bool)
+    is_late = np.empty(n_rows, dtype=bool)
+    owes = np.empty(n_rows, dtype=bool)
+    fresh = np.zeros(n_rows, dtype=bool)
+    short = np.empty(n_rows, dtype=bool)
     defer_mask = np.empty(n_rows, dtype=bool)
     soak_mask = np.empty(n_rows, dtype=bool)
     flag = np.empty(n_rows, dtype=bool)
-    i64a = np.empty(n_rows, dtype=np.int64)
     for hour in range(n_hours):
         if demand_hours is None:
-            np.take(demand[:, hour], row_sites, out=demand_h)
+            demand_h = demand[:, hour][row_sites]
             np.copyto(load, demand_h)
         else:
             demand_h = demand_hours[hour]
             load.fill(demand_h)
         slot_due = hour % ring_n
         due_flag = occ[slot_due] > 0
-        any_spill_now = False
+        appended = False
 
         # ---- 1. Deadlines first: run_queued(headroom, hour, True).
-        # Buffer head entries (all strictly overdue -> late), then the
-        # due-now ring entry (never late), under one budget fold.
+        # Buffer entries (all strictly overdue -> late), then the due-now
+        # ring entry (never late), under one budget fold.
         if due_flag or overdue_any:
+            # The serial hour gate; ``gate`` survives until the walk.
             np.subtract(cmw, demand_h, out=headroom)
-            np.greater(headroom, _EPSILON_MWH, out=g1)
-            np.greater(queued_total, _EPSILON_MWH, out=flag)
-            g1 &= flag
-            # Fold the hour gate into the budget itself: gated-off lanes
-            # get a +/-0.0 budget, so their ``rem > eps`` test can never
-            # pass and the per-round ``&= g1`` ops disappear.
-            np.multiply(headroom, g1, out=headroom)
-            ex.fill(0.0)
+            np.greater(headroom, eps, out=gate)
+            np.greater(queued_total, eps, out=flag)
+            gate &= flag
+            if due_flag:
+                # Each row's due-now entry joins its buffer at the tail:
+                # its deadline (== hour) sorts after every overdue entry,
+                # so the walk below takes it last, exactly where the
+                # serial queue holds it, and what the walk leaves of it is
+                # the serial spill.  ``fresh`` marks the rows whose last
+                # entry is this hour's: a take from it is not late.
+                due_amt = ring_amt[slot_due]
+                np.greater(due_amt, zero, out=fresh)
+                new = fresh.nonzero()[0]
+                if new.size:
+                    appended = overdue_any = True
+                    Qflat.put(tail[new], due_amt[new])
+                    np.add(tail, fresh, out=tail)
+                due_amt.fill(0.0)
+                ring_rows -= occ[slot_due]
+                occ[slot_due] = 0
             if overdue_any:
-                # Only rows with overdue entries AND a live (post-gate)
-                # budget can take anything; every other row's lanes are
-                # bitwise no-ops all the way down (a +/-0.0 take changes
-                # nothing it folds into), so the walk runs compressed to
-                # the candidates — typically a sixth of a merged block.
-                np.greater(ocount, 0, out=flag)
-                np.greater(headroom, _EPSILON_MWH, out=act)
-                flag &= act
-                cand = np.flatnonzero(flag)
+                # Only rows with entries AND a live (post-gate) budget can
+                # take anything; every other row's lanes are bitwise
+                # no-ops all the way down (a +/-0.0 take changes nothing
+                # it folds into), so the walk runs compressed to the
+                # candidates.
+                np.less(head, tail, out=owes)
+                np.logical_and(gate, owes, out=flag)
+                cand = flag.nonzero()[0]
                 if cand.size:
                     nc = cand.size
-                    hr_c = np.take(headroom, cand)
+                    hr_c = headroom[cand]
                     hd_c = head[cand]
-                    oc_c = ocount[cand]
-                    qt_c = np.take(queued_total, cand)
-                    lt_c = np.take(late, cand)
-                    base_c = cand * width
+                    tl_c = tail[cand]
+                    qt_c = queued_total[cand]
+                    lt_c = late[cand]
                     ex_c = np.zeros(nc)
-                    rem_c, take_c, resid_c, a0_c = (
-                        rem[:nc], take[:nc], resid[:nc], a0[:nc])
-                    act_c, pop_c, oflag_c = act[:nc], pop[:nc], flag[:nc]
-                    i_c = i64a[:nc]
+                    take_c, resid_c = take[:nc], resid[:nc]
+                    act_c, pop_c, is_late_c = act[:nc], pop[:nc], is_late[:nc]
+                    if appended:
+                        # Entries before ``due_c`` are overdue; the one at
+                        # it (if the row appended) is this hour's.
+                        due_c = tl_c - fresh[cand]
+                    # Round one: ``executed`` is 0.0, so ``rem`` is the
+                    # headroom, and every candidate passed the gate and
+                    # holds an entry: all lanes are live, and the live
+                    # test runs at the end of each round.
+                    rem_c = hr_c
+                    act_c.fill(True)
                     while True:
-                        np.subtract(hr_c, ex_c, out=rem_c)
-                        np.greater(rem_c, _EPSILON_MWH, out=act_c)
-                        np.greater(oc_c, 0, out=oflag_c)
-                        act_c &= oflag_c
-                        if not act_c.any():
-                            break
-                        np.add(hd_c, base_c, out=i_c)
-                        Qflat.take(i_c, None, a0_c)
+                        a0_c = Qflat[hd_c]
                         np.minimum(a0_c, rem_c, out=take_c)
                         np.multiply(take_c, act_c, out=take_c)
                         np.add(ex_c, take_c, out=ex_c)
                         np.subtract(qt_c, take_c, out=qt_c)
-                        np.add(lt_c, take_c, out=lt_c)
-                        np.subtract(a0_c, _EPSILON_MWH, out=resid_c)
+                        if appended:
+                            np.less(hd_c, due_c, out=is_late_c)
+                            np.add(lt_c, take_c, out=lt_c, where=is_late_c)
+                        else:
+                            np.add(lt_c, take_c, out=lt_c)
+                        np.subtract(a0_c, eps, out=resid_c)
                         np.greater_equal(take_c, resid_c, out=pop_c)
                         pop_c &= act_c
                         np.subtract(a0_c, take_c, out=resid_c)
                         # Inactive lanes computed resid == a0 bitwise
                         # (take is +/-0.0 there and the buffer never
-                        # stores -0.0), so only the draining lanes need
-                        # their entry scattered back.
-                        Qflat[i_c[act_c]] = resid_c[act_c]
+                        # stores -0.0), so scattering every lane back
+                        # rewrites theirs unchanged.
+                        Qflat.put(hd_c, resid_c)
                         np.add(hd_c, pop_c, out=hd_c)
-                        np.subtract(oc_c, pop_c, out=oc_c)
+                        rem_c = np.subtract(hr_c, ex_c, out=rem[:nc])
+                        np.greater(rem_c, eps, out=act_c)
+                        np.less(hd_c, tl_c, out=pop_c)
+                        act_c &= pop_c
+                        if not np.count_nonzero(act_c):
+                            break
                     head[cand] = hd_c
-                    ocount[cand] = oc_c
                     queued_total[cand] = qt_c
                     late[cand] = lt_c
-                    ex[cand] = ex_c
-                overdue_any = bool(ocount.any())
-            if due_flag:
-                due_amt = ring_amt[slot_due]
-                np.subtract(headroom, ex, out=rem)
-                # No ``due_amt > 0`` gate: empty lanes take +0.0, their
-                # spurious pop never spills (spill re-checks ``> 0``), and
-                # the slot is zeroed below regardless.
-                np.greater(rem, _EPSILON_MWH, out=act)
-                np.minimum(due_amt, rem, out=take)
-                np.multiply(take, act, out=take)
-                np.add(ex, take, out=ex)
-                np.subtract(queued_total, take, out=queued_total)
-                np.subtract(due_amt, _EPSILON_MWH, out=resid)
-                np.greater_equal(take, resid, out=pop)
-                pop &= act
-                np.greater(due_amt, 0.0, out=spill)
-                np.logical_not(pop, out=flag)
-                spill &= flag
-                if spill.any():
-                    # Unfinished due work migrates to the buffer tail: its
-                    # slot is about to be reused, and its deadline (== hour)
-                    # sorts after every buffer entry, preserving FIFO order.
-                    any_spill_now = True
-                    np.subtract(due_amt, take, out=resid)
-                    np.add(head, ocount, out=i64a)
-                    np.add(i64a, rowbase, out=i64a)
-                    # Non-spilling rows would write a dead tail position
-                    # (beyond their count, never read) — skip them.
-                    Qflat[i64a[spill]] = resid[spill]
-                    np.add(ocount, spill, out=ocount)
-                    overdue_any = True
-                due_amt.fill(0.0)
-                ring_rows -= int(occ[slot_due])
-                occ[slot_due] = 0
-            np.add(load, ex, out=load)
+                    # Rows outside the walk executed an exact +0.0, a
+                    # bitwise no-op on their load (demand holds no -0.0).
+                    load[cand] += ex_c
+                    np.less(head, tail, out=owes)
+                overdue_any = np.count_nonzero(owes) > 0
 
         # ---- Serial branch decision, with this hour's true load.
-        np.take(supply[:, hour], row_supply, out=supply_h)
-        np.subtract(supply_h, load, out=gap)
-        np.greater(gap, 0.0, out=sup)
-        any_sup = bool(sup.any())
-        all_sup = any_sup and bool(sup.all())
+        # The hour's supply operand: a (D,) row gathered from the supply rows.
+        np.subtract(supply[:, hour][row_supply], load, out=gap)
+        np.less_equal(gap, zero, out=short)
+        n_short = np.count_nonzero(short)
+        any_sup = n_short < n_rows
+        all_sup = n_short == 0
 
         # ---- 2. Surplus soak: run_queued(min(gap, headroom), hour, False).
         if any_sup and (ring_rows or overdue_any):
             np.subtract(cmw, load, out=headroom)
             np.minimum(gap, headroom, out=budget)
-            np.greater(budget, _EPSILON_MWH, out=soak_mask)
-            np.greater(queued_total, _EPSILON_MWH, out=flag)
+            np.greater(budget, eps, out=soak_mask)
+            np.greater(queued_total, eps, out=flag)
             soak_mask &= flag
+            order = ring_order[slot_due]
             if overdue_any:
-                np.greater(ocount, 0, out=act)
-                act &= soak_mask
-                if act.any():
+                np.logical_and(owes, soak_mask, out=act)
+                if np.count_nonzero(act):
                     _soak_replay_rows(
-                        np.flatnonzero(act), soak_mask, budget, queued_total,
-                        late, load, gap, Qflat, head, ocount, width,
-                        ring_amt, ring_n, hour, dl,
-                        spill if any_spill_now else None,
+                        act.nonzero()[0], soak_mask, budget, queued_total,
+                        late, load, gap, Qflat, head, tail, ring_amt,
+                        order, fresh if appended else None,
                     )
-                    overdue_any = bool(ocount.any())
-            if ring_rows and bool(soak_mask.any()):
+                    np.less(head, tail, out=owes)
+                    overdue_any = np.count_nonzero(owes) > 0
+            sidx = soak_mask.nonzero()[0]
+            if ring_rows and sidx.size and order.size:
                 # Ring entries in increasing-deadline order = the serial
                 # queue's FIFO order, with the serial loop's exact
                 # expressions (``take = min(amount, budget - executed)``,
                 # pop at ``take >= amount - eps``).  Each slot holds at
                 # most one entry per row (a deferral at hour h uniquely
-                # targets deadline h + dl), so a slot IS a queue entry.
-                # The walk runs *compressed* to the soak-gated rows: every
-                # other row would flow through the take/pop expressions as
-                # a bitwise no-op (a +/-0.0 budget can never pass the
-                # ``rem > eps`` gate), and soak rows are sparse — a few
-                # percent of a merged block on a typical hour — so the
-                # sheet ops shrink from D lanes to the handful that can
-                # actually take work.
-                sidx = np.flatnonzero(soak_mask)
-                order = ring_order[slot_due]
-                slots = order[occ[order] > 0]
-                if slots.size:
-                    bud_c = np.take(budget, sidx)
-                    qt0 = np.take(queued_total, sidx)
-                    cell = np.ix_(slots, sidx)
-                    entries = ring_amt[cell]
-                    # The serial walk takes entries whole until the budget
-                    # runs dry, so its running ``executed`` along that
-                    # prefix IS the left-fold prefix sum of the amounts —
-                    # one cumsum replaces the per-slot round loop, and the
-                    # per-entry ``rem > eps`` gate / ``min(amount, rem)``
-                    # take / ``take >= amount - eps`` pop evaluate on the
-                    # whole (slot x row) sheet at once.  Past a partial
-                    # take the sheet's rem goes negative and gates every
-                    # later slot off, exactly like the serial loop whose
-                    # rem sticks at ~0; the one (vanishing) divergence is
-                    # a partial whose serial residual still clears the
-                    # epsilon gate, replayed exactly below.
-                    prefix = np.cumsum(entries, axis=0)
-                    rem2 = np.empty_like(entries)
-                    rem2[0] = bud_c
-                    np.subtract(bud_c, prefix[:-1], out=rem2[1:])
-                    gate2 = rem2 > _EPSILON_MWH
-                    take2 = np.minimum(entries, rem2)
-                    np.multiply(take2, gate2, out=take2)
-                    resid2 = np.subtract(entries, _EPSILON_MWH)
-                    pop2 = np.greater_equal(take2, resid2)
-                    pop2 &= gate2
-                    left2 = np.subtract(entries, take2)
-                    np.logical_not(pop2, out=pop2)
-                    np.multiply(left2, pop2, out=left2)
-                    # ``executed`` and the queue meter are serial
-                    # per-take left folds (a lump-sum add would round
-                    # differently): accumulate along a sheet whose seed
-                    # row is 0.0, then the queue meter, above the takes.
-                    folds = np.empty((slots.size + 1, sidx.size))
-                    folds[0] = 0.0
-                    folds[1:] = take2
-                    ex_c = np.add.accumulate(folds, axis=0)[-1]
-                    folds[0] = qt0
-                    qt_c = np.subtract.accumulate(folds, axis=0)[-1]
-                    partial2 = np.less(take2, entries)
-                    partial2 &= gate2
-                    rem_c = rem[:sidx.size]
-                    np.subtract(bud_c, ex_c, out=rem_c)
-                    hazard = np.greater(rem_c, _EPSILON_MWH)
-                    hazard &= partial2.any(axis=0)
-                    if hazard.any():
-                        for j in np.flatnonzero(hazard):
-                            ex_c[j], qt_c[j] = _soak_exact_column(
-                                entries[:, j], left2[:, j],
-                                float(bud_c[j]), float(qt0[j]),
-                            )
-                    ring_amt[cell] = left2
-                    queued_total[sidx] = qt_c
-                    # No takes leave ex at +0.0 and every update below a
-                    # bitwise no-op (load and the soak lanes' gap carry no
-                    # -0.0), so the tail runs unconditionally.
-                    load[sidx] += ex_c
-                    g_c = np.take(gap, sidx)
-                    np.subtract(g_c, ex_c, out=g_c)
-                    neg_c = pop[:sidx.size]
-                    np.less(g_c, 0.0, out=neg_c)
-                    np.copyto(g_c, 0.0, where=neg_c)
-                    gap[sidx] = g_c
+                # targets deadline h + dl), so a slot IS a queue entry,
+                # and an empty one is a column of exact +0.0 that every
+                # expression below passes through unchanged: the sheet
+                # spans every not-yet-due slot.  It runs *compressed* to
+                # the soak-gated rows: every other row would flow through
+                # the take/pop expressions as a bitwise no-op (a +/-0.0
+                # budget can never pass the ``rem > eps`` gate), and soak
+                # rows are sparse — a few percent of a merged block on a
+                # typical hour.
+                cells = ring_cells[slot_due] + sidx
+                bud_c = budget[sidx]
+                # The serial walk takes entries whole until the budget
+                # runs dry, so its running ``executed`` along that prefix
+                # IS the left-fold prefix sum of the amounts: one
+                # accumulate over a zero-seeded sheet gives every slot's
+                # ``rem``, and the per-entry ``rem > eps`` gate /
+                # ``min(amount, rem)`` take / ``take >= amount - eps``
+                # pop evaluate on the whole (slot x row) sheet at once.
+                # Past a partial take the sheet's rem goes negative and
+                # gates every later slot off, exactly like the serial
+                # loop whose rem sticks at ~0; the one (vanishing)
+                # divergence is a partial whose serial residual still
+                # clears the epsilon gate, replayed exactly below.
+                sheet = np.empty((order.size + 1, sidx.size))
+                sheet[0] = 0.0
+                entries = sheet[1:]
+                ring_amt.take(cells, None, entries, "clip")
+                prefix = np.add.accumulate(sheet, axis=0)
+                rem2 = np.subtract(bud_c, prefix[:-1])
+                gate2 = np.greater(rem2, eps)
+                take2 = np.minimum(entries, rem2, out=prefix[1:])
+                np.multiply(take2, gate2, out=take2)
+                left2 = np.subtract(entries, eps, out=rem2)
+                pop2 = np.greater_equal(take2, left2)
+                pop2 &= gate2
+                np.subtract(entries, take2, out=left2)
+                np.copyto(left2, zero, where=pop2)
+                # ``executed`` and the queue meter are serial per-take
+                # left folds (a lump-sum add would round differently).
+                # The first take is never -0.0 (the first slot always
+                # passes the gate of a soak row), so accumulating the
+                # takes alone equals the zero-seeded fold; the queue
+                # meter accumulates from its seed row above the takes.
+                ex_c = np.add.accumulate(take2, axis=0)[-1]
+                prefix[0] = queued_total[sidx]
+                qt_c = np.subtract.accumulate(prefix, axis=0)[-1]
+                # The replay hazard needs budget left after the sheet and
+                # an entry the sheet left unfinished (an untouched or
+                # partly taken one); a row that took all of its entries
+                # whole leaves an all-zero column.
+                hazard = np.greater(np.subtract(bud_c, ex_c), eps)
+                hazard &= left2.any(axis=0)
+                if np.count_nonzero(hazard):
+                    for j in hazard.nonzero()[0]:
+                        ex_c[j], qt_c[j] = _soak_exact_column(
+                            entries[:, j], left2[:, j],
+                            float(bud_c[j]), float(prefix[0, j]),
+                        )
+                ring_amt.put(cells, left2)
+                queued_total[sidx] = qt_c
+                # No takes leave ex at +0.0 and every update below a
+                # bitwise no-op (load and the soak lanes' gap carry no
+                # -0.0), so the tail runs unconditionally.
+                load[sidx] += ex_c
+                # Serial ``max(gap - ran, 0.0)``: the difference of a
+                # positive gap and a take is never -0.0, so np.maximum
+                # has no signed-zero tie to break.
+                g_c = gap[sidx]
+                np.subtract(g_c, ex_c, out=g_c)
+                np.maximum(g_c, zero, out=g_c)
+                gap[sidx] = g_c
 
         # ---- 3. Surplus: battery charge chain (maskless; dead lanes
         # resolve to +0.0 power through the serial clamp order).
@@ -709,12 +721,12 @@ def combined_run_batch(
             np.subtract(cap, energy, out=limit)
             np.divide(limit, eta_c, out=limit)
             np.minimum(power, limit, out=power)
-            np.maximum(power, 0.0, out=power)
+            np.maximum(power, zero, out=power)
             np.multiply(power, eta_c, out=scratch)
             np.add(energy, scratch, out=energy)
             np.add(charged, power, out=charged)
             np.subtract(gap, power, out=scratch)
-            np.maximum(scratch, 0.0, out=surplus[:, hour])
+            np.maximum(scratch, zero, out=surplus[:, hour])
 
         # ---- 4. Deficit: battery, then deferral, then the grid.
         if not all_sup:
@@ -724,7 +736,7 @@ def combined_run_batch(
                 np.subtract(energy, floor, out=limit)
                 np.multiply(limit, eta_d, out=limit)
                 np.minimum(power, limit, out=power)
-                np.maximum(power, 0.0, out=power)
+                np.maximum(power, zero, out=power)
                 np.divide(power, eta_d, out=scratch)
                 np.subtract(energy, scratch, out=energy)
                 np.add(discharged, power, out=discharged)
@@ -732,25 +744,24 @@ def combined_run_batch(
             if can_defer:
                 np.multiply(fr, demand_h, out=deferred)
                 np.minimum(deficit, deferred, out=deferred)
-                np.greater(deferred, _EPSILON_MWH, out=defer_mask)
-                if defer_mask.any():
-                    np.multiply(deferred, defer_mask, out=scratch)
-                    np.add(scratch, 0.0, out=scratch)
-                    np.subtract(load, scratch, out=load)
-                    np.subtract(deficit, scratch, out=deficit)
-                    np.add(queued_total, scratch, out=queued_total)
-                    np.add(deferred_total, scratch, out=deferred_total)
-                    np.add(events, defer_mask, out=events)
-                    # This slot was the due slot last hour, so it is empty now
-                    # (drained and zeroed); the copyto installs this hour's
-                    # deferrals as its only entries.
+                np.greater(deferred, eps, out=defer_mask)
+                ndefer = np.count_nonzero(defer_mask)
+                if ndefer:
+                    # This slot was the due slot last hour, so it is empty
+                    # now (drained and zeroed): this hour's deferrals are
+                    # written straight in as its only entries.
                     slot = (hour + dl) % ring_n
-                    np.copyto(ring_amt[slot], scratch)
-                    ndefer = int(np.count_nonzero(defer_mask))
+                    into = ring_amt[slot]
+                    np.multiply(deferred, defer_mask, out=into)
+                    np.add(into, zero, out=into)
+                    np.subtract(load, into, out=load)
+                    np.subtract(deficit, into, out=deficit)
+                    np.add(queued_total, into, out=queued_total)
+                    np.add(deferred_total, into, out=deferred_total)
+                    np.add(events, defer_mask, out=events)
                     occ[slot] = ndefer
                     ring_rows += ndefer
-            np.logical_not(sup, out=flag)
-            np.copyto(grid[:, hour], deficit, where=flag)
+            np.copyto(grid[:, hour], deficit, where=short)
 
         if planes:
             shifted[:, hour] = load
@@ -770,7 +781,7 @@ def combined_run_batch(
 
 def _soak_replay_rows(
     rows, soak_mask, budget, queued_total, late, load, gap,
-    Qflat, head, ocount, width, ring_amt, ring_n, hour, dl, spill,
+    Qflat, head, tail, ring_amt, order, fresh,
 ):
     """Serial soak replay for rows whose budget survived step 1's drain.
 
@@ -778,10 +789,14 @@ def _soak_replay_rows(
     exhausted, and then the soak budget fails its epsilon gate — except
     when ``cmw - load`` re-rounds an ulp above ``headroom - executed``.
     For those (vanishingly rare) rows, replay the serial run_queued walk
-    exactly: buffer entries head-first, then live ring slots in deadline
-    order.  Every buffer take is late unless it is the entry spilled this
-    very hour (``spill`` is step 1's spill mask, or None if none spilled),
-    which still carries deadline == hour.
+    exactly: buffer entries ``head``-first (absolute cursors into
+    ``Qflat``, ``tail`` one past the row's last entry), then the ring
+    slots of ``order`` (the not-yet-due ones, in deadline order).  Every
+    buffer take is late unless it is from the entry the row appended
+    this very hour (``fresh`` is step 1's append mask, or None if no row
+    appended), which carries deadline == hour and is always the row's
+    last entry.  Updates the meters, the cursors, ``load`` and ``gap`` in
+    place and takes the rows out of ``soak_mask``.
     """
     for row in rows.tolist():
         soak_mask[row] = False
@@ -790,28 +805,25 @@ def _soak_replay_rows(
         late_row = float(late[row])
         exec_row = 0.0
         hd = int(head[row])
-        oc = int(ocount[row])
-        while oc and budget_row - exec_row > _EPSILON_MWH:
-            slot = row * width + hd
-            amount = float(Qflat[slot])
+        tl = int(tail[row])
+        fresh_at = tl - 1 if fresh is not None and fresh[row] else -1
+        while hd < tl and budget_row - exec_row > _EPSILON_MWH:
+            amount = float(Qflat[hd])
             remaining = budget_row - exec_row
             take = amount if amount <= remaining else remaining
             exec_row += take
             total_row -= take
-            if not (oc == 1 and spill is not None and spill[row]):
+            if hd != fresh_at:
                 late_row += take
             if take >= amount - _EPSILON_MWH:
                 hd += 1
-                oc -= 1
             else:
-                Qflat[slot] = amount - take
+                Qflat[hd] = amount - take
         head[row] = hd
-        ocount[row] = oc
-        if oc == 0:
-            for ahead in range(1, dl):
+        if hd == tl:
+            for slot in order.tolist():
                 if budget_row - exec_row <= _EPSILON_MWH:
                     break
-                slot = (hour + ahead) % ring_n
                 amount = float(ring_amt[slot, row])
                 if amount > 0.0:
                     remaining = budget_row - exec_row

@@ -2,7 +2,7 @@
 
 Under the default floors (no ``REPRO_BATCH_MIN_ROWS``) battery blocks
 never batch: every row runs the seeded serial kernel.
-Combined blocks batch from 160 rows.  When ``REPRO_BATCH_MIN_ROWS`` sets
+Combined blocks batch from 80 rows.  When ``REPRO_BATCH_MIN_ROWS`` sets
 a battery floor, battery blocks take the combined blocks' lockstep
 route: one kernel call per hour count across sites, and merged serial
 rounds.  Whichever way a block is routed, its evaluations must equal the
@@ -273,16 +273,18 @@ class TestCombinedFloor:
     ):
         designs, oracle = designs_and_oracle
         block = evaluate_block(
-            ut_context, designs[:159], Strategy.RENEWABLES_BATTERY_CAS
+            ut_context, designs[:79], Strategy.RENEWABLES_BATTERY_CAS
         )
         assert counters.counter_value("designs_batched") == 0
-        assert block == oracle[:159]
+        assert block == oracle[:79]
 
     def test_at_the_floor_batches(self, ut_context, designs_and_oracle, counters):
         designs, oracle = designs_and_oracle
-        block = evaluate_block(ut_context, designs, Strategy.RENEWABLES_BATTERY_CAS)
-        assert counters.counter_value("designs_batched") == 160
-        assert block == oracle
+        block = evaluate_block(
+            ut_context, designs[:80], Strategy.RENEWABLES_BATTERY_CAS
+        )
+        assert counters.counter_value("designs_batched") == 80
+        assert block == oracle[:80]
 
     def test_one_site_block_routes_itself_with_its_1d_demand(
         self, ut_context, designs_and_oracle, counters, monkeypatch

@@ -111,9 +111,9 @@ def _round_robin_starts(sites, batch_size):
 @pytest.mark.parametrize(
     "batch_size, merged_rows",
     # 512: one round of 160 + 40 + 160 rows.  64: the first lap merges
-    # 64 + 40 + 64 rows; the later 64 + 64 and 32 + 32 laps stay under
-    # the 160-row floor and run per design.
-    [(512, 360), (64, 168)],
+    # 64 + 40 + 64 rows and the second 64 + 64; the last 32 + 32 lap stays
+    # under the 80-row floor and runs per design.
+    [(512, 360), (64, 296)],
 )
 def test_merged_fleet_sweep_equals_per_site_runs(
     sites, oracle, tmp_path, counters, merge_calls, batch_size, merged_rows

@@ -28,7 +28,7 @@ def csv_without_curtailed():
         cells = line.split(",")
         del cells[drop]
         stripped.append(",".join(cells))
-    return "\n".join(stripped)
+    return "\n".join(stripped) + "\n"
 
 
 class TestRealEiaShape:

@@ -57,7 +57,7 @@ class TestValidation:
         write_trace_csv(demand_series, buffer)
         lines = buffer.getvalue().splitlines()
         fn(lines)
-        return io.StringIO("\n".join(lines))
+        return io.StringIO("\n".join(lines) + "\n")
 
     def test_short_file_rejected(self):
         with pytest.raises(TraceCsvError, match="too short"):

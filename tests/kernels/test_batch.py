@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from repro.kernels import (
     schedule_run,
     schedule_run_batch,
 )
-from repro.kernels.batch import _EPSILON_MWH, _soak_exact_column
+from repro.kernels.batch import _EPSILON_MWH, _soak_exact_column, _soak_replay_rows
 from repro.timeseries import HOURS_PER_DAY
 
 #: A chemistry whose C-rate limits almost never bind (the high-C-rate edge).
@@ -678,6 +679,68 @@ class TestCombinedBatch:
         assert refs[1].late_mwh > 0.0
         assert refs[1].unserved_mwh > 1000 * 20.0
 
+    def test_step1_walk_takes_several_entries_and_drains_others(self):
+        """Hours where one row's deadline walk takes three whole buffer
+        entries and ends on a partial take, while other candidate rows of
+        the same walk drain their buffers to zero and sit out the later
+        rounds, in the multi-site ``row_sites`` + ``row_supply`` form."""
+        n_hours, busy = N_HOURS, 8
+        # Both sites run at capacity for the first ``busy`` hours, so every
+        # deferral falls due with no headroom and moves to the due buffer;
+        # at hour ``busy`` demand drops and leaves 7 MWh of headroom.
+        traces = np.array([np.full(n_hours, 10.0), np.full(n_hours, 20.0)])
+        traces[:, busy] -= 7.0
+        # Distinct supply rows.  Row 0 runs 2 MWh short in every busy
+        # hour; row 1 only in hours 4 and 5; row 2 covers its demand.
+        supply = np.array([np.full(n_hours, 8.0), np.full(n_hours, 20.0), np.full(n_hours, 20.0)])
+        supply[1, 4:6] = 18.0
+        supply[:, busy] = 25.0  # the walk hour has surplus: no deferral
+        row_sites = np.array([0, 1, 0, 1])
+        row_supply = np.array([0, 1, 0, 1])
+        capacity = np.array([10.0, 20.0, 10.0, 20.0])
+        ratios = np.array([1.0, 1.0, 0.5, 0.0])
+        specs = [BatterySpec(0.0), BatterySpec(0.0), BatterySpec(0.0), BatterySpec(5.0)]
+        rows = [(spec, 1.0, None, None) for spec in specs]
+        batch = combined_run_batch(
+            traces,
+            supply,
+            row_sites=row_sites,
+            row_supply=row_supply,
+            capacity_mw=capacity,
+            flexible_ratio=ratios,
+            deadline_hours=2,
+            **battery_columns(rows),
+        )
+        refs = []
+        for i, spec in enumerate(specs):
+            ref = combined_run(
+                traces[row_sites[i]],
+                supply[row_supply[i]],
+                capacity_mw=float(capacity[i]),
+                flexible_ratio=float(ratios[i]),
+                deadline_hours=2,
+                **battery_kwargs(spec, 1.0),
+            )
+            for field in TestDistinctSupplyRows.FIELDS + ("shifted_demand",):
+                assert_bits_equal(getattr(batch, field)[i], getattr(ref, field))
+            refs.append(ref)
+        # Row 0 entered the walk hour owing six overdue 2 MWh entries and
+        # the one due now: it took three whole and 1 MWh of the fourth,
+        # all late, and used all of its headroom.
+        before = combined_run(
+            traces[0, :busy], supply[0, :busy], capacity_mw=10.0,
+            flexible_ratio=1.0, deadline_hours=2, **battery_kwargs(specs[0], 1.0),
+        )
+        assert refs[0].shifted_demand[busy] == 10.0
+        assert refs[0].late_mwh == 7.0 and before.late_mwh == 0.0
+        # Row 2 shares row 0's site and supply row at half the ratio, which
+        # still defers the whole 2 MWh: it walks in step with row 0.
+        assert refs[2].shifted_demand[busy] == 10.0
+        # Row 1 owed two entries, took both and kept headroom: it drained
+        # in the second round while rows 0 and 2 walked on.
+        assert refs[1].shifted_demand[busy] == 13.0 + 4.0
+        assert refs[1].unserved_mwh == 0.0
+
     def test_charge_plane_opt_out(self):
         """``planes=False`` skips both diagnostic planes, nothing else."""
         demand, supply = make_traces(13, 2)
@@ -858,3 +921,140 @@ class TestSoakExactColumn:
         assert np.array_equal(left, ref_left)
         assert executed == ref_executed
         assert queued_after == ref_queued
+
+
+# ---------------------------------------------------------------------------
+# Soak replay of rows with work left in the due buffer
+# ---------------------------------------------------------------------------
+def ref_run_queued(entries, budget, now, queued, late):
+    """The serial kernel's ``run_queued(budget, now, False)`` over a FIFO
+    of ``(deadline, amount)`` entries; returns the executed total, the
+    queue and lateness meters and the entries left."""
+    queue = deque(entries)
+    executed = 0.0
+    while queue and budget - executed > _EPSILON_MWH:
+        deadline, amount = queue[0]
+        take = min(amount, budget - executed)
+        executed += take
+        queued -= take  # repro-lint: disable=RL003 — scalar fold accumulator, returned to the caller
+        if deadline < now:
+            late += take  # repro-lint: disable=RL003 — scalar fold accumulator, returned to the caller
+        if take >= amount - _EPSILON_MWH:
+            queue.popleft()
+        else:
+            queue[0] = (deadline, amount - take)
+    return executed, queued, late, list(queue)
+
+
+class TestSoakReplayRows:
+    """``_soak_replay_rows`` against the serial soak walk, row by row.
+
+    Each row is ``(buffer, fresh, ring, budget)``: the amounts in its due
+    buffer (oldest first; the last one appended this hour when ``fresh``),
+    its not-yet-due ring amounts by hours ahead (0.0 is an empty slot) and
+    its soak budget.
+    """
+
+    HOUR = 9
+    DEADLINE = 4
+    WIDTH = 12
+
+    def run(self, rows):
+        ring_n = self.DEADLINE + 1
+        n_rows = len(rows)
+        order = (self.HOUR % ring_n + np.arange(1, self.DEADLINE)) % ring_n
+        # Each row's span starts with a popped slot holding stale work.
+        qflat = np.full(n_rows * self.WIDTH, 7.0)
+        head = np.arange(n_rows, dtype=np.int64) * self.WIDTH + 1
+        tail = head.copy()
+        ring_amt = np.zeros((ring_n, n_rows))
+        fresh = np.zeros(n_rows, dtype=bool)
+        budget = np.array([row[3] for row in rows])
+        gap = budget + 1.0
+        load = np.full(n_rows, 10.0)
+        late = np.full(n_rows, 0.25)
+        queued = np.empty(n_rows)
+        queues = []
+        for r, (buffer, is_fresh, ring, _) in enumerate(rows):
+            queue = []
+            for k, amount in enumerate(buffer):
+                qflat[tail[r]] = amount
+                tail[r] += 1
+                if is_fresh and k == len(buffer) - 1:
+                    fresh[r] = True
+                    queue.append((self.HOUR, amount))
+                else:
+                    queue.append((self.HOUR - len(buffer) + k, amount))
+            qflat[tail[r]:(r + 1) * self.WIDTH] = 0.0
+            for ahead, amount in enumerate(ring, start=1):
+                ring_amt[order[ahead - 1], r] = amount
+                if amount > 0.0:
+                    queue.append((self.HOUR + ahead, amount))
+            queued[r] = sum(amount for _, amount in queue) + 1.0
+            queues.append(queue)
+        expected = []
+        for r, queue in enumerate(queues):
+            expected.append(
+                ref_run_queued(
+                    queue, float(budget[r]), self.HOUR, float(queued[r]), float(late[r])
+                )
+            )
+        gap0 = gap.copy()
+        soak_mask = np.ones(n_rows, dtype=bool)
+        _soak_replay_rows(
+            np.arange(n_rows), soak_mask, budget, queued, late, load, gap,
+            qflat, head, tail, ring_amt, order, fresh if fresh.any() else None,
+        )
+        assert not soak_mask.any()
+        for r, (executed, queued_r, late_r, left) in enumerate(expected):
+            assert_bits_equal(load[r], 10.0 + executed)
+            assert_bits_equal(gap[r], max(float(gap0[r]) - executed, 0.0))
+            assert_bits_equal(queued[r], queued_r)
+            assert_bits_equal(late[r], late_r)
+            # What the serial queue still holds, the buffer and ring hold.
+            buffered = qflat[head[r]:tail[r]].tolist()
+            assert buffered == [amount for deadline, amount in left[:len(buffered)]]
+            assert all(deadline <= self.HOUR for deadline, _ in left[:len(buffered)])
+            in_ring = {deadline - self.HOUR: amount for deadline, amount in left[len(buffered):]}
+            for ahead in range(1, self.DEADLINE):
+                assert ring_amt[order[ahead - 1], r] == in_ring.get(ahead, 0.0)
+        return head - tail, ring_amt[order], late
+
+    def test_budget_drains_the_buffer_then_reaches_the_ring(self):
+        owed, ring, _ = self.run([([1.0, 2.0], False, [0.5, 0.0, 3.0], 4.0)])
+        assert owed[0] == 0
+        assert ring[:, 0].tolist() == [0.0, 0.0, 2.5]
+
+    def test_partial_take_leaves_a_residual(self):
+        owed, _, late = self.run([([3.0, 1.0], False, [2.0, 0.0, 0.0], 2.0)])
+        assert owed[0] == -2  # both entries still owed, the head one cut
+        assert late[0] == 0.25 + 2.0
+
+    def test_entry_appended_this_hour_is_not_late(self):
+        owed, _, late = self.run([([1.0, 2.0], True, [0.0, 0.0, 0.0], 10.0)])
+        assert owed[0] == 0
+        assert late[0] == 0.25 + 1.0  # the overdue entry only
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(
+                    st.sampled_from([5e-10, 1e-9, 2e-9, 0.5, 1.0, 3.0]),
+                    min_size=0,
+                    max_size=4,
+                ),
+                st.booleans(),
+                st.lists(
+                    st.sampled_from([0.0, 5e-10, 1e-9, 0.5, 2.0]),
+                    min_size=3,
+                    max_size=3,
+                ),
+                st.sampled_from([2e-9, 0.5, 1.0, 1.0 + 1e-9, 4.0, 100.0]),
+            ).map(lambda row: (row[0], row[1] and bool(row[0]), row[2], row[3])),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_matches_serial_walk(self, rows):
+        self.run(rows)
