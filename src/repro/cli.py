@@ -72,6 +72,7 @@ from .core import (
     Strategy,
     sweep_fleet,
 )
+from .core.evaluate import _BATCH_MIN_ROWS
 from .core.optimizer import optimize_all_strategies, strategy_checkpoint_path
 from .resilience import FleetFaultPlan, SweepInterrupted, inspect_journal
 from .resilience.checkpoint import sweep_journal_path
@@ -197,7 +198,8 @@ def _obs_session(args: argparse.Namespace) -> Iterator[None]:
     respective collectors and write their files when the command finishes
     — including on domain errors, so a failed run can still be inspected.
     ``--metrics-port`` serves live ``/metrics`` for the duration of the
-    command; ``--events-out`` opens a :class:`~repro.obs.JsonlSink` on a
+    command (a port outside 0-65535 is a ``ValueError`` before anything
+    starts); ``--events-out`` opens a :class:`~repro.obs.JsonlSink` on a
     fresh :class:`~repro.obs.SweepEvents` bus, published to the sweep
     handlers as ``args.events_bus``.
     """
@@ -207,6 +209,8 @@ def _obs_session(args: argparse.Namespace) -> Iterator[None]:
     metrics_out = getattr(args, "metrics_out", None)
     metrics_prom = getattr(args, "metrics_prom", None)
     metrics_port = getattr(args, "metrics_port", None)
+    if metrics_port is not None and not 0 <= metrics_port <= 65535:
+        raise ValueError(f"--metrics-port must be in 0-65535, got {metrics_port}")
     events_out = getattr(args, "events_out", None)
     want_metrics = bool(metrics_out or metrics_prom or metrics_port is not None)
     _enable_collectors(
@@ -266,7 +270,9 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="widen sweep chunks to at least N designs; routing depends only "
-        "on block size: CAS blocks of 8+ rows and combined rounds of 160+ "
+        f"on block size: CAS blocks of {_BATCH_MIN_ROWS[Strategy.RENEWABLES_CAS]}+ "
+        "rows and combined rounds of "
+        f"{_BATCH_MIN_ROWS[Strategy.RENEWABLES_BATTERY_CAS]}+ "
         "rows run one (design x hour) kernel call, battery rows the seeded "
         "per-design kernel unless REPRO_BATCH_MIN_ROWS sets a floor, which "
         "merges battery rounds into the combined kernel's lockstep call "
@@ -995,10 +1001,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             except (ValueError, KeyError) as error:
                 print(f"error: {error}", file=sys.stderr)
                 return 1
-    except OSError as error:
-        # Malformed output paths (--metrics-out, --events-out, a taken
-        # --metrics-port, ...) must fail loudly but cleanly: a clear
-        # message and a non-zero exit, not a traceback and not a swallow.
+    except (OSError, ValueError) as error:
+        # Malformed output paths (--metrics-out, --events-out, a taken or
+        # out-of-range --metrics-port, ...) must fail loudly but cleanly: a
+        # clear message and a non-zero exit, not a traceback and not a
+        # swallow.
         print(f"error: {error}", file=sys.stderr)
         return 1
     return 0 if code is None else code

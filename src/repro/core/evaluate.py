@@ -177,11 +177,20 @@ class BatterySeedCache:
     structure (gap trace, rail stretch indices) is built once and seeds
     every capacity's run.  Seeded and unseeded runs are bitwise
     identical; hit/miss totals are the ``battery_seed_cache_hits`` /
-    ``battery_seed_cache_misses`` counters.  LRU-bounded — each seed
-    holds a few year-length arrays.
+    ``battery_seed_cache_misses`` counters.
+
+    LRU-bounded to what the sweep order needs.  Each seed holds a few
+    year-length arrays (about 0.6 MB for a leap year), and a context lives
+    through every strategy of a fleet sweep, so each kept seed is memory
+    the later CAS and combined legs never use.  :meth:`DesignSpace.points
+    <repro.core.design.DesignSpace.points>` walks investments in its outer
+    loop, so a sweep never returns to an investment it has left: one entry
+    serves the whole grid (a serial three-site battery sweep counts the
+    same hits and misses at 1, 2 or 64 entries).  The second entry is
+    headroom for a caller that interleaves two investments' rows.
     """
 
-    _MAX_ENTRIES = 64
+    _MAX_ENTRIES = 2
 
     __slots__ = ("_demand_values", "_seeds", "_lock")
 
@@ -976,8 +985,7 @@ def _finish_battery_rows(
                 context,
                 design,
                 Strategy.RENEWABLES_BATTERY,
-                run.grid_import[i],
-                run.surplus[i],
+                *run.row_outcome(i),
                 0.0,
                 _batch_cycles_per_day(design, run.discharged_mwh[i], calendar),
             )
@@ -1006,8 +1014,7 @@ def _finish_combined_rows(
                 context,
                 design,
                 Strategy.RENEWABLES_BATTERY_CAS,
-                run.grid_import[i],
-                run.surplus[i],
+                *run.row_outcome(i),
                 float(run.deferred_mwh[i]),
                 _batch_cycles_per_day(design, run.discharged_mwh[i], calendar),
             )

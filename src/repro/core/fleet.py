@@ -63,6 +63,7 @@ journal names through :func:`repro.resilience.checkpoint.sweep_journal_path`).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
@@ -308,13 +309,17 @@ def sweep_fleet(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if deadline_s is not None and deadline_s <= 0:
-        raise ValueError(f"deadline_s must be positive or None, got {deadline_s}")
+    if deadline_s is not None and not (math.isfinite(deadline_s) and deadline_s > 0):
+        raise ValueError(
+            f"deadline_s must be positive and finite or None, got {deadline_s}"
+        )
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    if chunk_timeout is not None and chunk_timeout <= 0:
+    if chunk_timeout is not None and not (
+        math.isfinite(chunk_timeout) and chunk_timeout > 0
+    ):
         raise ValueError(
-            f"chunk_timeout must be positive or None, got {chunk_timeout}"
+            f"chunk_timeout must be positive and finite or None, got {chunk_timeout}"
         )
     if batch_size is not None and batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")

@@ -116,9 +116,9 @@ def optimize(
     Raises
     ------
     ValueError
-        If ``workers < 1``, ``max_retries < 0``, ``chunk_timeout <= 0``,
-        ``batch_size < 1``, ``resume`` is requested without a
-        ``checkpoint``, or the constrained space is empty.
+        If ``workers < 1``, ``max_retries < 0``, ``chunk_timeout`` is not
+        positive and finite, ``batch_size < 1``, ``resume`` is requested
+        without a ``checkpoint``, or the constrained space is empty.
     repro.resilience.CheckpointError
         If the checkpoint file is damaged.
     repro.resilience.CheckpointMismatchError

@@ -56,13 +56,14 @@ up: a battery block is a combined block whose every row has a zero
 flexible ratio, so :func:`battery_run_batch` has no hour loop of its own.
 
 Kernel purity: inputs are read-only (gathers copy; every mutated array is
-freshly allocated here), there is no I/O, and the only imports are numpy
-and stdlib containers — the same contract RL003 enforces for the serial
-kernels.
+freshly allocated here), there is no I/O, and the only imports are numpy,
+stdlib containers and ``mmap`` (for an anonymous, file-less mapping) —
+the same contract RL003 enforces for the serial kernels.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import NamedTuple
 
 import numpy as np
@@ -85,25 +86,34 @@ class ScheduleRunBatch(NamedTuple):
 class CombinedRunBatch:
     """Row-stacked :class:`~repro.kernels.combined.CombinedRunArrays`.
 
-    Hourly fields are ``(D, H)``; meter totals are ``(D,)``.  The
-    ``shifted_demand`` and ``charge_level`` diagnostic planes exist only
-    when the kernel ran with ``planes=True``: the sweep path reads
-    ``grid_import``/``surplus`` and the meter columns alone, so it skips
-    recording them, and reading a skipped plane raises
-    ``AttributeError`` naming the keyword.
+    Meter totals are ``(D,)``.  The two hourly outcomes share storage:
+    each hour a row either runs short (``gap <= 0``) and imports from the
+    grid, or it does not and keeps a surplus, and the outcome it does not
+    have is an exact ``+0.0``.  So the kernel records one ``(D, H)``
+    ``value`` plane (the grid import where the row ran short, else the
+    surplus) plus the hour-major ``(H, D)`` bool ``short`` mask: 9 bytes
+    per design-hour instead of two 8-byte planes.  :meth:`row_outcome`
+    rebuilds one row's ``(grid_import, surplus)``, which is what the sweep
+    finishers read; the ``grid_import``/``surplus`` properties rebuild the
+    full ``(D, H)`` planes on every read, for tests and diagnostics.
+
+    The ``shifted_demand`` and ``charge_level`` diagnostic planes exist only
+    when the kernel ran with ``planes=True``: the sweep path reads the
+    outcomes and the meter columns alone, so it skips recording them, and
+    reading a skipped plane raises ``AttributeError`` naming the keyword.
     """
 
     __slots__ = (
-        "grid_import", "surplus", "deferred_mwh", "late_mwh",
+        "value", "short", "deferred_mwh", "late_mwh",
         "unserved_mwh", "charged_mwh", "discharged_mwh", "deferral_events",
         "shifted_demand", "charge_level",
     )
 
-    def __init__(self, grid_import, surplus, deferred_mwh, late_mwh,
+    def __init__(self, value, short, deferred_mwh, late_mwh,
                  unserved_mwh, charged_mwh, discharged_mwh, deferral_events,
                  shifted_demand=None, charge_level=None):
-        self.grid_import = grid_import
-        self.surplus = surplus
+        self.value = value
+        self.short = short
         self.deferred_mwh = deferred_mwh
         self.late_mwh = late_mwh
         self.unserved_mwh = unserved_mwh
@@ -113,6 +123,22 @@ class CombinedRunBatch:
         if shifted_demand is not None:
             self.shifted_demand = shifted_demand
             self.charge_level = charge_level
+
+    def row_outcome(self, i: int):
+        """Row ``i``'s ``(grid_import, surplus)`` hours as fresh arrays."""
+        short = np.ascontiguousarray(self.short[:, i])
+        value = self.value[i]
+        return np.where(short, value, 0.0), np.where(short, 0.0, value)
+
+    @property
+    def grid_import(self) -> np.ndarray:
+        """The ``(D, H)`` grid-import plane, rebuilt on each read."""
+        return np.where(self.short.T, self.value, 0.0)
+
+    @property
+    def surplus(self) -> np.ndarray:
+        """The ``(D, H)`` surplus plane, rebuilt on each read."""
+        return np.where(self.short.T, 0.0, self.value)
 
     def __getattr__(self, name):
         # Reached only when normal lookup fails: an unset plane slot or an
@@ -382,21 +408,26 @@ def combined_run_batch(
     target is non-negative, so the unconditional updates are bitwise
     no-ops there.
 
-    Memory is the caller's supply block (``U`` or ``D`` rows), the two
-    ``(D, H)`` outputs (``grid_import``, ``surplus``), the two optional
+    Memory is the caller's supply block (``U`` or ``D`` rows), the
+    outcomes (one ``(D, H)`` float value plane plus the ``(H, D)`` bool
+    ``short`` mask, see :class:`CombinedRunBatch`), the two optional
     diagnostic planes, the due buffer, and ``(D,)``-scale state (the
-    ring, the cursors, the scratch columns): no hour-major planes and no
-    input copies — about 36 MB per plane at ``D = 512`` for a leap year.
-    The due buffer is one ``np.zeros`` allocation whose pages become
+    ring, the cursors, the scratch columns): no input copies — about 36 MB
+    per float plane and 4.5 MB for the mask at ``D = 512`` for a leap
+    year.  The mask is the one hour-major plane: each hour writes its
+    branch mask straight into its ``(D,)`` row, so it costs no call.
+    The due buffer is one zeroed anonymous mapping whose pages become
     resident only where a row's tail reaches, so a block that never
-    defers costs nothing for it and a row costs 8 bytes per deferral
-    still queued at its deadline.  It must be zeroed, not ``np.empty``:
-    the walk reads the head slot of rows that just drained (a slot no
-    append has written yet), and that read must be a finite ``+0.0``.
-    Each hour reads its supply column and writes its output columns in
-    place; the cache lines a column touches serve the next seven hours
-    too, so the strided access stays cache-resident and needs no
-    transpose pass.
+    defers costs nothing for it and a row costs 8 bytes per deferral that
+    was still queued at its deadline (the tail never moves back).  As an
+    ``np.zeros`` plane it would be resident in 2 MB huge pages, i.e.
+    whole as soon as rows across the block append.  It must be zeroed,
+    not ``np.empty``: the walk reads the head slot of rows that just
+    drained (a slot no append has written yet), and that read must be a
+    finite ``+0.0``.  Each hour reads its supply column and writes its
+    value column in place; the cache lines a column touches serve the
+    next seven hours too, so the strided access stays cache-resident and
+    needs no transpose pass.
     """
     n_hours = supply.shape[1]
     if row_supply is None:
@@ -435,8 +466,11 @@ def combined_run_batch(
         demand_hours = None
     else:
         demand_hours = demand.tolist()
-    grid = np.zeros((n_rows, n_hours))
-    surplus = np.zeros((n_rows, n_hours))
+    # Outcomes: one (D, H) value plane (a short row's grid import, every
+    # other row's surplus) and the hour-major (H, D) short mask, whose
+    # hour row is written in place as the hour's branch mask.
+    value = np.zeros((n_rows, n_hours))
+    short_plane = np.empty((n_hours, n_rows), dtype=bool)
     # Diagnostic planes; sweeps never read them, so they skip both.
     shifted = np.empty((n_rows, n_hours)) if planes else None
     charge = np.empty((n_rows, n_hours)) if planes else None
@@ -476,10 +510,14 @@ def combined_run_batch(
     # absolute head/tail cursors (the row's first entry, one past its
     # last).  A row appends at most once per hour, so its tail never
     # passes the end of the row's own span: nothing wraps and nothing
-    # grows.  Untouched pages of the zeroed allocation never become
-    # resident.
+    # grows.  The buffer is an anonymous mapping, zero-filled by the OS,
+    # whose untouched pages never become resident.  ``np.zeros`` would
+    # advise transparent huge pages for it, and then one append anywhere
+    # in a 2 MB region makes the whole region resident.
     width = n_hours + 1
-    Qflat = np.zeros(n_rows * width)
+    Qflat = np.frombuffer(
+        mmap.mmap(-1, max(n_rows * width, 1) * 8), dtype=np.float64
+    )[: n_rows * width]
     head = np.arange(n_rows, dtype=np.int64) * width
     tail = head.copy()
     overdue_any = False
@@ -503,7 +541,6 @@ def combined_run_batch(
     is_late = np.empty(n_rows, dtype=bool)
     owes = np.empty(n_rows, dtype=bool)
     fresh = np.zeros(n_rows, dtype=bool)
-    short = np.empty(n_rows, dtype=bool)
     defer_mask = np.empty(n_rows, dtype=bool)
     soak_mask = np.empty(n_rows, dtype=bool)
     flag = np.empty(n_rows, dtype=bool)
@@ -612,6 +649,7 @@ def combined_run_batch(
         # ---- Serial branch decision, with this hour's true load.
         # The hour's supply operand: a (D,) row gathered from the supply rows.
         np.subtract(supply[:, hour][row_supply], load, out=gap)
+        short = short_plane[hour]
         np.less_equal(gap, zero, out=short)
         n_short = np.count_nonzero(short)
         any_sup = n_short < n_rows
@@ -726,7 +764,7 @@ def combined_run_batch(
             np.add(energy, scratch, out=energy)
             np.add(charged, power, out=charged)
             np.subtract(gap, power, out=scratch)
-            np.maximum(scratch, zero, out=surplus[:, hour])
+            np.maximum(scratch, zero, out=value[:, hour])
 
         # ---- 4. Deficit: battery, then deferral, then the grid.
         if not all_sup:
@@ -761,7 +799,9 @@ def combined_run_batch(
                     np.add(events, defer_mask, out=events)
                     occ[slot] = ndefer
                     ring_rows += ndefer
-            np.copyto(grid[:, hour], deficit, where=short)
+            # Short rows overwrite the surplus step's column entry, which
+            # is an exact +0.0 there: the surplus of a row that ran short.
+            np.copyto(value[:, hour], deficit, where=short)
 
         if planes:
             shifted[:, hour] = load
@@ -771,10 +811,11 @@ def combined_run_batch(
         # The serial kernel's flexible_ratio == 0 delegations write their
         # grid column with np.maximum (never -0.0); the combined loop's
         # python max keeps -0.0.  Normalize those rows to the delegate, in
-        # place: a gathered copy would cost two more (Z, H) planes.
-        np.add(grid, 0.0, out=grid, where=fr_zero[:, None])
+        # place: a gathered copy would cost two more (Z, H) planes.  Their
+        # surplus cells are never -0.0, so adding +0.0 leaves them as is.
+        np.add(value, 0.0, out=value, where=fr_zero[:, None])
     return CombinedRunBatch(
-        grid, surplus, deferred_total, late, queued_total, charged,
+        value, short_plane, deferred_total, late, queued_total, charged,
         discharged, events, shifted, charge,
     )
 

@@ -154,3 +154,38 @@ class TestContextCacheBound:
         assert fresh_metrics.counter_value("site_context_cache_evictions") == 1
         assert build_site_context("UT", seed=2000) is contexts[0]
         assert build_site_context("UT", seed=2001) is not contexts[1]
+
+
+class TestBatterySeedCacheBound:
+    def test_grid_order_sweep_keeps_at_most_the_bound(self, monkeypatch):
+        """A battery sweep walks investments in its outer loop, so the
+        small seed LRU still builds each investment's seed once, and no
+        more than ``_MAX_ENTRIES`` seeds stay alive afterwards."""
+        from repro.core import optimize
+        from repro.core.design import DesignSpace
+        from repro.obs import disable_metrics, enable_metrics, get_registry, reset_metrics
+
+        monkeypatch.delenv("REPRO_BATCH_MIN_ROWS", raising=False)
+        context = build_site_context("UT", seed=3100)
+        avg = context.demand.avg_power_mw
+        space = DesignSpace(
+            solar_mw=(0.0, 2 * avg, 4 * avg),
+            wind_mw=(avg, 3 * avg),
+            battery_mwh=(0.0, avg, 4 * avg),
+        )
+        reset_metrics()
+        enable_metrics()
+        try:
+            optimize(context, space, Strategy.RENEWABLES_BATTERY)
+            registry = get_registry()
+            hits = registry.counter_value("battery_seed_cache_hits")
+            misses = registry.counter_value("battery_seed_cache_misses")
+        finally:
+            disable_metrics()
+            reset_metrics()
+        investments = len(space.solar_mw) * len(space.wind_mw)
+        assert misses == investments
+        assert hits == space.size(Strategy.RENEWABLES_BATTERY) - investments
+        seeds = context.battery_seed_cache._seeds
+        assert 0 < len(seeds) <= evaluate_module.BatterySeedCache._MAX_ENTRIES
+        assert evaluate_module.BatterySeedCache._MAX_ENTRIES <= 2

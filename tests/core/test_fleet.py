@@ -13,6 +13,7 @@ any outcome.
 
 from __future__ import annotations
 
+import math
 import pathlib
 
 import pytest
@@ -136,6 +137,13 @@ class TestSerialFleet:
             sweep_fleet(trio_sites, STRATEGY, max_retries=-1)
         with pytest.raises(ValueError, match="chunk_timeout"):
             sweep_fleet(trio_sites, STRATEGY, chunk_timeout=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_budgets_are_rejected(self, trio_sites, value):
+        with pytest.raises(ValueError, match="deadline_s must be positive and finite"):
+            sweep_fleet(trio_sites, STRATEGY, deadline_s=value)
+        with pytest.raises(ValueError, match="chunk_timeout must be positive and finite"):
+            sweep_fleet(trio_sites, STRATEGY, workers=2, chunk_timeout=value)
 
     @pytest.mark.parametrize("spec", ["ZZ:kill", "ut:kill"])
     def test_fault_plan_sites_must_be_in_the_sweep(self, trio_sites, spec):

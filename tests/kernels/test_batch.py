@@ -867,6 +867,208 @@ class TestDistinctSupplyRows:
 
 
 # ---------------------------------------------------------------------------
+# Outcome encoding: one value plane plus the hour-major short mask
+# ---------------------------------------------------------------------------
+def assert_row_outcome_bits(batch, i, ref):
+    """Row ``i``'s rebuilt grid import and surplus equal the serial run's
+    bit for bit, through both :meth:`row_outcome` and the full planes."""
+    grid, surplus = batch.row_outcome(i)
+    for rebuilt, expected in (
+        (grid, ref.grid_import),
+        (surplus, ref.surplus),
+        (batch.grid_import[i], ref.grid_import),
+        (batch.surplus[i], ref.surplus),
+    ):
+        rebuilt = np.asarray(rebuilt, dtype=float)
+        assert rebuilt.shape == expected.shape
+        assert np.array_equal(rebuilt.view(np.int64), expected.view(np.int64))
+
+
+def edge_hour_traces(n_hours, n_rows, seed):
+    """A site trace and a ``(n_rows, H)`` supply block whose hours cycle
+    through four kinds: every row short (no supply), every row in surplus
+    (supply far above demand), every row exactly at demand (a zero gap,
+    where ``-0.0`` arises), and random mixed hours."""
+    rng = np.random.default_rng(seed)
+    demand = rng.uniform(5.0, 20.0, n_hours)
+    supply = rng.uniform(0.0, 40.0, (n_rows, n_hours))
+    kind = np.arange(n_hours) % 4
+    supply[:, kind == 0] = 0.0
+    supply[:, kind == 1] = 100.0
+    supply[:, kind == 2] = demand[kind == 2]
+    return demand, supply
+
+
+class TestOutcomeEncoding:
+    """The kernels record each hour's outcome once: a ``(D, H)`` value
+    plane (grid import where the row ran short, else surplus) and an
+    ``(H, D)`` bool ``short`` mask.  The rebuilt planes must equal the
+    serial kernels' bit for bit, signed zeros included — ``np.array_equal``
+    treats ``-0.0 == +0.0``, so these compare integer bit patterns."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        rows=ZERO_LED_ROWS,
+        seed=SEEDS,
+        multi_site=st.booleans(),
+        deadline_hours=st.sampled_from([4, 24]),
+        data=st.data(),
+    )
+    def test_merged_block_rebuilds_serial_bits(
+        self, rows, seed, multi_site, deadline_hours, data
+    ):
+        """Multi-site merged blocks (``row_sites`` + ``row_supply``) with
+        zero-ratio rows and tied hours, against ``combined_run``."""
+        demand, traces, distinct, row_sites, row_supply = TestDistinctSupplyRows.layout(
+            rows, seed, multi_site, data
+        )
+        site_of = row_sites if multi_site else np.zeros(len(rows), dtype=int)
+        capacity = np.array(
+            [float(traces[s].max()) * cap for s, (*_, cap) in zip(site_of, rows)]
+        )
+        ratios = np.array([ratio for _, _, ratio, _ in rows])
+        batch = combined_run_batch(
+            demand,
+            distinct,
+            capacity_mw=capacity,
+            flexible_ratio=ratios,
+            deadline_hours=deadline_hours,
+            row_sites=row_sites,
+            row_supply=row_supply,
+            planes=False,
+            **battery_columns(rows),
+        )
+        assert batch.value.shape == (len(rows), N_HOURS)
+        assert batch.short.shape == (N_HOURS, len(rows))
+        assert batch.short.dtype == np.bool_
+        for i, (spec, soc, ratio, _) in enumerate(rows):
+            ref = combined_run(
+                traces[site_of[i]],
+                distinct[row_supply[i]],
+                capacity_mw=float(capacity[i]),
+                flexible_ratio=float(ratio),
+                deadline_hours=deadline_hours,
+                **battery_kwargs(spec, soc),
+            )
+            assert_row_outcome_bits(batch, i, ref)
+
+    @pytest.mark.parametrize("with_battery", [True, False])
+    def test_all_short_and_all_surplus_hours(self, with_battery):
+        """Hours where every row runs short, every row has surplus, every
+        row meets demand exactly, and mixed hours; zero-ratio rows sit
+        beside deferring ones.  A block without any battery keeps the
+        serial kernel's ``-0.0`` grid import at zero-gap hours, which the
+        value plane must carry through."""
+        n_hours = 3 * HOURS_PER_DAY
+        spec = BatterySpec(5.0) if with_battery else BatterySpec(0.0)
+        rows = [
+            (BatterySpec(0.0), 1.0, 0.0, 1.5),
+            (spec, 0.5, 0.0, 1.5),
+            (spec, 1.0, 0.4, 1.2),
+            (BatterySpec(0.0), 1.0, 1.0, 3.0),
+        ]
+        demand, supply = edge_hour_traces(n_hours, len(rows), seed=17)
+        capacity = np.array([float(demand.max()) * cap for *_, cap in rows])
+        batch = combined_run_batch(
+            demand,
+            supply,
+            capacity_mw=capacity,
+            flexible_ratio=np.array([ratio for _, _, ratio, _ in rows]),
+            deadline_hours=24,
+            planes=False,
+            **battery_columns(rows),
+        )
+        # The block really holds all-short and all-surplus hours.
+        per_hour = batch.short.sum(axis=1)
+        assert (per_hour == len(rows)).any() and (per_hour == 0).any()
+        refs = []
+        for i, (row_spec, soc, ratio, _) in enumerate(rows):
+            ref = combined_run(
+                demand,
+                supply[i],
+                capacity_mw=float(capacity[i]),
+                flexible_ratio=ratio,
+                deadline_hours=24,
+                **battery_kwargs(row_spec, soc),
+            )
+            assert_row_outcome_bits(batch, i, ref)
+            refs.append(ref)
+        if not with_battery:
+            assert np.signbit(refs[3].grid_import).any()
+
+    def test_battery_kernel_rebuilds_serial_bits(self):
+        """``battery_run_batch`` (the kernel at flexible ratio 0) over the
+        same edge hours, with a zero-capacity row, against ``battery_run``."""
+        rows = [
+            (BatterySpec(0.0), 1.0, 0.0, 1.5),
+            (BatterySpec(0.001), 0.0, 0.0, 1.5),
+            (BatterySpec(40.0, depth_of_discharge=0.8), 0.5, 0.0, 1.5),
+        ]
+        n_hours = 3 * HOURS_PER_DAY
+        demand, supply = edge_hour_traces(n_hours, len(rows), seed=23)
+        batch = battery_run_batch(demand, supply, planes=False, **battery_columns(rows))
+        for i, (spec, soc, _, _) in enumerate(rows):
+            ref = battery_run(demand, supply[i], **battery_kwargs(spec, soc))
+            assert_row_outcome_bits(batch, i, ref)
+
+    def test_value_plane_holds_the_written_outcome(self):
+        """Where a row ran short the value plane holds its grid import,
+        elsewhere its surplus; the outcome it did not have is ``+0.0``."""
+        rows = [(BatterySpec(5.0), 0.5, 0.4, 1.5), (BatterySpec(0.0), 1.0, 0.0, 1.2)]
+        demand, supply = edge_hour_traces(N_HOURS, len(rows), seed=5)
+        batch = combined_run_batch(
+            demand,
+            supply,
+            capacity_mw=float(demand.max()) * 1.5,
+            flexible_ratio=np.array([0.4, 0.0]),
+            deadline_hours=24,
+            **battery_columns(rows),
+        )
+        short = batch.short.T
+        grid, surplus = batch.grid_import, batch.surplus
+        assert_bits_equal(np.where(short, grid, surplus), batch.value)
+        assert_bits_equal(grid[~short], np.zeros(np.count_nonzero(~short)))
+        assert_bits_equal(surplus[short], np.zeros(np.count_nonzero(short)))
+
+
+class TestOutcomeMemory:
+    def test_planes_false_call_allocates_under_10_bytes_per_design_hour(self):
+        """A ``planes=False`` call allocates its value plane (8 bytes per
+        design-hour), the short mask (1) and ``(D,)``-scale state through
+        numpy: at most 10 bytes per design-hour.  The due buffer is an
+        anonymous mapping, outside the allocator tracemalloc sees; two
+        float output planes plus a zeroed ``np.zeros`` due buffer would
+        trace about 24."""
+        n_rows, n_hours = 64, 366 * HOURS_PER_DAY
+        rng = np.random.default_rng(3)
+        demand = rng.uniform(5.0, 20.0, n_hours)
+        supply = rng.uniform(0.0, 40.0, (4, n_hours))
+        row_supply = np.arange(n_rows) % 4
+        specs = [BatterySpec(0.0), BatterySpec(5.0), BatterySpec(40.0), BatterySpec(0.001)]
+        rows = [(specs[i % 4], 1.0, None, None) for i in range(n_rows)]
+        columns = battery_columns(rows)
+        ratios = np.where(np.arange(n_rows) % 2 == 0, 0.4, 0.0)
+        capacity = float(demand.max()) * 1.2
+        tracemalloc.start()
+        try:
+            batch = combined_run_batch(
+                demand,
+                supply,
+                row_supply=row_supply,
+                capacity_mw=capacity,
+                flexible_ratio=ratios,
+                deadline_hours=24,
+                planes=False,
+                **columns,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.deferral_events.sum() > 0
+        assert peak <= 10 * n_rows * n_hours
+
+
+# ---------------------------------------------------------------------------
 # Surplus-soak hazard replay
 # ---------------------------------------------------------------------------
 def ref_fifo_walk(entries, budget, queued):

@@ -10,6 +10,8 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.core import Strategy
+from repro.core.evaluate import _BATCH_MIN_ROWS
 from repro.obs import (
     LOGGER_NAME,
     disable_metrics,
@@ -123,6 +125,16 @@ class TestOptimize:
         out = capsys.readouterr().out
         assert "renewables + battery" in out
         assert "design" in out
+
+    def test_batch_size_help_names_the_current_floors(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["optimize", "--help"])
+        assert exited.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        cas = _BATCH_MIN_ROWS[Strategy.RENEWABLES_CAS]
+        combined = _BATCH_MIN_ROWS[Strategy.RENEWABLES_BATTERY_CAS]
+        assert f"CAS blocks of {cas}+ rows" in text
+        assert f"combined rounds of {combined}+ rows" in text
 
 
 class TestScenariosAndGap:

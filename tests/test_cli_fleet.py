@@ -160,6 +160,24 @@ class TestRankDeadline:
         assert "cut off" not in captured.err
         assert "of the 600.0s budget" in captured.err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_deadline_is_a_domain_error(self, value, capsys):
+        assert main(_RANK_UT + [f"--deadline={value}"]) == 1
+        captured = capsys.readouterr()
+        assert "error: deadline_s must be positive and finite" in captured.err
+        assert "budget" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_chunk_timeout_is_a_domain_error(self, value, capsys):
+        code = main(
+            ["rank", "--sites", "UT", "--workers", "2", "--chunk-timeout", value]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: chunk_timeout must be positive and finite" in captured.err
+        assert captured.out == ""
+
 
 class TestRankInterrupt:
     def _interrupt(self, monkeypatch, checkpoint=None):

@@ -104,6 +104,13 @@ class TestMetricsPort:
             assert main(SWEEP + ["--metrics-port", str(port)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("port", ["-5", "65536", "100000"])
+    def test_out_of_range_port_fails_cleanly(self, port, capsys):
+        assert main(SWEEP + ["--metrics-port", port]) == 1
+        captured = capsys.readouterr()
+        assert f"error: --metrics-port must be in 0-65535, got {port}" in captured.err
+        assert "serving metrics" not in captured.err
+
 
 class TestMalformedOutputPaths:
     def test_malformed_metrics_out_exits_one_without_traceback(
